@@ -11,7 +11,6 @@ with a direct sparse solve.
 """
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,8 @@ class SpectralCellSolver:
     The unknown lives in the zero-mean, Nyquist-masked trig space; the
     preconditioner is the exact inverse Laplacian on that space, so the
     preconditioned operator has spectrum controlled by the ellipticity
-    bounds alone.
+    bounds alone.  The directions (and adjoint directions) of one cell are
+    solved together as one block-diagonal system over a (B, *cell) stack.
     """
 
     def __init__(self, a_nodes, grid, tol, maxiter=300):
@@ -51,36 +51,88 @@ class SpectralCellSolver:
         self.maxiter = maxiter
         self.calc = calculus(grid.shape)
 
-    def _apply(self, nvec):
-        v = nvec.reshape(self.grid.shape)
-        g = self.calc.grad(v)
-        flux = np.einsum("...pq,q...->p...", self.a, g)
-        return -self.calc.div(flux).ravel()
-
-    def _precond(self, rvec):
-        return self.calc.poisson(rvec.reshape(self.grid.shape)).ravel()
-
     def solve(self, j):
-        n = self.grid.size
-        b = self.calc.div(np.moveaxis(self.a[..., :, j], -1, 0)).ravel()
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            zero = np.zeros(self.grid.shape)
-            return CellField(zero, np.zeros((self.grid.dim,) + self.grid.shape),
-                             0.0, "spectral")
-        lin = spla.LinearOperator((n, n), matvec=self._apply)
-        pre = spla.LinearOperator((n, n), matvec=self._precond)
-        x, info = spla.lgmres(lin, b, M=pre, rtol=self.tol, atol=0.0,
-                              maxiter=self.maxiter)
-        v = x.reshape(self.grid.shape)
-        v = v - v.mean()
-        # lgmres may stagnate at the roundoff floor just above rtol; the
-        # contract is the achieved residual, not the iteration count
-        res = np.linalg.norm(self._apply(v.ravel()) - b) / nb
-        if res > 10 * self.tol:
-            raise SolveError(f"cell solve (spectral, j={j}) residual {res:.2e} "
-                             f"(info={info})")
-        return CellField(v, self.calc.grad(v), res, "spectral")
+        return self._solve_blocks(self.a[None], [j])[0]
+
+    def solve_all(self, adjoint):
+        """Every direction, then with `adjoint` every transposed-coefficient one."""
+        d = self.grid.dim
+        blocks = [self.a] * d
+        if adjoint:
+            blocks += [np.swapaxes(self.a, -1, -2)] * d
+        return self._solve_blocks(np.stack(blocks), list(range(d)) * (2 if adjoint else 1))
+
+    def _solve_blocks(self, a, dirs):
+        """Solve block b with coefficient a[b] (*shape, d, d) in direction dirs[b].
+
+        Each right-hand side is scaled to unit norm and the global relative
+        tolerance is tol/sqrt(B), so every block's relative residual is
+        bounded by tol; each block's true residual is still checked alone.
+        """
+        shape, d = self.grid.shape, self.grid.dim
+        cell_axes = tuple(range(1, d + 1))
+        a = np.moveaxis(a, (-2, -1), (1, 2))                 # (B, d, d, *shape)
+        rhs = self.calc.div(a[np.arange(len(dirs)), :, dirs])
+        scale = np.sqrt(np.sum(rhs ** 2, axis=cell_axes))
+        live = scale > 0.0
+        values = np.zeros((len(dirs),) + shape)
+        residuals = np.zeros(len(dirs))
+        if live.any():
+            norms = scale[live].reshape((-1,) + (1,) * d)
+            values[live], residuals[live] = self._krylov(a[live], rhs[live] / norms)
+            values[live] *= norms
+        for b, res in enumerate(residuals):
+            if res > 10 * self.tol:
+                raise SolveError(f"cell solve (spectral, j={dirs[b]}) residual {res:.2e}")
+        grads = self.calc.grad(values)
+        return [CellField(values[b], grads[b], float(residuals[b]), "spectral")
+                for b in range(len(dirs))]
+
+    def _krylov(self, a, rhs):
+        """Block solve for unit-norm right-hand sides: (zero-mean values, residuals).
+
+        lgmres runs one outer iteration per call, warm-started from the last
+        iterate and its augmentation vectors, and the true residual of every
+        block is checked after each call.  It cannot push the
+        residual below the FFT roundoff floor, so the solve stops as soon as
+        every block reaches tol or a chunk fails to halve the best residual,
+        and keeps the best iterate.
+        """
+        nblk = rhs.shape[0]
+        shape = rhs.shape
+        n = rhs.size
+        cell_axes = tuple(range(1, rhs.ndim))
+
+        def apply(x):
+            g = self.calc.grad(x.reshape(shape))             # (B, d, *cell)
+            flux = np.sum(a * g[:, None], axis=2)
+            return -self.calc.div(flux).ravel()
+
+        def residuals(v):
+            r = (apply(v.ravel()) - rhs.ravel()).reshape(shape)
+            return np.sqrt(np.sum(r ** 2, axis=cell_axes))
+
+        lin = spla.LinearOperator((n, n), matvec=apply, dtype=float)
+        pre = spla.LinearOperator(
+            (n, n), matvec=lambda r: self.calc.poisson(r.reshape(shape)).ravel(),
+            dtype=float)
+        x = np.zeros(n)
+        outer_v = []
+        best_v, best_res = np.zeros(shape), np.ones(nblk)
+        for _ in range(self.maxiter):
+            # looked up at call time so that callers may wrap scipy's lgmres
+            x, _ = spla.lgmres(lin, rhs.ravel(), x0=x, M=pre,
+                               rtol=self.tol / np.sqrt(nblk), atol=0.0,
+                               maxiter=1, outer_v=outer_v)
+            v = x.reshape(shape)
+            v = v - v.mean(axis=cell_axes, keepdims=True)
+            res = residuals(v)
+            halved = res.max() <= 0.5 * best_res.max()
+            if res.max() < best_res.max():
+                best_v, best_res = v, res
+            if best_res.max() <= self.tol or not halved:
+                break
+        return best_v, best_res
 
     def flux_column(self, cf, j):
         """Node values of a (e^j + grad chi^j), shape (d, *cell)."""
@@ -105,6 +157,7 @@ class FVCellSolver:
     def __init__(self, a_eval, grid, tol):
         self.grid = grid
         self.tol = tol
+        self.a_eval = a_eval
         d = grid.dim
         self.diag_faces = []
         for m in range(d):
@@ -165,6 +218,15 @@ class FVCellSolver:
         if res > max(10 * self.tol, 1e-10):
             raise SolveError(f"cell solve (fv, j={j}) residual {res:.2e}")
         return CellField(v, centered_gradient(v, self.grid.h), res, "fv")
+
+    def solve_all(self, adjoint):
+        """Every direction, then with `adjoint` every transposed-coefficient one."""
+        fields = [self.solve(j) for j in range(self.grid.dim)]
+        if adjoint:
+            solver_t = FVCellSolver(lambda y: np.swapaxes(self.a_eval(y), -1, -2),
+                                    self.grid, self.tol)
+            fields += [solver_t.solve(j) for j in range(self.grid.dim)]
+        return fields
 
     def effective_column(self, cf, j):
         """Flux mean of a (e^j + grad chi^j): conservative faces plus node cross terms."""
@@ -283,8 +345,11 @@ def _h1_cell_norm(values, grad, w):
     return np.sqrt(w * (np.sum(values ** 2) + np.sum(grad ** 2)))
 
 
-def build_cell_table(field, slow_grid, cell_grid, tol=1e-11, jobs=1):
+def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     """Solve primal and adjoint cell problems at every slow sample.
+
+    The directions and adjoints of one sample are solved together (one
+    block system on the spectral path); samples are solved in turn.
 
     Slow-variable gradients are taken by centered differences over the
     (periodic) slow grid.  The largest adjacent-sample H1 Lipschitz
@@ -302,55 +367,35 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11, jobs=1):
     gy = np.zeros((n_slow, d, d) + cshape)
     chi_a = np.zeros((n_slow, d) + cshape)
     gy_a = np.zeros((n_slow, d, d) + cshape)
-    residual_max = 0.0
-
-    symmetric = field.symmetric
 
     def work(i):
         x = xs[i]
 
         def a_eval(y):
-            xb = np.broadcast_to(x, y.shape)
-            return field.eval(xb, y)
+            return field.eval(np.broadcast_to(x, y.shape), y)
 
         try:
-            solver = make_solver(a_eval, cell_grid, tol, method)
-            out = []
-            for j in range(d):
-                cf = solver.solve(j)
-                out.append((cf.values, cf.grad, cf.residual))
-            if symmetric:
-                out_adj = out
-            else:
-                def a_eval_t(y):
-                    return np.swapaxes(a_eval(y), -1, -2)
-                solver_a = make_solver(a_eval_t, cell_grid, tol, method)
-                out_adj = []
-                for j in range(d):
-                    cf = solver_a.solve(j)
-                    out_adj.append((cf.values, cf.grad, cf.residual))
+            fields = make_solver(a_eval, cell_grid, tol, method).solve_all(
+                adjoint=not field.symmetric)
         except SolveError as exc:
             raise SolveError(f"slow sample x = {x}: {exc}") from exc
-        return out, out_adj
+        return fields if not field.symmetric else fields + fields
 
     try:
         if field.lipschitz_x == 0.0:
             # no slow dependence: one solve serves every sample
             results = [work(0)] * n_slow
-        elif jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(work, range(n_slow)))
         else:
             results = [work(i) for i in range(n_slow)]
     except SolveError as exc:
         raise SolveError(f"cell table build failed: {exc}") from exc
 
-    for i, (out, out_adj) in enumerate(results):
+    residual_max = 0.0
+    for i, fields in enumerate(results):
         for j in range(d):
-            chi[i, j], gy[i, j], res = out[j]
-            residual_max = max(residual_max, res)
-            chi_a[i, j], gy_a[i, j], res_a = out_adj[j]
-            residual_max = max(residual_max, res_a)
+            chi[i, j], gy[i, j] = fields[j].values, fields[j].grad
+            chi_a[i, j], gy_a[i, j] = fields[d + j].values, fields[d + j].grad
+        residual_max = max([residual_max] + [cf.residual for cf in fields])
 
     sshape = slow_grid.shape
     chi = chi.reshape(sshape + (d,) + cshape)

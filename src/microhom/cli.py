@@ -27,7 +27,6 @@ EXIT_SOLVER = 3
 def _add_common(sub):
     sub.add_argument("--config", default=None, help="experiment config file")
     sub.add_argument("--out", default=None, help="output directory (overrides config)")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for norm-estimation start vectors (overrides config)")
 
@@ -63,7 +62,7 @@ def cmd_cells(args):
     field = cfg.make_field()
     cells = build_cell_table(field, TorusGrid(field.dim, cfg.n_x),
                              TorusGrid(field.dim, cfg.n_y),
-                             tol=cfg.cell_tol, jobs=args.jobs)
+                             tol=cfg.cell_tol)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "cells.bin"
@@ -79,7 +78,7 @@ def cmd_effective(args):
     field = cfg.make_field()
     cells = build_cell_table(field, TorusGrid(field.dim, cfg.n_x),
                              TorusGrid(field.dim, cfg.n_y),
-                             tol=cfg.cell_tol, jobs=args.jobs)
+                             tol=cfg.cell_tol)
     hom = effective_matrix(cells, field)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -122,6 +121,8 @@ def main(argv=None):
 
     p = subs.add_parser("sweep", help="run the convergence experiment")
     _add_common(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="eps points run in parallel (threads)")
     p.set_defaults(fn=cmd_sweep)
 
     args = parser.parse_args(argv)

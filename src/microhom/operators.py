@@ -221,7 +221,8 @@ def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, block=3, atol=0.
     (orthogonal) iteration with Rayleigh-Ritz extraction keeps convergence
     fast when the top singular values cluster; it stops once the leading
     estimate's change falls below tol * estimate + atol and raises
-    SolveError if the budget runs out first.  Operators that cancel to the
+    SolveError if the budget runs out first or the Ritz values are not
+    finite.  Operators that cancel to the
     roundoff floor never stabilize in the relative sense, so give them a
     small atol.
     """
@@ -238,8 +239,11 @@ def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, block=3, atol=0.
                 w = gram.apply(w)
             z[:, c] = op.apply_transpose(w)
         ritz = q.T @ z                      # Rayleigh-Ritz for M^T G M
+        if not np.all(np.isfinite(ritz)):
+            # a broken operator must not read as zero error
+            raise SolveError(f"operator_norm: non-finite Ritz values for {op.label}")
         lam = float(np.linalg.eigvalsh(0.5 * (ritz + ritz.T)).max())
-        if lam <= 0.0 or not np.isfinite(lam):
+        if lam <= 0.0:
             return 0.0
         new_est = np.sqrt(lam)
         if est > 0 and abs(new_est - est) <= tol * new_est + atol:

@@ -31,40 +31,46 @@ def resolved_mask(shape):
 
 
 class FourierCalculus:
-    """Cached multipliers for one grid shape."""
+    """Cached multipliers for one grid shape.
+
+    The grid occupies the trailing axes of every input; any leading axes
+    are a batch, transformed in the same FFT call.  Real data is carried
+    on the half spectrum (`rfftn`), which the odd, Nyquist-masked
+    multipliers keep Hermitian.
+    """
 
     def __init__(self, shape):
         self.shape = shape
         self.dim = len(shape)
-        mask = resolved_mask(shape)
+        self.axes = tuple(range(-self.dim, 0))
         ks = integer_freqs(shape)
-        self.deriv = [2j * np.pi * k * mask for k in ks]
-        k2 = sum((2.0 * np.pi * k) ** 2 * np.ones(shape) for k in ks)
-        inv = np.zeros(shape)
+        half = [k[..., : shape[-1] // 2 + 1] for k in ks]
+        mask = resolved_mask(shape)[..., : shape[-1] // 2 + 1]
+        self.deriv = np.stack([2j * np.pi * k * mask for k in half])   # (d, *half)
+        k2 = sum((2.0 * np.pi * k) ** 2 for k in half) * np.ones(mask.shape)
+        inv = np.zeros(mask.shape)
         nz = mask & (k2 > 0)
         inv[nz] = 1.0 / k2[nz]
         self.poisson_mult = inv  # (-Laplace)^-1 on masked, zero-mean modes
-        self.mask = mask
+
+    def _forward(self, values):
+        return np.fft.rfftn(values, axes=self.axes)
+
+    def _inverse(self, spec):
+        return np.fft.irfftn(spec, s=self.shape, axes=self.axes)
 
     def grad(self, values):
-        """Masked spectral gradient, shape (d, *shape)."""
-        vhat = np.fft.fftn(values)
-        return np.stack([np.fft.ifftn(m * vhat).real for m in self.deriv])
+        """Masked spectral gradient: (*batch, *shape) -> (*batch, d, *shape)."""
+        vhat = self._forward(values)
+        return self._inverse(self.deriv * np.expand_dims(vhat, -self.dim - 1))
 
     def div(self, vec):
-        """Masked spectral divergence of a (d, *shape) field."""
-        out = np.zeros(self.shape)
-        for ax in range(self.dim):
-            out += np.fft.ifftn(self.deriv[ax] * np.fft.fftn(vec[ax])).real
-        return out
-
-    def project(self, values):
-        """Restrict to the resolved, masked mode set."""
-        return np.fft.ifftn(self.mask * np.fft.fftn(values)).real
+        """Masked spectral divergence: (*batch, d, *shape) -> (*batch, *shape)."""
+        return self._inverse(np.sum(self.deriv * self._forward(vec), axis=-self.dim - 1))
 
     def poisson(self, rhs):
-        """Zero-mean solution of -Laplace(u) = rhs on the torus."""
-        return np.fft.ifftn(self.poisson_mult * np.fft.fftn(rhs)).real
+        """Zero-mean solution of -Laplace(u) = rhs on the torus, per batch entry."""
+        return self._inverse(self.poisson_mult * self._forward(rhs))
 
 
 _CALC_CACHE = {}

@@ -125,8 +125,10 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     """Full convergence experiment for one configuration.
 
     Cell problems are solved once on the configured sample grid and reused
-    for every eps.  Any per-eps failure aborts the sweep but flushes the
-    points already measured, with the failing stage recorded in the flags.
+    for every eps; a cell residual accepted above cell_tol (the FFT
+    roundoff floor) is flagged.  A per-eps failure aborts the sweep but
+    keeps the points already measured, with the failing eps recorded in
+    the `aborted:` flag.  `jobs` > 1 runs the eps points in a thread pool.
     """
     say = progress or (lambda msg: None)
     field = config.make_field()
@@ -140,8 +142,10 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
 
     t0 = time.perf_counter()
     say("building cell table")
-    cells = build_cell_table(field, slow_grid, cell_grid,
-                             tol=config.cell_tol, jobs=jobs)
+    cells = build_cell_table(field, slow_grid, cell_grid, tol=config.cell_tol)
+    if cells.residual_max > config.cell_tol:
+        report.flags.append(f"cell residual_max {cells.residual_max:.2e} above "
+                            f"cell_tol {config.cell_tol:g} (roundoff floor)")
     hom = effective_matrix(cells, field)
     fc = flux_corrector(cells, field, hom)
     fc_adj = flux_corrector(cells, field, hom, adjoint=True)
@@ -211,18 +215,26 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         return eps, e0, e1, e2, times, tdef
 
     ks = sorted(config.eps_denominators)
-    try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one_eps, ks))
-        else:
-            results = []
-            for k in ks:
-                say(f"eps = 1/{k}")
+    results, failures = [], []
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(one_eps, k) for k in ks]
+        # every point has run by now: keep each one that completed
+        for fut in futures:
+            try:
+                results.append(fut.result())
+            except SolveError as exc:
+                failures.append(exc)
+    else:
+        for k in ks:
+            say(f"eps = 1/{k}")
+            try:
                 results.append(one_eps(k))
-    except SolveError as exc:
-        report.flags.append(f"aborted: {exc}")
-        results = []
+            except SolveError as exc:
+                failures.append(exc)
+                break
+    if failures:
+        report.flags.append(f"aborted: {failures[0]}")
 
     for eps, e0, e1, e2, times, tdef in results:
         report.eps_list.append(eps)

@@ -5,6 +5,7 @@ from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
                       load_cell_table, save_cell_table, solve_adjoint_cell,
                       solve_cell)
 from microhom.cell import make_solver
+from microhom.spectral import FourierCalculus
 
 
 def frozen_eval(field, x):
@@ -141,13 +142,50 @@ def test_lipschitz_quotient_stable_across_slow_resolutions():
     assert q2 == pytest.approx(q1, rel=0.10)
 
 
-def test_parallel_table_matches_serial():
+def count_operator_applications(monkeypatch):
+    # every application of a spectral cell operator takes one gradient
+    calls = [0]
+    grad = FourierCalculus.grad
+
+    def counted(self, values):
+        calls[0] += 1
+        return grad(self, values)
+    monkeypatch.setattr(FourierCalculus, "grad", counted)
+    return calls
+
+
+def test_spectral_solve_stops_at_roundoff_floor(monkeypatch):
+    # at n_y = 256 the FFT roundoff floor sits near tol = 1e-12; the solve
+    # must stop there instead of restarting lgmres until maxiter
     f = builtin_family("separable_1d", {})
-    slow, cell = TorusGrid(1, 8), TorusGrid(1, 64)
-    serial = build_cell_table(f, slow, cell)
-    parallel = build_cell_table(f, slow, cell, jobs=4)
-    assert np.array_equal(serial.chi, parallel.chi)
-    assert np.array_equal(serial.grad_x_chi_adj, parallel.grad_x_chi_adj)
+    calls = count_operator_applications(monkeypatch)
+    cf = solve_cell(frozen_eval(f, [0.37]), 0, TorusGrid(1, 256), tol=1e-12)
+    assert calls[0] <= 100
+    assert cf.residual <= 10 * 1e-12
+
+
+def test_unreachable_tolerance_raises(monkeypatch):
+    f = builtin_family("separable_1d", {})
+    calls = count_operator_applications(monkeypatch)
+    with pytest.raises(SolveError, match="residual"):
+        solve_cell(frozen_eval(f, [0.37]), 0, TorusGrid(1, 256), tol=1e-15)
+    assert calls[0] <= 100
+
+
+@pytest.mark.parametrize("family", ["separable_1d", "smooth_2d_nonsymmetric"])
+def test_batched_table_matches_per_direction_solves(family):
+    f = builtin_family(family, {})
+    slow, cell = TorusGrid(f.dim, 4), TorusGrid(f.dim, 32)
+    cells = build_cell_table(f, slow, cell, tol=1e-12)
+    xs = slow.coords().reshape(-1, f.dim)
+    chi = cells.chi.reshape((len(xs), f.dim) + cell.shape)
+    chi_a = cells.chi_adj.reshape((len(xs), f.dim) + cell.shape)
+    for i, x in enumerate(xs):
+        for j in range(f.dim):
+            ref = solve_cell(frozen_eval(f, x), j, cell, tol=1e-12)
+            ref_a = solve_adjoint_cell(frozen_eval(f, x), j, cell, tol=1e-12)
+            assert np.abs(chi[i, j] - ref.values).max() <= 1e-13
+            assert np.abs(chi_a[i, j] - ref_a.values).max() <= 1e-13
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from microhom import GridFunction, TorusGrid, norms
+from microhom import GridFunction, SolveError, TorusGrid, norms
 from microhom.operators import (diagonal_op, grad_component_op, gradient_op,
                                 h1_gram_op, identity_op, matrix_op,
                                 operator_norm, roll_op, transpose_defect)
@@ -56,6 +56,14 @@ def test_operator_norm_matches_dense_svd():
     op = matrix_op(m)
     ref = np.linalg.svd(m, compute_uv=False)[0]
     assert operator_norm(op, tol=1e-10, maxiter=5000, seed=2) == pytest.approx(ref, rel=1e-5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_norm_rejects_non_finite(bad):
+    # a broken operator must fail, not read as a zero (perfect) error
+    op = diagonal_op(np.full(20, bad))
+    with pytest.raises(SolveError, match="non-finite"):
+        operator_norm(op, seed=1)
 
 
 def test_operator_algebra_transposes():

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from microhom import ConvergenceReport, emit_report, fit_rate, run_sweep
+import microhom.sweep
+from microhom import ConvergenceReport, SolveError, emit_report, fit_rate, run_sweep
 from microhom.cli import main
 from microhom.config import ExperimentConfig
 
@@ -79,6 +82,36 @@ def test_parallel_sweep_matches_serial(quick_report, tmp_path):
     p1 = emit_report(quick_report, tmp_path / "serial")
     p2 = emit_report(rep, tmp_path / "parallel")
     assert p1["results"].read_bytes() == p2["results"].read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_eps_keeps_measured_points(quick_report, monkeypatch, jobs):
+    assemble = microhom.sweep.assemble_fine
+
+    def fail_at_finest(field, eps, grid):
+        if eps == 1 / 16:
+            raise SolveError("injected failure")
+        return assemble(field, eps, grid)
+    monkeypatch.setattr(microhom.sweep, "assemble_fine", fail_at_finest)
+    rep = run_sweep(QUICK_1D, jobs=jobs)
+    assert rep.eps_list == [1 / 4, 1 / 8]
+    for key in ("E0", "E1", "E2"):
+        assert rep.errors[key] == quick_report.errors[key][:2]
+    aborted = [f for f in rep.flags if f.startswith("aborted")]
+    assert len(aborted) == 1 and "eps = 1/16" in aborted[0]
+
+
+def test_cell_residual_above_tol_flagged(tmp_path):
+    # at n_y = 256 the FFT roundoff floor lies above cell_tol = 1e-12: the
+    # accepted residual is flagged, the sweep is not aborted
+    cfg = replace(QUICK_1D, n_y=256, cell_tol=1e-12)
+    rep = run_sweep(cfg)
+    floor = [f for f in rep.flags if "(roundoff floor)" in f]
+    assert len(floor) == 1 and floor[0].startswith("cell residual_max ")
+    assert "above cell_tol 1e-12" in floor[0]
+    assert not any(f.startswith("aborted") for f in rep.flags)
+    paths = emit_report(rep, tmp_path)
+    assert floor[0] in paths["summary"].read_text()
 
 
 def test_constant_family_flagged_floor():
