@@ -21,7 +21,7 @@ from .errors import ConfigError, SolveError
 from .grids import GridFunction, TorusGrid, norms
 from .operators import (DiscreteOperator, diagonal_op, gradient_op, h1_gram_op,
                         identity_op, matrix_op, operator_norm, roll_op,
-                        transpose_defect, zero_op)
+                        transpose_defect)
 from .smoothing import SmoothingSpec, shift, steklov, steklov_op
 from .sweep import ConvergenceReport, emit_report, fit_rate, run_sweep
 
@@ -39,5 +39,5 @@ __all__ = [
     "matrix_op", "norms", "operator_norm", "resolvent_op", "roll_op",
     "run_sweep", "save_cell_table", "shift", "solve", "solve_adjoint_cell",
     "solve_cell", "steklov", "steklov_op", "transpose_defect",
-    "validate_coefficient", "vector_potential", "zero_op",
+    "validate_coefficient", "vector_potential",
 ]

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .assemble import assemble_diffusion
 from .errors import SolveError
-from .grids import TorusGrid, centered_gradient
+from .grids import TorusGrid, centered_diff, centered_gradient
 from .spectral import calculus
 
 _ENERGY_SLACK = 1.0 + 1e-6
@@ -134,15 +134,12 @@ class SpectralCellSolver:
                 break
         return best_v, best_res
 
-    def flux_column(self, cf, j):
-        """Node values of a (e^j + grad chi^j), shape (d, *cell)."""
-        g = cf.grad.copy()
-        ej = np.zeros_like(g)
-        ej[j] = 1.0
-        return np.einsum("...pq,q...->p...", self.a, g + ej)
-
     def effective_column(self, cf, j):
-        return self.flux_column(cf, j).reshape(self.grid.dim, -1).mean(axis=1)
+        """Cell mean of the node flux a (e^j + grad chi^j)."""
+        ej = np.zeros_like(cf.grad)
+        ej[j] = 1.0
+        flux = np.einsum("...pq,q...->p...", self.a, cf.grad + ej)
+        return flux.reshape(self.grid.dim, -1).mean(axis=1)
 
 
 class FVCellSolver:
@@ -198,8 +195,7 @@ class FVCellSolver:
                 af = self.diag_faces[m]
                 out += (af - np.roll(af, 1, axis=m)) / h
             else:
-                c = self.cross[(m, j)]
-                out += (np.roll(c, -1, axis=m) - np.roll(c, 1, axis=m)) / (2.0 * h)
+                out += centered_diff(self.cross[(m, j)], m, h)
         return out
 
     def solve(self, j):
@@ -239,17 +235,9 @@ class FVCellSolver:
             col[m] = face_flux.mean()
             for k in range(d):
                 if k != m:
-                    dk = (np.roll(cf.values, -1, axis=k)
-                          - np.roll(cf.values, 1, axis=k)) / (2 * h)
+                    dk = centered_diff(cf.values, k, h)
                     col[m] += (self.cross[(m, k)] * (dk + (1.0 if k == j else 0.0))).mean()
         return col
-
-    def flux_column(self, cf, j):
-        """Node values of a (e^j + grad chi^j) from central gradients."""
-        g = cf.grad.copy()
-        ej = np.zeros_like(g)
-        ej[j] = 1.0
-        return np.einsum("...pq,q...->p...", self.a_nodes, g + ej)
 
 
 def make_solver(a_eval, grid, tol, method):
@@ -330,17 +318,6 @@ class CellSolutions:
         return self.cell_grid.dim
 
 
-def _slow_gradient(table, slow_grid):
-    """Centered differences over the leading slow axes (periodic wrap)."""
-    d = slow_grid.dim
-    inv2h = 1.0 / (2.0 * slow_grid.h)
-    comps = []
-    for ax in range(d):
-        comps.append((np.roll(table, -1, axis=ax) - np.roll(table, 1, axis=ax)) * inv2h)
-    # (*slow, d, *cell) -> insert derivative axis after j
-    return np.stack(comps, axis=d + 1)
-
-
 def _h1_cell_norm(values, grad, w):
     return np.sqrt(w * (np.sum(values ** 2) + np.sum(grad ** 2)))
 
@@ -369,16 +346,11 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     gy_a = np.zeros((n_slow, d, d) + cshape)
 
     def work(i):
-        x = xs[i]
-
-        def a_eval(y):
-            return field.eval(np.broadcast_to(x, y.shape), y)
-
         try:
-            fields = make_solver(a_eval, cell_grid, tol, method).solve_all(
+            fields = make_solver(field.frozen(xs[i]), cell_grid, tol, method).solve_all(
                 adjoint=not field.symmetric)
         except SolveError as exc:
-            raise SolveError(f"slow sample x = {x}: {exc}") from exc
+            raise SolveError(f"slow sample x = {xs[i]}: {exc}") from exc
         return fields if not field.symmetric else fields + fields
 
     try:
@@ -403,8 +375,9 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     chi_a = chi_a.reshape(sshape + (d,) + cshape)
     gy_a = gy_a.reshape(sshape + (d, d) + cshape)
 
-    gx = _slow_gradient(chi, slow_grid)
-    gx_a = _slow_gradient(chi_a, slow_grid)
+    # centered differences over the slow axes, derivative axis after j
+    gx, gx_a = (np.stack([centered_diff(t, ax, slow_grid.h) for ax in range(d)], axis=d + 1)
+                for t in (chi, chi_a))
 
     # adjacent-sample H1 Lipschitz quotient along each slow axis
     w = cell_grid.h ** d
@@ -426,13 +399,14 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
 
 # -- binary container --------------------------------------------------------
 
-_MAGIC = b"CELLTBL1"
+_MAGIC = b"CELLTBL2"
 
 
 def save_cell_table(path, cells):
     """Write a cell table to the documented flat binary layout.
 
-    Layout: 8-byte magic, 64-byte family name (utf-8, zero padded), three
+    Layout: 8-byte magic `CELLTBL2`, 64-byte family name and 8-byte cell
+    method (`spectral` or `fv`; both utf-8, zero padded), three
     little-endian int64 (dim, n_x, n_y), one little-endian float64 pair
     (residual_max, lipschitz_quotient), then the six float64 arrays chi,
     grad_y_chi, chi_adj, grad_y_chi_adj, grad_x_chi, grad_x_chi_adj in
@@ -441,6 +415,7 @@ def save_cell_table(path, cells):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(cells.family.encode()[:64].ljust(64, b"\0"))
+        fh.write(cells.method.encode()[:8].ljust(8, b"\0"))
         fh.write(struct.pack("<3q", cells.dim, cells.slow_grid.n, cells.cell_grid.n))
         fh.write(struct.pack("<2d", cells.residual_max, cells.lipschitz_quotient))
         for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj,
@@ -451,8 +426,9 @@ def save_cell_table(path, cells):
 def load_cell_table(path):
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
-            raise ValueError(f"{path}: not a cell table container")
+            raise ValueError(f"{path}: not a cell table container ({_MAGIC.decode()})")
         family = fh.read(64).rstrip(b"\0").decode()
+        method = fh.read(8).rstrip(b"\0").decode()
         dim, n_x, n_y = struct.unpack("<3q", fh.read(24))
         residual_max, lip = struct.unpack("<2d", fh.read(16))
         slow = TorusGrid(dim, n_x)
@@ -473,4 +449,4 @@ def load_cell_table(path):
     return CellSolutions(family=family, slow_grid=slow, cell_grid=cell,
                          chi=chi, grad_y_chi=gy, chi_adj=chi_a, grad_y_chi_adj=gy_a,
                          grad_x_chi=gx, grad_x_chi_adj=gx_a,
-                         residual_max=residual_max, lipschitz_quotient=lip)
+                         residual_max=residual_max, lipschitz_quotient=lip, method=method)

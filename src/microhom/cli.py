@@ -54,7 +54,7 @@ def cmd_cells(args):
     if args.inspect:
         cells = load_cell_table(args.inspect)
         print(f"cell table: family={cells.family} dim={cells.dim} "
-              f"n_x={cells.slow_grid.n} n_y={cells.cell_grid.n}")
+              f"n_x={cells.slow_grid.n} n_y={cells.cell_grid.n} method={cells.method}")
         print(f"  residual_max={cells.residual_max:.3e} "
               f"lipschitz_quotient={cells.lipschitz_quotient:.6g}")
         return EXIT_OK

@@ -53,6 +53,15 @@ class CoefficientField:
         y = np.mod(np.asarray(y, dtype=float), 1.0)
         return self.grad_x_evaluator(x, y)
 
+    def frozen(self, x):
+        """Cell evaluator y -> a(x, y) at one fixed slow point x."""
+        x = np.asarray(x, dtype=float)
+
+        def a_eval(y):
+            return self.eval(np.broadcast_to(x, y.shape), y)
+
+        return a_eval
+
     def transposed(self):
         """The field with the matrix transposed pointwise; metadata carries over."""
         ev = self.evaluator

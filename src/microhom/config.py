@@ -27,11 +27,12 @@ Example::
 
 Epsilon values are given as integer denominators (eps = 1/k).  Missing keys
 take documented defaults; the grid defaults depend on the family dimension
-(1D: n_x=64, n_y=256, n_f=16; 2D: n_x=16, n_y=64, n_f=8).
+(1D: n_x=64, n_y=256, n_f=16; 2D: n_x=16, n_y=64, n_f=8).  n_f must
+divide n_y.
 """
 
 import configparser
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .coefficients import builtin_family
 from .errors import ConfigError
@@ -106,6 +107,9 @@ def _validate(cfg):
         raise ConfigError(f"n_f must be even, got {cfg.n_f}")
     if cfg.n_y < 8 or cfg.n_y % 2:
         raise ConfigError(f"n_y must be even and >= 8, got {cfg.n_y}")
+    if cfg.n_y % cfg.n_f:
+        # the correctors read cell tables on the n_f-point fast sublattice
+        raise ConfigError(f"n_f = {cfg.n_f} must divide n_y = {cfg.n_y}")
     if cfg.n_x < 4:
         raise ConfigError(f"n_x must be >= 4, got {cfg.n_x}")
     seen = set()

@@ -23,46 +23,39 @@ import numpy as np
 
 from .assemble import assemble_diffusion
 from .effective import _flux, flux_corrector, multilinear
-from .grids import GridFunction, TorusGrid, centered_gradient
+from .grids import GridFunction, TorusGrid, centered_gradient, corners
 from .operators import (DiscreteOperator, grad_component_op, gradient_op,
                         matrix_op)
 from .smoothing import SmoothingSpec
-from .spectral import subsample, trig_resample
+from .spectral import integer_freqs
 
 
 def _restrict_cell_axes(table, d, n_f):
-    """Restrict the trailing d cell axes to the n_f-point sublattice."""
-    cshape = table.shape[-d:]
-    n_y = cshape[0]
-    lead = table.shape[:-d]
-    flat = table.reshape((-1,) + cshape)
-    if n_y % n_f == 0:
-        out = np.stack([subsample(f, n_f) for f in flat])
-    else:
-        out = np.stack([trig_resample(f, n_f) for f in flat])
-    return out.reshape(lead + (n_f,) * d)
+    """The trailing d cell axes restricted to the n_f-point fast sublattice."""
+    n_y = table.shape[-1]
+    if n_y % n_f:
+        raise ValueError(f"n_f = {n_f} does not divide n_y = {n_y}")
+    return table[(Ellipsis,) + (slice(None, None, n_y // n_f),) * d]
 
 
-def _slow_corners(slow_grid, pts):
-    """Flattened corner indices and weights of multilinear interpolation.
+def _fast_index(grid, n_f, rho=0):
+    """Flat fast-sublattice index of (fine node + rho) mod n_f at each fine node."""
+    nodes = np.indices(grid.shape).reshape(grid.dim, -1)
+    return np.ravel_multi_index(nodes + np.reshape(rho, (-1, 1)), (n_f,) * grid.dim,
+                                mode="wrap")
 
-    pts: (N, d) -> (indices (2^d, N), weights (2^d, N)).
+
+def _fine_gather(table, slow_corners, fidx):
+    """Fast samples slow-interpolated onto the fine nodes.
+
+    table: (n_slow, *comp, n_f^d); slow_corners: `grids.corners` of the
+    slow grid at the N fine nodes; fidx: (N,) fast index.  Returns
+    (N, *comp) with entries sum_c w_c table[idx_c, ..., fidx].
     """
-    d = slow_grid.dim
-    n = slow_grid.n
-    u = np.mod(pts, 1.0) * n
-    i0 = np.floor(u).astype(int) % n
-    w = u - np.floor(u)
-    i1 = (i0 + 1) % n
-    if d == 1:
-        idx = np.stack([i0[:, 0], i1[:, 0]])
-        wts = np.stack([1 - w[:, 0], w[:, 0]])
-    else:
-        idx = np.stack([i0[:, 0] * n + i0[:, 1], i1[:, 0] * n + i0[:, 1],
-                        i0[:, 0] * n + i1[:, 1], i1[:, 0] * n + i1[:, 1]])
-        wts = np.stack([(1 - w[:, 0]) * (1 - w[:, 1]), w[:, 0] * (1 - w[:, 1]),
-                        (1 - w[:, 0]) * w[:, 1], w[:, 0] * w[:, 1]])
-    return idx, wts
+    out = np.zeros((fidx.size,) + table.shape[1:-1])
+    for i, w in zip(*slow_corners):
+        out += w.reshape((-1,) + (1,) * (out.ndim - 1)) * table[i, ..., fidx]
+    return out
 
 
 class CorrectorKernel:
@@ -81,28 +74,12 @@ class CorrectorKernel:
         self.n_f = n_f
         self.dim = d
         table = cells.chi_adj if adjoint else cells.chi
-        fast = _restrict_cell_axes(table, d, n_f)          # (*slow, d, *[n_f]^d)
-        n_slow = cells.slow_grid.size
-        fast_flat = fast.reshape(n_slow, d, n_f ** d)
-
-        pts = grid.coords().reshape(-1, d)
-        corner_idx, corner_w = _slow_corners(cells.slow_grid, pts)
-
-        axes_idx = np.indices(grid.shape)                  # (d, *fine)
+        fast = _restrict_cell_axes(table, d, n_f).reshape(cells.slow_grid.size, d, -1)
+        slow_corners = corners(cells.slow_grid.n, grid.coords().reshape(-1, d))
         self.fields = {}
-        for rho_flat in range(n_f ** d):
-            rho = np.unravel_index(rho_flat, (n_f,) * d)
-            fidx = np.zeros(grid.size, dtype=int)
-            stride = 1
-            for ax in reversed(range(d)):
-                comp = (axes_idx[ax].ravel() + rho[ax]) % n_f
-                fidx += comp * stride
-                stride *= n_f
-            per_j = np.zeros((d, grid.size))
-            for c in range(corner_idx.shape[0]):
-                gathered = fast_flat[corner_idx[c], :, fidx]   # (N, d)
-                per_j += (corner_w[c][:, None] * gathered).T
-            self.fields[rho] = per_j.reshape((d,) + grid.shape)
+        for rho in np.ndindex((n_f,) * d):
+            per_j = _fine_gather(fast, slow_corners, _fast_index(grid, n_f, rho))
+            self.fields[rho] = np.ascontiguousarray(per_j.T).reshape((d,) + grid.shape)
 
     def field(self, shift_vec):
         rho = tuple(int(s) % self.n_f for s in shift_vec)
@@ -132,6 +109,14 @@ def _lattice_apply_transpose(kernel, r, spec, grid):
     return out
 
 
+def _smoothed_corrector(u, cells, spec, adjoint):
+    grid = u.grid
+    spec.check_grid(grid)
+    kernel = CorrectorKernel(cells, grid, spec.eps, spec.n_omega, adjoint=adjoint)
+    p = centered_gradient(u.values, grid.h)
+    return GridFunction(grid, _lattice_apply(kernel, p, spec, grid))
+
+
 def corrector_K(u_hom: GridFunction, cells, spec: SmoothingSpec) -> GridFunction:
     """Smoothed corrector of a homogenized solution.
 
@@ -139,20 +124,12 @@ def corrector_K(u_hom: GridFunction, cells, spec: SmoothingSpec) -> GridFunction
     with the slow argument interpolated multilinearly from the sample grid
     and the fast argument landing on the cell sublattice.
     """
-    grid = u_hom.grid
-    spec.check_grid(grid)
-    kernel = CorrectorKernel(cells, grid, spec.eps, spec.n_omega, adjoint=False)
-    p = centered_gradient(u_hom.values, grid.h)
-    return GridFunction(grid, _lattice_apply(kernel, p, spec, grid))
+    return _smoothed_corrector(u_hom, cells, spec, adjoint=False)
 
 
 def corrector_Ktilde(v_hom: GridFunction, cells, spec: SmoothingSpec) -> GridFunction:
     """Smoothed corrector of the adjoint problem's homogenized solution."""
-    grid = v_hom.grid
-    spec.check_grid(grid)
-    kernel = CorrectorKernel(cells, grid, spec.eps, spec.n_omega, adjoint=True)
-    p = centered_gradient(v_hom.values, grid.h)
-    return GridFunction(grid, _lattice_apply(kernel, p, spec, grid))
+    return _smoothed_corrector(v_hom, cells, spec, adjoint=True)
 
 
 def corrector_op(cells, spec: SmoothingSpec, grid, resolvent: DiscreteOperator,
@@ -358,7 +335,8 @@ class _OffsetTables:
 
     Spectral tables are transformed once; each offset then costs one phase
     multiply, an alias fold onto the n_f bins, and a small inverse FFT.
-    FV tables fall back to periodic linear interpolation.
+    FV tables fall back to periodic multilinear interpolation on the cell
+    grid.
     """
 
     def __init__(self, table, d, n_f, method):
@@ -370,32 +348,22 @@ class _OffsetTables:
         self.method = method
         flat = table.reshape((-1,) + cshape)
         if method == "fv":
-            self.flat = flat
+            self.flat = flat.reshape(flat.shape[0], -1)
         else:
             if self.n_y % n_f:
                 raise ValueError(f"{n_f} does not divide {self.n_y}")
             axes = tuple(range(1, d + 1))
             self.spec = np.fft.fftn(flat, axes=axes) / (self.n_y ** d)
-            from .spectral import integer_freqs
             self.freqs = integer_freqs(cshape)
 
     def at(self, offset):
         d, n_f, n_y = self.d, self.n_f, self.n_y
         if self.method == "fv":
-            pts = (np.indices((n_f,) * d).reshape(d, -1).T / n_f
-                   + np.asarray(offset)) % 1.0
-            u = pts * n_y
-            i0 = np.floor(u).astype(int) % n_y
-            i1 = (i0 + 1) % n_y
-            w = u - np.floor(u)
-            if d == 1:
-                out = ((1 - w[:, 0]) * self.flat[:, i0[:, 0]]
-                       + w[:, 0] * self.flat[:, i1[:, 0]])
-            else:
-                out = ((1 - w[:, 0]) * (1 - w[:, 1]) * self.flat[:, i0[:, 0], i0[:, 1]]
-                       + w[:, 0] * (1 - w[:, 1]) * self.flat[:, i1[:, 0], i0[:, 1]]
-                       + (1 - w[:, 0]) * w[:, 1] * self.flat[:, i0[:, 0], i1[:, 1]]
-                       + w[:, 0] * w[:, 1] * self.flat[:, i1[:, 0], i1[:, 1]])
+            pts = np.indices((n_f,) * d).reshape(d, -1).T / n_f + np.asarray(offset)
+            idx, wts = corners(n_y, pts)
+            out = wts[0] * self.flat[:, idx[0]]
+            for i, w in zip(idx[1:], wts[1:]):
+                out = out + w * self.flat[:, i]
             return out.reshape(self.lead + (n_f ** d,))
         phase = np.ones((1,) * (d + 1), dtype=complex)
         spec = self.spec
@@ -431,36 +399,19 @@ def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
 
     n_slow = cells.slow_grid.size
     pts = grid.coords().reshape(-1, d)
-    corner_idx, corner_w = _slow_corners(cells.slow_grid, pts)
-    axes_idx = np.indices(grid.shape).reshape(d, -1)
-    fidx = np.zeros(grid.size, dtype=int)
-    stride = 1
-    for ax in reversed(range(d)):
-        fidx += (axes_idx[ax] % n_f) * stride
-        stride *= n_f
+    slow_corners = corners(cells.slow_grid.n, pts)
+    fidx = _fast_index(grid, n_f)
 
     t_nodes, t_weights = spec.gauss_rule()
     omegas, weights = spec.gauss_lattice(d)
-    fast_base = (axes_idx.T % n_f) / n_f
+    fast_base = (np.indices(grid.shape).reshape(d, -1).T % n_f) / n_f
     gy_tab = _OffsetTables(cells.grad_y_chi, d, n_f, cells.method)
     gya_tab = _OffsetTables(cells.grad_y_chi_adj, d, n_f, cells.method)
 
     out = np.zeros((grid.size, d, d))
-    dd = np.arange(d)
     for om, w in zip(omegas, weights):
-        gy_off = gy_tab.at(om).reshape(n_slow, d, d, n_f ** d)
-        gya_off = gya_tab.at(om).reshape(n_slow, d, d, n_f ** d)
-        P = np.zeros((grid.size, d, d))
-        Q = np.zeros((grid.size, d, d))
-        for c in range(corner_idx.shape[0]):
-            P += corner_w[c][:, None, None] * gy_off[corner_idx[c][:, None, None],
-                                                     dd[None, :, None],
-                                                     dd[None, None, :],
-                                                     fidx[:, None, None]]
-            Q += corner_w[c][:, None, None] * gya_off[corner_idx[c][:, None, None],
-                                                      dd[None, :, None],
-                                                      dd[None, None, :],
-                                                      fidx[:, None, None]]
+        P = _fine_gather(gy_tab.at(om).reshape(n_slow, d, d, -1), slow_corners, fidx)
+        Q = _fine_gather(gya_tab.at(om).reshape(n_slow, d, d, -1), slow_corners, fidx)
         for j in range(d):
             P[:, j, j] += 1.0
             Q[:, j, j] += 1.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cell import CellField, CellSolutions, make_solver
 from .errors import SolveError
-from .grids import TorusGrid
+from .grids import TorusGrid, centered_diff, corners
 from .spectral import calculus, trig_resample
 
 
@@ -37,7 +37,6 @@ class HomogenizedField:
     lipschitz_quotient: float
     symmetric: bool
     adjoint_defect: float = 0.0
-    interpolation: str = "multilinear"
 
     @property
     def dim(self):
@@ -75,33 +74,13 @@ def multilinear(table, slow_grid, x):
     table: (*slow_shape, *rest); x: (..., d).  Returns (..., *rest).
     """
     d = slow_grid.dim
-    n = slow_grid.n
     x = np.asarray(x, dtype=float)
-    u = np.mod(x, 1.0) * n
-    i0 = np.floor(u).astype(int) % n
-    w = u - np.floor(u)
-    i1 = (i0 + 1) % n
-    rest = table.shape[d:]
-    flat = table.reshape((n,) * d + (-1,))
-    if d == 1:
-        a0, a1 = i0[..., 0], i1[..., 0]
-        w0 = w[..., 0][..., None]
-        out = (1 - w0) * flat[a0] + w0 * flat[a1]
-    else:
-        a0, a1 = i0[..., 0], i1[..., 0]
-        b0, b1 = i0[..., 1], i1[..., 1]
-        w0 = w[..., 0][..., None]
-        w1 = w[..., 1][..., None]
-        out = ((1 - w0) * (1 - w1) * flat[a0, b0] + w0 * (1 - w1) * flat[a1, b0]
-               + (1 - w0) * w1 * flat[a0, b1] + w0 * w1 * flat[a1, b1])
-    return out.reshape(x.shape[:-1] + rest)
-
-
-def _cell_solver_for(field, cells, x):
-    def a_eval(y):
-        xb = np.broadcast_to(x, y.shape)
-        return field.eval(xb, y)
-    return make_solver(a_eval, cells.cell_grid, 1e-11, cells.method), a_eval
+    idx, wts = corners(slow_grid.n, x.reshape(-1, d))
+    flat = table.reshape((slow_grid.size, -1))
+    out = wts[0][:, None] * flat[idx[0]]
+    for i, w in zip(idx[1:], wts[1:]):
+        out = out + w[:, None] * flat[i]
+    return out.reshape(x.shape[:-1] + table.shape[d:])
 
 
 def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
@@ -118,20 +97,16 @@ def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
     n_slow = xs.shape[0]
     mats = np.zeros((n_slow, d, d))
     mats_adj = np.zeros((n_slow, d, d))
-    chi = cells.chi.reshape((n_slow, d) + cshape)
-    gy = cells.grad_y_chi.reshape((n_slow, d, d) + cshape)
-    chi_a = cells.chi_adj.reshape((n_slow, d) + cshape)
-    gy_a = cells.grad_y_chi_adj.reshape((n_slow, d, d) + cshape)
-
-    for i, x in enumerate(xs):
-        solver, a_eval = _cell_solver_for(field, cells, x)
-        for j in range(d):
-            cf = CellField(chi[i, j], gy[i, j], 0.0, cells.method)
-            mats[i, :, j] = solver.effective_column(cf, j)
-        solver_t, _ = _cell_solver_for(field.transposed(), cells, x)
-        for j in range(d):
-            cf = CellField(chi_a[i, j], gy_a[i, j], 0.0, cells.method)
-            mats_adj[i, :, j] = solver_t.effective_column(cf, j)
+    for fld, chi, gy, out in ((field, cells.chi, cells.grad_y_chi, mats),
+                              (field.transposed(), cells.chi_adj, cells.grad_y_chi_adj,
+                               mats_adj)):
+        chi = chi.reshape((n_slow, d) + cshape)
+        gy = gy.reshape((n_slow, d, d) + cshape)
+        for i, x in enumerate(xs):
+            solver = make_solver(fld.frozen(x), cells.cell_grid, 1e-11, cells.method)
+            for j in range(d):
+                cf = CellField(chi[i, j], gy[i, j], 0.0, cells.method)
+                out[i, :, j] = solver.effective_column(cf, j)
 
     adjoint_defect = float(np.abs(mats_adj - np.swapaxes(mats, -1, -2)).max())
 
@@ -197,9 +172,8 @@ class FluxCorrector:
             raise ValueError("potential not built; call vector_potential first")
         d = self.dim
         comp = self.potential_upper[..., j, :, :, :] if d == 2 else self.potential_upper
-        inv2h = 1.0 / (2.0 * self.slow_grid.h)
-        return np.stack([(np.roll(comp, -1, axis=ax) - np.roll(comp, 1, axis=ax)) * inv2h
-                         for ax in range(d)], axis=d)
+        return np.stack([centered_diff(comp, ax, self.slow_grid.h) for ax in range(d)],
+                        axis=d)
 
 
 def flux_corrector(cells: CellSolutions, field, hom: HomogenizedField,
@@ -286,9 +260,7 @@ def _divergence_defect_fv(cells, fld, adjoint):
     chi = (cells.chi_adj if adjoint else cells.chi).reshape((-1, d) + grid.shape)
     worst = 0.0
     for i, x in enumerate(xs):
-        def a_eval(y, _x=x):
-            return fld.eval(np.broadcast_to(_x, y.shape), y)
-        solver = make_solver(a_eval, grid, 1e-11, "fv")
+        solver = make_solver(fld.frozen(x), grid, 1e-11, "fv")
         for j in range(d):
             res = solver.mat @ chi[i, j].ravel() - solver._rhs(j).ravel()
             worst = max(worst, np.sqrt(w * float(np.sum(res ** 2))))

@@ -62,10 +62,6 @@ class GridFunction:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_callable(cls, grid, fn):
-        return cls(grid, fn(grid.coords()))
-
     def copy(self):
         return GridFunction(self.grid, self.values.copy())
 
@@ -75,7 +71,31 @@ class GridFunction:
 
 def centered_diff(values, axis, h):
     """Second-order centered difference along one periodic axis."""
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) * (1.0 / (2.0 * h))
+
+
+def corners(n, pts):
+    """Corner nodes and weights of periodic multilinear interpolation.
+
+    pts: (N, d) points on the unit torus, interpolated from the (n,)*d grid
+    of nodes k/n.  Returns C-order flat node indices (2^d, N) and weights
+    (2^d, N); the first axis varies fastest over the corners.
+    """
+    d = pts.shape[-1]
+    u = np.mod(pts, 1.0) * n
+    i0 = np.floor(u).astype(int) % n
+    w = u - np.floor(u)
+    ends = ((i0, 1 - w), ((i0 + 1) % n, w))
+    idx, wts = [], []
+    for c in range(2 ** d):
+        bits = [(c >> ax) & 1 for ax in range(d)]
+        idx.append(np.ravel_multi_index(
+            tuple(ends[b][0][:, ax] for ax, b in enumerate(bits)), (n,) * d))
+        wt = ends[bits[0]][1][:, 0]
+        for ax in range(1, d):
+            wt = wt * ends[bits[ax]][1][:, ax]
+        wts.append(wt)
+    return np.stack(idx), np.stack(wts)
 
 
 def centered_gradient(values, h):

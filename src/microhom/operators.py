@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolveError
-from .grids import GridFunction
+from .grids import centered_diff
 
 
 class DiscreteOperator:
@@ -37,11 +37,6 @@ class DiscreteOperator:
         if x.size != self.shape[0]:
             raise ValueError(f"{self.label}^T: size {x.size} != {self.shape[0]}")
         return self._rmv(x)
-
-    def apply_grid(self, u: GridFunction) -> GridFunction:
-        out = self.apply(u.values.ravel())
-        return GridFunction(self.grid if self.grid is not None else u.grid,
-                            out.reshape(u.grid.shape))
 
     def __call__(self, x):
         return self.apply(x)
@@ -133,11 +128,6 @@ def identity_op(n, grid=None):
                             grid=grid, symmetric=True, label="I")
 
 
-def zero_op(n, grid=None):
-    z = lambda x: np.zeros(n)
-    return DiscreteOperator((n, n), z, z, grid=grid, symmetric=True, label="0")
-
-
 def diagonal_op(weights, grid=None, label="diag"):
     w = np.asarray(weights, dtype=float).ravel()
     mv = lambda x: w * x
@@ -165,11 +155,9 @@ def grad_component_op(grid, axis):
     """Centered difference along one axis; skew-adjoint on the torus."""
     shape = grid.shape
     n = grid.size
-    inv2h = 1.0 / (2.0 * grid.h)
 
     def mv(x):
-        v = x.reshape(shape)
-        return ((np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) * inv2h).ravel()
+        return centered_diff(x.reshape(shape), axis, grid.h).ravel()
 
     def rmv(x):
         return -mv(x)

@@ -112,13 +112,8 @@ def shift(u: GridFunction, offset) -> GridFunction:
 
 def steklov(u: GridFunction, spec: SmoothingSpec) -> GridFunction:
     """Symmetric eps-cell average: sum_l w_l u(x - eps*omega_l)."""
-    spec.check_grid(u.grid)
-    shifts, _, weights = spec.lattice(u.grid.dim)
-    axes = tuple(range(u.grid.dim))
-    out = np.zeros_like(u.values)
-    for s, w in zip(shifts, weights):
-        out += w * np.roll(u.values, tuple(s), axis=axes)
-    return GridFunction(u.grid, out)
+    out = steklov_op(u.grid, spec).apply(u.values)
+    return GridFunction(u.grid, out.reshape(u.grid.shape))
 
 
 def steklov_op(grid, spec: SmoothingSpec) -> DiscreteOperator:

@@ -133,34 +133,3 @@ def trig_resample(values, n_to, offset=None):
             spec = spec * np.exp(2j * np.pi * k * float(offset[ax]))
     return np.fft.ifftn(spec).real * spec.size
 
-
-def subsample(values, n_to):
-    """Restrict node values to a coarser uniform lattice; n_to must divide n."""
-    n = values.shape[0]
-    if n % n_to:
-        raise ValueError(f"{n_to} does not divide {n}")
-    step = n // n_to
-    sl = tuple(slice(0, None, step) for _ in range(values.ndim))
-    return values[sl]
-
-
-def shifted_lattice_eval(values, n_to, offset):
-    """Trig-interpolant values at the shifted coarse lattice j/n_to + offset.
-
-    Exact for the trigonometric interpolant of `values` (no truncation: the
-    phase-shifted spectrum is alias-folded onto n_to bins).  Requires n_to
-    to divide the grid size.
-    """
-    d = values.ndim
-    n = values.shape[0]
-    if n % n_to:
-        raise ValueError(f"{n_to} does not divide {n}")
-    spec = np.fft.fftn(values) / values.size
-    for ax, k in zip(range(d), integer_freqs(values.shape)):
-        spec = spec * np.exp(2j * np.pi * k * float(offset[ax]))
-    s = n // n_to
-    if d == 1:
-        folded = spec.reshape(s, n_to).sum(axis=0)
-    else:
-        folded = spec.reshape(s, n_to, s, n_to).sum(axis=(0, 2))
-    return np.fft.ifftn(folded).real * folded.size

@@ -14,6 +14,7 @@ with C = K + Ktilde^T - Lop - Mop, then fits log-log slopes.
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -102,10 +103,7 @@ def matched_effective_matrix(field, hom, n_f, tol):
     xs = hom.slow_grid.coords().reshape(-1, d)
     mats = np.zeros((xs.shape[0], d, d))
     for i, x in enumerate(xs):
-        def a_eval(y, _x=x):
-            xb = np.broadcast_to(_x, y.shape)
-            return field.eval(xb, y)
-        solver = make_solver(a_eval, cell_grid, tol, "fv")
+        solver = make_solver(field.frozen(x), cell_grid, tol, "fv")
         for j in range(d):
             cf = solver.solve(j)
             mats[i, :, j] = solver.effective_column(cf, j)
@@ -127,8 +125,9 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     Cell problems are solved once on the configured sample grid and reused
     for every eps; a cell residual accepted above cell_tol (the FFT
     roundoff floor) is flagged.  A per-eps failure aborts the sweep but
-    keeps the points already measured, with the failing eps recorded in
-    the `aborted:` flag.  `jobs` > 1 runs the eps points in a thread pool.
+    keeps the points already measured, with the failing eps and stage
+    (assemble, correctors, norm_E0, norm_E1 or norm_E2) recorded in the
+    `aborted:` flag.  `jobs` > 1 runs the eps points in a thread pool.
     """
     say = progress or (lambda msg: None)
     field = config.make_field()
@@ -165,32 +164,33 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         report.timings[name] = []
 
     def one_eps(k):
-        try:
-            return _one_eps(k)
-        except SolveError as exc:
-            raise SolveError(f"eps = 1/{k}: {exc}") from exc
-
-    def _one_eps(k):
         eps = 1.0 / k
         grid = TorusGrid(d, config.n_f * k)
         spec = SmoothingSpec(eps=eps, n_omega=config.n_f,
                              gauss_points=config.gauss_points)
         times = {}
 
-        t = time.perf_counter()
-        a_eps = assemble_fine(field, eps, grid)
-        a_hom = assemble_homogenized(hom_for_r0, grid)
-        r_eps = resolvent_op(a_eps, label="R_eps")
-        r_hom = resolvent_op(a_hom, label="R0")
-        times["assemble_ms"] = 1000.0 * (time.perf_counter() - t)
+        @contextmanager
+        def stage(name):
+            t = time.perf_counter()
+            try:
+                yield
+            except SolveError as exc:
+                raise SolveError(f"eps = 1/{k}, stage {name}: {exc}") from exc
+            times[name + "_ms"] = 1000.0 * (time.perf_counter() - t)
 
-        t = time.perf_counter()
-        cor = corrector_op(cells, spec, grid, r_hom, adjoint=False)
-        cor_adj = corrector_op(cells, spec, grid, r_hom.T, adjoint=True)
-        l_op = assemble_L(coeffs, r_hom, grid)
-        m_op = assemble_M(field, cells, spec, r_hom, grid)
-        c_eps = full_corrector(cor, cor_adj.T, l_op, m_op)
-        times["correctors_ms"] = 1000.0 * (time.perf_counter() - t)
+        with stage("assemble"):
+            a_eps = assemble_fine(field, eps, grid)
+            a_hom = assemble_homogenized(hom_for_r0, grid)
+            r_eps = resolvent_op(a_eps, label="R_eps")
+            r_hom = resolvent_op(a_hom, label="R0")
+
+        with stage("correctors"):
+            cor = corrector_op(cells, spec, grid, r_hom, adjoint=False)
+            cor_adj = corrector_op(cells, spec, grid, r_hom.T, adjoint=True)
+            l_op = assemble_L(coeffs, r_hom, grid)
+            m_op = assemble_M(field, cells, spec, r_hom, grid)
+            c_eps = full_corrector(cor, cor_adj.T, l_op, m_op)
 
         tdef = max(transpose_defect(op, n_trials=2, seed=config.seed)
                    for op in (r_eps, r_hom, cor, cor_adj, l_op, m_op))
@@ -200,18 +200,15 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         diff2 = diff0 - eps * c_eps
         gram = h1_gram_op(grid)
 
-        t = time.perf_counter()
-        e0 = operator_norm(diff0, tol=config.norm_tol, maxiter=config.norm_maxiter,
-                           seed=_norm_seed(config.seed, f"E0/{k}"))
-        times["norm_E0_ms"] = 1000.0 * (time.perf_counter() - t)
-        t = time.perf_counter()
-        e1 = operator_norm(diff1, tol=config.norm_tol, maxiter=config.norm_maxiter,
-                           seed=_norm_seed(config.seed, f"E1/{k}"), gram=gram)
-        times["norm_E1_ms"] = 1000.0 * (time.perf_counter() - t)
-        t = time.perf_counter()
-        e2 = operator_norm(diff2, tol=config.norm_tol, maxiter=config.norm_maxiter,
-                           seed=_norm_seed(config.seed, f"E2/{k}"))
-        times["norm_E2_ms"] = 1000.0 * (time.perf_counter() - t)
+        with stage("norm_E0"):
+            e0 = operator_norm(diff0, tol=config.norm_tol, maxiter=config.norm_maxiter,
+                               seed=_norm_seed(config.seed, f"E0/{k}"))
+        with stage("norm_E1"):
+            e1 = operator_norm(diff1, tol=config.norm_tol, maxiter=config.norm_maxiter,
+                               seed=_norm_seed(config.seed, f"E1/{k}"), gram=gram)
+        with stage("norm_E2"):
+            e2 = operator_norm(diff2, tol=config.norm_tol, maxiter=config.norm_maxiter,
+                               seed=_norm_seed(config.seed, f"E2/{k}"))
         return eps, e0, e1, e2, times, tdef
 
     ks = sorted(config.eps_denominators)

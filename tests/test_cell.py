@@ -2,25 +2,16 @@ import numpy as np
 import pytest
 
 from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
-                      load_cell_table, save_cell_table, solve_adjoint_cell,
-                      solve_cell)
+                      effective_matrix, load_cell_table, save_cell_table,
+                      solve_adjoint_cell, solve_cell)
 from microhom.cell import make_solver
 from microhom.spectral import FourierCalculus
-
-
-def frozen_eval(field, x):
-    x = np.asarray(x, dtype=float)
-
-    def a_eval(y):
-        return field.eval(np.broadcast_to(x, y.shape), y)
-
-    return a_eval
 
 
 def test_identity_coefficient_gives_zero():
     f = builtin_family("constant", {"matrix": np.eye(2)})
     g = TorusGrid(2, 16)
-    cf = solve_cell(frozen_eval(f, [0, 0]), 0, g)
+    cf = solve_cell(f.frozen([0, 0]), 0, g)
     assert np.abs(cf.values).max() == 0.0
     assert np.abs(cf.grad).max() == 0.0
 
@@ -31,7 +22,7 @@ def test_1d_closed_form_solution():
     # high-resolution quadrature of that closed form
     f = builtin_family("separable_1d", {"x_amplitude": 0.0})
     g = TorusGrid(1, 256)
-    cf = solve_cell(frozen_eval(f, [0.0]), 0, g, tol=1e-12)
+    cf = solve_cell(f.frozen([0.0]), 0, g, tol=1e-12)
 
     m = 2 ** 15
     ys = (np.arange(m) + 0.5) / m
@@ -51,7 +42,7 @@ def test_1d_closed_form_solution():
 def test_laminate_reduces_to_1d():
     f = builtin_family("laminate_2d", {})
     g = TorusGrid(2, 64)
-    s = make_solver(frozen_eval(f, [0, 0]), g, 1e-11, "fv")
+    s = make_solver(f.frozen([0, 0]), g, 1e-11, "fv")
     cf1 = s.solve(0)
     cf2 = s.solve(1)
     # direction 2 sees a constant coefficient along y2: zero corrector
@@ -63,7 +54,7 @@ def test_laminate_reduces_to_1d():
 def test_adjoint_equals_primal_on_transposed_field():
     f = builtin_family("smooth_2d_nonsymmetric", {})
     g = TorusGrid(2, 32)
-    a_eval = frozen_eval(f, [0.3, 0.6])
+    a_eval = f.frozen([0.3, 0.6])
 
     def a_eval_t(y):
         return np.swapaxes(a_eval(y), -1, -2)
@@ -77,7 +68,7 @@ def test_adjoint_equals_primal_on_transposed_field():
 def test_adjoint_of_symmetric_is_identical():
     f = builtin_family("periodic_only", {"dim": 2, "symmetric": True})
     g = TorusGrid(2, 32)
-    a_eval = frozen_eval(f, [0, 0])
+    a_eval = f.frozen([0, 0])
     p = solve_cell(a_eval, 1, g, tol=1e-12)
     q = solve_adjoint_cell(a_eval, 1, g, tol=1e-12)
     assert np.array_equal(p.values, q.values)
@@ -86,7 +77,7 @@ def test_adjoint_of_symmetric_is_identical():
 def test_zero_mean_and_energy_bound():
     f = builtin_family("smooth_2d_nonsymmetric", {})
     g = TorusGrid(2, 32)
-    cf = solve_cell(frozen_eval(f, [0.1, 0.9]), 0, g, tol=1e-11)
+    cf = solve_cell(f.frozen([0.1, 0.9]), 0, g, tol=1e-11)
     assert abs(cf.values.mean()) < 1e-13
     w = g.h ** 2
     gnorm = np.sqrt(w * np.sum(cf.grad ** 2))
@@ -96,7 +87,7 @@ def test_zero_mean_and_energy_bound():
 def test_residual_reported_below_tolerance():
     f = builtin_family("separable_1d", {})
     g = TorusGrid(1, 128)
-    cf = solve_cell(frozen_eval(f, [0.37]), 0, g, tol=1e-11)
+    cf = solve_cell(f.frozen([0.37]), 0, g, tol=1e-11)
     assert cf.residual <= 1e-10
 
 
@@ -104,7 +95,7 @@ def test_fv_grid_convergence_second_order():
     # the FV discretization of a smooth 1D cell recovers the effective
     # value at O(h^2); fitted order over three dyadic grids >= 1.8
     f = builtin_family("separable_1d", {"x_amplitude": 0.0})
-    a_eval = frozen_eval(f, [0.0])
+    a_eval = f.frozen([0.0])
     errs, hs = [], []
     for n in (16, 32, 64, 128):
         g = TorusGrid(1, n)
@@ -159,7 +150,7 @@ def test_spectral_solve_stops_at_roundoff_floor(monkeypatch):
     # must stop there instead of restarting lgmres until maxiter
     f = builtin_family("separable_1d", {})
     calls = count_operator_applications(monkeypatch)
-    cf = solve_cell(frozen_eval(f, [0.37]), 0, TorusGrid(1, 256), tol=1e-12)
+    cf = solve_cell(f.frozen([0.37]), 0, TorusGrid(1, 256), tol=1e-12)
     assert calls[0] <= 100
     assert cf.residual <= 10 * 1e-12
 
@@ -168,7 +159,7 @@ def test_unreachable_tolerance_raises(monkeypatch):
     f = builtin_family("separable_1d", {})
     calls = count_operator_applications(monkeypatch)
     with pytest.raises(SolveError, match="residual"):
-        solve_cell(frozen_eval(f, [0.37]), 0, TorusGrid(1, 256), tol=1e-15)
+        solve_cell(f.frozen([0.37]), 0, TorusGrid(1, 256), tol=1e-15)
     assert calls[0] <= 100
 
 
@@ -182,25 +173,32 @@ def test_batched_table_matches_per_direction_solves(family):
     chi_a = cells.chi_adj.reshape((len(xs), f.dim) + cell.shape)
     for i, x in enumerate(xs):
         for j in range(f.dim):
-            ref = solve_cell(frozen_eval(f, x), j, cell, tol=1e-12)
-            ref_a = solve_adjoint_cell(frozen_eval(f, x), j, cell, tol=1e-12)
+            ref = solve_cell(f.frozen(x), j, cell, tol=1e-12)
+            ref_a = solve_adjoint_cell(f.frozen(x), j, cell, tol=1e-12)
             assert np.abs(chi[i, j] - ref.values).max() <= 1e-13
             assert np.abs(chi_a[i, j] - ref_a.values).max() <= 1e-13
 
 
-def test_save_load_roundtrip(tmp_path):
-    f = builtin_family("smooth_2d_nonsymmetric", {})
-    cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16))
+@pytest.mark.parametrize("family,n_y", [("smooth_2d_nonsymmetric", 16),
+                                        ("laminate_2d", 64)],
+                         ids=["smooth_2d_nonsymmetric", "laminate_2d"])
+def test_save_load_roundtrip(tmp_path, family, n_y):
+    f = builtin_family(family, {})
+    cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, n_y))
     path = tmp_path / "cells.bin"
     save_cell_table(path, cells)
     loaded = load_cell_table(path)
     assert loaded.family == cells.family
+    assert loaded.method == cells.method == f.cell_method
     assert loaded.slow_grid == cells.slow_grid
     assert loaded.cell_grid == cells.cell_grid
     for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj",
                  "grad_x_chi", "grad_x_chi_adj"):
         assert np.array_equal(getattr(loaded, attr), getattr(cells, attr)), attr
     assert loaded.residual_max == cells.residual_max
+    assert loaded.lipschitz_quotient == cells.lipschitz_quotient
+    assert np.array_equal(effective_matrix(loaded, f).matrices,
+                          effective_matrix(cells, f).matrices)
 
 
 def test_load_rejects_wrong_magic(tmp_path):
@@ -213,4 +211,4 @@ def test_load_rejects_wrong_magic(tmp_path):
 def test_bad_direction_rejected():
     f = builtin_family("separable_1d", {})
     with pytest.raises(ValueError, match="direction"):
-        solve_cell(frozen_eval(f, [0.0]), 1, TorusGrid(1, 32))
+        solve_cell(f.frozen([0.0]), 1, TorusGrid(1, 32))

@@ -67,6 +67,12 @@ def test_resolution_constraints(tmp_path):
         load_config(write(tmp_path, MINIMAL + "\n[grids]\nn_y = 33\n"))
 
 
+def test_n_f_must_divide_n_y(tmp_path):
+    text = FULL.replace("n_y = 32", "n_y = 60")
+    with pytest.raises(ConfigError, match="n_f = 8 must divide n_y = 60"):
+        load_config(write(tmp_path, text))
+
+
 def test_unknown_family_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown"):
         load_config(write(tmp_path, "[coefficient]\nfamily = zebra\n"))

@@ -7,6 +7,7 @@ from microhom import (GridFunction, SmoothingSpec, TorusGrid, assemble_fine,
                       corrector_Ktilde, corrector_coeffs, corrector_op,
                       drift_matrix_field, effective_matrix, flux_corrector,
                       full_corrector, resolvent_op, solve)
+from microhom.correctors import _OffsetTables, _restrict_cell_axes
 from microhom.operators import operator_norm, transpose_defect
 
 
@@ -171,6 +172,22 @@ def test_composed_operator_transpose_structure(smooth_2d):
     rng = np.random.default_rng(11)
     x = rng.standard_normal(grid.size)
     assert np.allclose(l_op.apply_transpose(x), l_swapped.apply(x), atol=1e-13)
+
+
+@pytest.mark.parametrize("method,tol", [("fv", 0.0), ("spectral", 1e-13)])
+def test_offset_tables_on_cell_nodes_match_rolled_restriction(method, tol):
+    # an offset of whole cell-grid steps lands the fast lattice on cell nodes
+    d, n_y, n_f = 2, 32, 8
+    field = builtin_family("smooth_2d_nonsymmetric", {})
+    cells = build_cell_table(field, TorusGrid(d, 4), TorusGrid(d, n_y), tol=1e-12)
+    table = cells.grad_y_chi
+    tabs = _OffsetTables(table, d, n_f, method)
+    cell_axes = tuple(range(-d, 0))
+    for steps in [(1, 0), (3, 5), (-2, 7)]:
+        rolled = np.roll(table, tuple(-s for s in steps), axis=cell_axes)
+        expect = _restrict_cell_axes(rolled, d, n_f).reshape(table.shape[:-d] + (-1,))
+        got = tabs.at(np.asarray(steps) / n_y)
+        assert np.abs(got - expect).max() <= tol, steps
 
 
 def test_drift_matrix_zero_without_slow_dependence():

@@ -3,6 +3,7 @@ import pytest
 
 from microhom import (TorusGrid, build_cell_table, builtin_family,
                       effective_matrix, flux_corrector, vector_potential)
+from microhom.effective import multilinear
 from microhom.spectral import calculus
 
 
@@ -98,6 +99,25 @@ def test_multilinear_interpolation_at_samples(smooth_2d):
     pts = cells.slow_grid.coords().reshape(-1, 2)
     vals = hom.at(pts)
     assert np.allclose(vals, hom.matrices.reshape(-1, 2, 2), atol=1e-14)
+
+
+def test_multilinear_midpoints_average_neighbours():
+    # midpoints between slow samples, including the ones that wrap past x = 1
+    rng = np.random.default_rng(3)
+    for d in (1, 2):
+        grid = TorusGrid(d, 4)
+        table = rng.standard_normal(grid.shape + (2, 3))
+        mids = grid.coords().reshape(-1, d) + 0.5 * grid.h
+        axes = tuple(range(d))
+        neighbours = [np.roll(table, tuple(-np.array(s)), axis=axes)
+                      for s in np.ndindex((2,) * d)]
+        expect = np.mean(neighbours, axis=0).reshape((-1, 2, 3))
+        vals = multilinear(table, grid, mids)
+        assert vals.shape == expect.shape
+        assert np.allclose(vals, expect, rtol=0, atol=1e-15)
+        # the last midpoint averages the final sample with the first one
+        assert np.allclose(multilinear(table, grid, mids[-1:] + 1.0), expect[-1:],
+                           rtol=0, atol=1e-15)
 
 
 def test_resample_entry_matches_samples(smooth_2d):

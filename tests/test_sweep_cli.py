@@ -98,7 +98,7 @@ def test_failed_eps_keeps_measured_points(quick_report, monkeypatch, jobs):
     for key in ("E0", "E1", "E2"):
         assert rep.errors[key] == quick_report.errors[key][:2]
     aborted = [f for f in rep.flags if f.startswith("aborted")]
-    assert len(aborted) == 1 and "eps = 1/16" in aborted[0]
+    assert len(aborted) == 1 and "eps = 1/16, stage assemble: injected" in aborted[0]
 
 
 def test_cell_residual_above_tol_flagged(tmp_path):
