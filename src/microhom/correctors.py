@@ -15,17 +15,23 @@ the homogenized resolvent:
 Fast-variable evaluations land on the n_f-point sublattice of the cell by
 construction (offsets are grid multiples), so cell data is restricted once
 per sweep point and then only gathered.
+
+Every factor that does not solve (the kernel quadrature of the centered
+gradient for K and for K-tilde, and the differential core of the composed
+operator) is assembled once per eps as one CSR matrix, so applying it is one
+sparse product and its transpose is exact by construction; only the
+homogenized resolvents stay LU solves.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assemble import assemble_diffusion
 from .effective import _flux, flux_corrector, multilinear
-from .grids import GridFunction, TorusGrid, centered_gradient, corners
-from .operators import (DiscreteOperator, grad_component_op, gradient_op,
-                        matrix_op)
+from .grids import GridFunction, TorusGrid, corners
+from .operators import DiscreteOperator, diff_matrix, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
 from .spectral import integer_freqs
 
@@ -86,35 +92,33 @@ class CorrectorKernel:
         return self.fields[rho]
 
 
-def _lattice_apply(kernel, p_fields, spec, grid):
-    """sum_l w_l [kernel_l . p](x - eps w_l) for stacked gradient fields p."""
-    shifts, _, weights = spec.lattice(grid.dim)
-    axes = tuple(range(grid.dim))
-    out = np.zeros(grid.shape)
-    for s, w in zip(shifts, weights):
-        fld = kernel.field(s)
-        q = np.einsum("j...,j...->...", fld, p_fields)
-        out += w * np.roll(q, tuple(s), axis=axes)
-    return out
+def _quad_grad_matrix(cells, spec, grid, adjoint):
+    """CSR matrix of u -> sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l).
 
+    Row x reads u at x - s_l +- e_j with weight +-w_l chi^j(x - s_l) / 2h,
+    where s_l is the grid shift of eps w_l and chi^j the residue field of s_l.
+    """
+    spec.check_grid(grid)
+    kernel = CorrectorKernel(cells, grid, spec.eps, spec.n_omega, adjoint=adjoint)
+    d = grid.dim
+    shifts, _, weights = spec.lattice(d)
+    eye = np.eye(d, dtype=int)
+    offsets = [-s + sign * eye[j] for s in shifts for j in range(d) for sign in (1, -1)]
 
-def _lattice_apply_transpose(kernel, r, spec, grid):
-    """Adjoint of _lattice_apply in the stacked-field inner product."""
-    shifts, _, weights = spec.lattice(grid.dim)
-    axes = tuple(range(grid.dim))
-    out = np.zeros((grid.dim,) + grid.shape)
-    for s, w in zip(shifts, weights):
-        back = np.roll(r, tuple(-np.asarray(s)), axis=axes)
-        out += w * kernel.field(s) * back
-    return out
+    def coeffs():
+        for s, w in zip(shifts, weights):
+            fld = np.roll(kernel.field(s), tuple(s), axis=tuple(range(1, d + 1)))
+            for j in range(d):
+                c = (w / (2.0 * grid.h)) * fld[j].ravel()
+                yield c
+                yield -c
+
+    return stencil_matrix(grid, offsets, coeffs())
 
 
 def _smoothed_corrector(u, cells, spec, adjoint):
-    grid = u.grid
-    spec.check_grid(grid)
-    kernel = CorrectorKernel(cells, grid, spec.eps, spec.n_omega, adjoint=adjoint)
-    p = centered_gradient(u.values, grid.h)
-    return GridFunction(grid, _lattice_apply(kernel, p, spec, grid))
+    mat = _quad_grad_matrix(cells, spec, u.grid, adjoint)
+    return GridFunction(u.grid, (mat @ u.values.ravel()).reshape(u.grid.shape))
 
 
 def corrector_K(u_hom: GridFunction, cells, spec: SmoothingSpec) -> GridFunction:
@@ -136,30 +140,16 @@ def corrector_op(cells, spec: SmoothingSpec, grid, resolvent: DiscreteOperator,
                  adjoint=False) -> DiscreteOperator:
     """The corrector as an operator on right-hand sides.
 
-    Composition: resolve, take the centered gradient, contract with the
-    residue fields along the offset lattice.  For the adjoint corrector
-    pass the transposed homogenized resolvent.  The true adjoint of the
-    returned operator (via .T) realizes the divergence-form identity
+    Composition: resolve, then apply the kernel quadrature of the centered
+    gradient, one CSR matrix per eps.  For the adjoint corrector pass the
+    transposed homogenized resolvent.  The true adjoint of the returned
+    operator (via .T) realizes the divergence-form identity
     resolvent^T . (-div) . kernel-quadrature^T without further derivation.
     """
-    spec.check_grid(grid)
-    kernel = CorrectorKernel(cells, grid, spec.eps, spec.n_omega, adjoint=adjoint)
-    gop = gradient_op(grid)
-    d = grid.dim
-    n = grid.size
-
-    def q_mv(x):
-        p = x.reshape((d,) + grid.shape)
-        return _lattice_apply(kernel, p, spec, grid).ravel()
-
-    def q_rmv(x):
-        r = x.reshape(grid.shape)
-        return _lattice_apply_transpose(kernel, r, spec, grid).ravel()
-
-    quad = DiscreteOperator((n, d * n), q_mv, q_rmv, grid=grid, label="kernel-quad")
-    label = "Ktilde" if adjoint else "K"
-    op = quad @ gop @ resolvent
-    op.label = label
+    quad = matrix_op(_quad_grad_matrix(cells, spec, grid, adjoint), grid=grid,
+                     label="kernel-quad")
+    op = quad @ resolvent
+    op.label = "Ktilde" if adjoint else "K"
     return op
 
 
@@ -274,57 +264,18 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: DiscreteOperator,
     c3_adj = _coeff_field(coeffs.c3_adj, coeffs.slow_grid, grid)
     c2 = _coeff_field(coeffs.c2, coeffs.slow_grid, grid)
     c2_adj = _coeff_field(coeffs.c2_adj, coeffs.slow_grid, grid)
-    D = [grad_component_op(grid, ax) for ax in range(d)]
-
-    def diag(vals):
-        v = vals.ravel()
-        return lambda x: v * x
-
-    def build(order3, order2, outer_first):
-        """sum D_out [D_m [c3 . D_in u]] - sum D_out [c2 . D_in u].
-
-        outer_first=True gives (out=k, in=j) from c3[j,k,m]/c2[j,k];
-        False gives the adjoint layout (out=j, in=k) from c3_adj[k,j,m].
-        """
-        terms = []
-        for jj in range(d):
-            for kk in range(d):
-                if outer_first:
-                    out_ax, in_ax = kk, jj
-                else:
-                    out_ax, in_ax = jj, kk
-                for m in range(d):
-                    c = order3[..., jj, kk, m] if outer_first else order3[..., kk, jj, m]
-                    mul = diag(c)
-                    terms.append((out_ax, m, in_ax, mul, +1.0))
-                c = order2[..., jj, kk] if outer_first else order2[..., kk, jj]
-                terms.append((out_ax, None, in_ax, diag(c), -1.0))
-
-        def mv(x):
-            out = np.zeros(n)
-            for out_ax, mid_ax, in_ax, mul, sign in terms:
-                y = D[in_ax]._mv(x)
-                y = mul(y)
-                if mid_ax is not None:
-                    y = D[mid_ax]._mv(y)
-                out += sign * D[out_ax]._mv(y)
-            return out
-
-        def rmv(x):
-            out = np.zeros(n)
-            for out_ax, mid_ax, in_ax, mul, sign in terms:
-                y = -D[out_ax]._mv(x)
-                if mid_ax is not None:
-                    y = -D[mid_ax]._mv(y)
-                y = mul(y)
-                out += sign * (-D[in_ax]._mv(y))
-            return out
-
-        return DiscreteOperator((n, n), mv, rmv, grid=grid, label="L-part")
-
-    primal = build(c3, c2, outer_first=True)
-    adj = build(c3_adj, c2_adj, outer_first=False)
-    core = primal + adj.T
+    D = [diff_matrix(grid, ax) for ax in range(d)]
+    # primal family D_k D_m c3[j,k,m] D_j - D_k c2[j,k] D_j plus the transpose
+    # of the adjoint family D_j D_m c3_adj[k,j,m] D_k - D_j c2_adj[k,j] D_k
+    core = sp.csr_matrix((n, n))
+    for j in range(d):
+        for k in range(d):
+            for m in range(d):
+                core = core + D[k] @ D[m] @ sp.diags(c3[..., j, k, m].ravel()) @ D[j]
+                core = core + (D[j] @ D[m] @ sp.diags(c3_adj[..., k, j, m].ravel()) @ D[k]).T
+            core = core - D[k] @ sp.diags(c2[..., j, k].ravel()) @ D[j]
+            core = core - (D[j] @ sp.diags(c2_adj[..., k, j].ravel()) @ D[k]).T
+    core = matrix_op(core, grid=grid, label="L-core")
     op = hom_solver @ core @ hom_solver
     op.label = "Lop"
     return op

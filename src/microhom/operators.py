@@ -2,7 +2,9 @@
 
 Every operator carries a matvec and an rmatvec that are exact adjoints of
 each other (up to roundoff), so transpose identities hold to machine
-precision no matter how deeply operators are composed.  Resolvents are
+precision no matter how deeply operators are composed.  Fixed stencils
+(centered differences, lattice averages, corrector quadratures) are CSR
+matrices whose transposes are exact by construction.  Resolvents are
 backed by sparse LU factorizations whose transposed solves reuse the same
 factors.
 """
@@ -11,7 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolveError
-from .grids import centered_diff
 
 
 class DiscreteOperator:
@@ -99,7 +100,7 @@ def matrix_op(mat, grid=None, symmetric=False, label="mat"):
     """Wrap a scipy sparse or dense matrix."""
     if sp.issparse(mat):
         mat = mat.tocsr()
-        mat_t = mat.T.tocsr()
+        mat_t = mat.T  # a CSC view sharing the arrays, not a copy
         op = DiscreteOperator(mat.shape, lambda x: mat @ x, lambda x: mat_t @ x,
                               grid=grid, symmetric=symmetric, label=label)
     else:
@@ -123,79 +124,54 @@ def lu_solve_op(mat, grid=None, label="inv"):
     return op
 
 
-def identity_op(n, grid=None):
-    return DiscreteOperator((n, n), lambda x: x.copy(), lambda x: x.copy(),
-                            grid=grid, symmetric=True, label="I")
+def stencil_matrix(grid, offsets, coeffs):
+    """CSR matrix of a periodic row stencil: (S u)(x) = sum_k c_k(x) u(x + o_k).
+
+    offsets: (K, d) integer node offsets o_k; coeffs: an iterable (consumed
+    once, so a generator keeps only one term alive) of K scalars or
+    flattened (N,) arrays c_k.  Offsets equal modulo the grid are merged,
+    so every row stores one entry per distinct offset in the same order.
+    """
+    d, n = grid.dim, grid.size
+    offsets = np.mod(np.asarray(offsets, dtype=int).reshape(-1, d), grid.n)
+    uniq, slot = np.unique(offsets, axis=0, return_inverse=True)
+    width = len(uniq)
+    data = np.zeros((n, width))
+    for k, c in zip(slot.ravel(), coeffs):
+        data[:, k] += c
+    nodes = np.indices(grid.shape).reshape(d, n, 1)
+    cols = np.ravel_multi_index(tuple(nodes + uniq.T[:, None, :]), grid.shape,
+                                mode="wrap")
+    indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
+    return sp.csr_matrix((data.ravel(), cols.astype(np.int32).ravel(), indptr),
+                         shape=(n, n))
 
 
-def diagonal_op(weights, grid=None, label="diag"):
-    w = np.asarray(weights, dtype=float).ravel()
-    mv = lambda x: w * x
-    return DiscreteOperator((w.size, w.size), mv, mv, grid=grid,
-                            symmetric=True, label=label)
-
-
-def roll_op(grid, shift, label="roll"):
-    """Exact index rotation on the torus grid; an L2 isometry."""
-    shift = tuple(int(s) for s in np.atleast_1d(shift))
-    axes = tuple(range(grid.dim))
-    shape = grid.shape
-    n = grid.size
-
-    def mv(x):
-        return np.roll(x.reshape(shape), shift, axis=axes).ravel()
-
-    def rmv(x):
-        return np.roll(x.reshape(shape), tuple(-s for s in shift), axis=axes).ravel()
-
-    return DiscreteOperator((n, n), mv, rmv, grid=grid, label=label)
+def diff_matrix(grid, axis):
+    """CSR centered difference (u(x + e) - u(x - e)) / 2h along one axis."""
+    e = np.eye(grid.dim, dtype=int)[axis]
+    c = 1.0 / (2.0 * grid.h)
+    return stencil_matrix(grid, [e, -e], [c, -c])
 
 
 def grad_component_op(grid, axis):
     """Centered difference along one axis; skew-adjoint on the torus."""
-    shape = grid.shape
-    n = grid.size
-
-    def mv(x):
-        return centered_diff(x.reshape(shape), axis, grid.h).ravel()
-
-    def rmv(x):
-        return -mv(x)
-
-    return DiscreteOperator((n, n), mv, rmv, grid=grid, label=f"D{axis}")
+    return matrix_op(diff_matrix(grid, axis), grid=grid, label=f"D{axis}")
 
 
 def gradient_op(grid):
     """Stacked centered gradient: scalar field -> d stacked fields."""
-    comps = [grad_component_op(grid, ax) for ax in range(grid.dim)]
-    n = grid.size
-    d = grid.dim
-
-    def mv(x):
-        return np.concatenate([c._mv(x) for c in comps])
-
-    def rmv(x):
-        parts = x.reshape(d, n)
-        out = np.zeros(n)
-        for c, p in zip(comps, parts):
-            out += c._rmv(p)
-        return out
-
-    return DiscreteOperator((d * n, n), mv, rmv, grid=grid, label="grad")
+    mat = sp.vstack([diff_matrix(grid, ax) for ax in range(grid.dim)])
+    return matrix_op(mat, grid=grid, label="grad")
 
 
 def h1_gram_op(grid):
     """Gram operator of the discrete H1 inner product: I - sum_m D_m D_m."""
-    comps = [grad_component_op(grid, ax) for ax in range(grid.dim)]
-    n = grid.size
-
-    def mv(x):
-        out = x.copy()
-        for c in comps:
-            out -= c._mv(c._mv(x))
-        return out
-
-    return DiscreteOperator((n, n), mv, mv, grid=grid, symmetric=True, label="gramH1")
+    mat = sp.identity(grid.size, format="csr")
+    for ax in range(grid.dim):
+        dm = diff_matrix(grid, ax)
+        mat = mat - dm @ dm
+    return matrix_op(mat, grid=grid, symmetric=True, label="gramH1")
 
 
 # -- norms ------------------------------------------------------------------

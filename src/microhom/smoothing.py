@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridFunction
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, matrix_op, stencil_matrix
 
 
 @dataclass(frozen=True)
@@ -117,18 +117,9 @@ def steklov(u: GridFunction, spec: SmoothingSpec) -> GridFunction:
 
 
 def steklov_op(grid, spec: SmoothingSpec) -> DiscreteOperator:
+    """CSR matrix of u -> sum_l w_l u(x - eps*omega_l)."""
     spec.check_grid(grid)
     shifts, _, weights = spec.lattice(grid.dim)
-    axes = tuple(range(grid.dim))
-    shape = grid.shape
-
-    def mv(x):
-        v = x.reshape(shape)
-        out = np.zeros(shape)
-        for s, w in zip(shifts, weights):
-            out += w * np.roll(v, tuple(s), axis=axes)
-        return out.ravel()
-
     # the lattice is symmetric, so the operator is self-adjoint
-    return DiscreteOperator((grid.size, grid.size), mv, mv, grid=grid,
-                            symmetric=True, label="steklov")
+    return matrix_op(stencil_matrix(grid, -shifts, weights), grid=grid,
+                     symmetric=True, label="steklov")

@@ -143,6 +143,56 @@ def test_corrector_op_matches_function_form(separable):
     assert np.allclose(op.apply(f), direct.values.ravel(), atol=1e-12)
 
 
+def rolled_corrector(u, cells, spec, adjoint):
+    """K u(x) = sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l), by rolls.
+
+    Slow argument: periodic linear interpolation per axis (np.interp) from
+    the sample grid; fast argument: the cell node x/eps lands on.
+    """
+    n, d, n_f = u.shape[0], u.ndim, spec.n_omega
+    chi = cells.chi_adj if adjoint else cells.chi
+    step = chi.shape[-1] // n_f
+    fast = chi[(Ellipsis,) + (slice(None, None, step),) * d]
+    n_x = chi.shape[0]
+    slow_nodes = np.arange(n_x + 1) / n_x
+    interp = np.stack([np.interp(np.arange(n) / n, slow_nodes,
+                                 np.append(e, e[0]), period=1.0)
+                       for e in np.eye(n_x)], axis=1)            # (n, n_x)
+    if d == 1:
+        table = np.einsum("as,sj...->aj...", interp, fast)
+    else:
+        table = np.einsum("as,bt,stj...->abj...", interp, interp, fast)
+    axes = tuple(range(d))
+    grad = [(np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax)) / (2.0 / n) for ax in axes]
+    nodes = tuple(np.indices(u.shape))
+    shifts, _, weights = spec.lattice(d)
+    out = np.zeros(u.shape)
+    for s, w in zip(shifts, weights):
+        # chi at slow node z and fast node (z + s) mod n_f, paired with grad u(z),
+        # then moved to x = z + s
+        fast_idx = tuple((nodes[ax] + s[ax]) % n_f for ax in axes)
+        q = sum(table[nodes + (j,) + fast_idx] * grad[j] for j in range(d))
+        out += w * np.roll(q, tuple(s), axis=axes)
+    return out
+
+
+@pytest.mark.parametrize("case", ["separable", "smooth_2d"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_corrector_op_matches_rolled_formula(case, adjoint, request):
+    field, cells, hom, fc = request.getfixturevalue(case)
+    n_f = 16 if case == "separable" else 8
+    for k in (2, 4):
+        spec = SmoothingSpec(eps=1.0 / k, n_omega=n_f)
+        grid = TorusGrid(field.dim, n_f * k)
+        r0 = resolvent_op(assemble_homogenized(hom, grid))
+        if adjoint:
+            r0 = r0.T
+        op = corrector_op(cells, spec, grid, r0, adjoint=adjoint)
+        f = np.random.default_rng(k).standard_normal(grid.size)
+        ref = rolled_corrector(r0.apply(f).reshape(grid.shape), cells, spec, adjoint)
+        assert np.abs(op.apply(f) - ref.ravel()).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_composed_operator_zero_for_symmetric_periodic():
     field, cells, hom, fc = pipeline("periodic_only", {"dim": 2, "symmetric": True}, 4, 32)
     co = corrector_coeffs(cells, fc, field, hom)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from microhom import GridFunction, SolveError, TorusGrid, norms
-from microhom.operators import (diagonal_op, grad_component_op, gradient_op,
-                                h1_gram_op, identity_op, matrix_op,
-                                operator_norm, roll_op, transpose_defect)
+from microhom.grids import centered_diff, centered_gradient
+from microhom.operators import (grad_component_op, gradient_op, h1_gram_op,
+                                matrix_op, operator_norm, transpose_defect)
 from microhom.spectral import calculus, trig_resample
 
 
@@ -44,9 +45,9 @@ def test_norms_zero():
 
 
 def test_operator_norm_identity_and_diag():
-    op = identity_op(40)
+    op = matrix_op(sp.identity(40))
     assert operator_norm(op, seed=1) == pytest.approx(1.0, rel=1e-6)
-    dg = diagonal_op(np.concatenate([np.full(20, 3.0), np.ones(20)]))
+    dg = matrix_op(sp.diags(np.concatenate([np.full(20, 3.0), np.ones(20)])))
     assert operator_norm(dg, seed=1) == pytest.approx(3.0, rel=1e-5)
 
 
@@ -61,7 +62,7 @@ def test_operator_norm_matches_dense_svd():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_operator_norm_rejects_non_finite(bad):
     # a broken operator must fail, not read as a zero (perfect) error
-    op = diagonal_op(np.full(20, bad))
+    op = matrix_op(sp.diags(np.full(20, bad)))
     with pytest.raises(SolveError, match="non-finite"):
         operator_norm(op, seed=1)
 
@@ -69,10 +70,11 @@ def test_operator_norm_rejects_non_finite(bad):
 def test_operator_algebra_transposes():
     g = TorusGrid(2, 12)
     rng = np.random.default_rng(0)
+    perm = np.roll(np.arange(g.size).reshape(g.shape), (3, -2), axis=(0, 1)).ravel()
     ops = {
-        "roll": roll_op(g, (3, -2)),
+        "roll": matrix_op(sp.identity(g.size, format="csr")[perm], grid=g),
         "grad0": grad_component_op(g, 0),
-        "diag": diagonal_op(rng.random(g.size) + 0.5, grid=g),
+        "diag": matrix_op(sp.diags(rng.random(g.size) + 0.5), grid=g),
         "gram": h1_gram_op(g),
     }
     comp = ops["roll"] @ ops["diag"] @ ops["grad0"]
@@ -84,22 +86,23 @@ def test_operator_algebra_transposes():
 
 
 def test_gradient_op_matches_dense_transpose():
-    g = TorusGrid(2, 8)
-    gop = gradient_op(g)
-    dense = gop.to_dense()
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(g.size)
-    y = rng.standard_normal(2 * g.size)
-    assert np.allclose(gop.apply_transpose(y), dense.T @ y, atol=1e-13)
-    assert np.allclose(gop.apply(x), dense @ x, atol=1e-13)
-
-
-def test_roll_is_isometry():
-    g = TorusGrid(1, 32)
-    op = roll_op(g, 7)
-    x = np.random.default_rng(2).standard_normal(g.size)
-    assert np.linalg.norm(op.apply(x)) == pytest.approx(np.linalg.norm(x))
-    assert np.allclose(op.apply_transpose(op.apply(x)), x)
+    # n = 12: 1/(2h) is not a power of two, so the matrix entries round
+    # differently from the grid helper's difference-then-scale
+    for n in (8, 12):
+        g = TorusGrid(2, n)
+        gop = gradient_op(g)
+        dense = gop.to_dense()
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(g.size)
+        y = rng.standard_normal(2 * g.size)
+        assert np.allclose(gop.apply_transpose(y), dense.T @ y, atol=1e-13)
+        assert np.allclose(gop.apply(x), dense @ x, atol=1e-13)
+        v = x.reshape(g.shape)
+        ref = centered_gradient(v, g.h).ravel()
+        assert np.abs(gop.apply(x) - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = v - sum(centered_diff(centered_diff(v, ax, g.h), ax, g.h) for ax in range(2))
+        gram = h1_gram_op(g).apply(x)
+        assert np.abs(gram - ref.ravel()).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_trig_resample_exact_on_modes():
