@@ -19,8 +19,8 @@ from .effective import (FluxCorrector, HomogenizedField, effective_matrix,
                         flux_corrector, vector_potential)
 from .errors import ConfigError, SolveError
 from .grids import GridFunction, TorusGrid, norms
-from .operators import (DiscreteOperator, gradient_op, h1_gram_op, matrix_op,
-                        operator_norm, transpose_defect)
+from .operators import (DiscreteOperator, h1_gram_op, matrix_op, operator_norm,
+                        transpose_defect)
 from .smoothing import SmoothingSpec, shift, steklov, steklov_op
 from .sweep import ConvergenceReport, emit_report, fit_rate, run_sweep
 
@@ -33,9 +33,8 @@ __all__ = [
     "assemble_L", "assemble_M", "build_cell_table", "builtin_family",
     "corrector_K", "corrector_Ktilde", "corrector_coeffs", "corrector_op",
     "drift_matrix_field", "effective_matrix", "emit_report",
-    "fit_rate", "flux_corrector", "full_corrector", "gradient_op",
-    "h1_gram_op", "load_cell_table", "load_config",
-    "matrix_op", "norms", "operator_norm", "resolvent_op",
+    "fit_rate", "flux_corrector", "full_corrector", "h1_gram_op",
+    "load_cell_table", "load_config", "matrix_op", "norms", "operator_norm", "resolvent_op",
     "run_sweep", "save_cell_table", "shift", "solve", "solve_adjoint_cell",
     "solve_cell", "steklov", "steklov_op", "transpose_defect",
     "validate_coefficient", "vector_potential",

@@ -10,11 +10,12 @@ the homogenized resolvent:
   * the eps-free composed operator sandwiches those differential operators
     between homogenized resolvents;
   * the double-averaged matrix contracts the analytic slow gradient of the
-    coefficient with both families of cell gradients along the lattice.
+    coefficient with both families of cell gradients over a tensor Gauss
+    rule of offsets, read off the cell tables by one map per cell axis.
 
-Fast-variable evaluations land on the n_f-point sublattice of the cell by
-construction (offsets are grid multiples), so cell data is restricted once
-per sweep point and then only gathered.
+The smoothed corrector's fast-variable evaluations land on the n_f-point
+sublattice of the cell by construction (its offsets are grid multiples), so
+its cell data is restricted once per sweep point and then only gathered.
 
 Every factor that does not solve (the kernel quadrature of the centered
 gradient for K and for K-tilde, and the differential core of the composed
@@ -281,55 +282,57 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: DiscreteOperator,
     return op
 
 
-class _OffsetTables:
-    """Batched evaluation of cell tables on offset fast lattices.
+def _cell_kernels(nodes, n_f, n_y, method):
+    """Per-axis maps from the n_y cell nodes to the points c/n_f + node.
 
-    Spectral tables are transformed once; each offset then costs one phase
-    multiply, an alias fold onto the n_f bins, and a small inverse FFT.
-    FV tables fall back to periodic multilinear interpolation on the cell
-    grid.
+    Row c of a node's map weighs cell node m by kern[(m - c s) mod n_y],
+    s = n_y / n_f, plus the imaginary part imag[c] (-1)^m.  FV tables use
+    the periodic linear hat of `grids.corners` (real); spectral tables the
+    trigonometric interpolant on the signed modes of `integer_freqs`, whose
+    unmatched Nyquist mode is the only complex term.
     """
+    if n_y % n_f:
+        raise ValueError(f"n_f = {n_f} does not divide n_y = {n_y}")
+    if method == "fv":
+        idx, wts = corners(n_y, nodes[:, None])
+        kern = np.zeros((len(nodes), n_y))
+        rows = np.arange(len(nodes))
+        kern[rows, idx[0]] = wts[0]
+        kern[rows, idx[1]] += wts[1]
+        return kern, np.zeros((len(nodes), n_f))
+    k = integer_freqs((n_y,))[0]
+    z = np.fft.fft(np.exp(2j * np.pi * nodes[:, None] * k), axis=-1) / n_y
+    return z.real, z.imag[:, (-(n_y // n_f) * np.arange(n_f)) % n_y]
 
-    def __init__(self, table, d, n_f, method):
-        cshape = table.shape[-d:]
-        self.lead = table.shape[:-d]
-        self.d = d
-        self.n_f = n_f
-        self.n_y = cshape[0]
-        self.method = method
-        flat = table.reshape((-1,) + cshape)
-        if method == "fv":
-            self.flat = flat.reshape(flat.shape[0], -1)
-        else:
-            if self.n_y % n_f:
-                raise ValueError(f"{n_f} does not divide {self.n_y}")
-            axes = tuple(range(1, d + 1))
-            self.spec = np.fft.fftn(flat, axes=axes) / (self.n_y ** d)
-            self.freqs = integer_freqs(cshape)
 
-    def at(self, offset):
-        d, n_f, n_y = self.d, self.n_f, self.n_y
-        if self.method == "fv":
-            pts = np.indices((n_f,) * d).reshape(d, -1).T / n_f + np.asarray(offset)
-            idx, wts = corners(n_y, pts)
-            out = wts[0] * self.flat[:, idx[0]]
-            for i, w in zip(idx[1:], wts[1:]):
-                out = out + w * self.flat[:, i]
-            return out.reshape(self.lead + (n_f ** d,))
-        phase = np.ones((1,) * (d + 1), dtype=complex)
-        spec = self.spec
-        for ax in range(d):
-            phase = phase * np.exp(2j * np.pi * self.freqs[ax][None]
-                                   * float(offset[ax]))
-        spec = spec * phase
-        s = n_y // n_f
-        if d == 1:
-            folded = spec.reshape(-1, s, n_f).sum(axis=1)
-            out = np.fft.ifft(folded, axis=-1).real * n_f
-        else:
-            folded = spec.reshape(-1, s, n_f, s, n_f).sum(axis=(1, 3))
-            out = np.fft.ifftn(folded, axes=(1, 2)).real * n_f ** 2
-        return out.reshape(self.lead + (n_f ** d,))
+def _offset_rows(table, d, kern, imag):
+    """A cell table at the fast lattices c/n_f + o of a tensor offset rule.
+
+    table: (*lead, *cell), d <= 2 cell axes; kern, imag: `_cell_kernels` of
+    the rule's 1D nodes.  Yields one lattice row at a time (the offsets
+    sharing the axis-0 node; in 1D every node) as (per, *lead, n_f^d): the
+    real part of the axis maps applied to the table, axis 0 by the row's
+    map, then the last axis for every offset at once.
+    """
+    cell = table.shape[-d:]
+    (per, n_y), n_f = kern.shape, imag.shape[1]
+    flat = table.reshape((-1,) + cell)
+    m = np.arange(n_y)
+    cs = (n_y // n_f) * np.arange(n_f)[:, None]
+    if d == 2:
+        # the imaginary parts meet only in the unmatched Nyquist mode
+        nyquist = (flat * (-1.0) ** np.indices(cell).sum(axis=0)).sum(axis=(1, 2))
+    for row in range(per if d == 2 else 1):
+        lead = flat
+        if d == 2:
+            lead = np.matmul(kern[row][(m - cs) % n_y], flat)
+        # row c of the last axis reads the table rolled by c s; one small
+        # product per table slice keeps BLAS single-threaded (threaded: slower, 2x CPU)
+        vals = (np.take(lead.reshape(len(flat), -1, n_y), (m + cs) % n_y, axis=2)
+                .reshape(len(flat), -1, n_y) @ kern.T).reshape(len(flat), -1, n_f, per)
+        if d == 2:
+            vals -= nyquist[:, None, None, None] * imag[row][:, None, None] * imag.T
+        yield np.moveaxis(vals, 3, 0).reshape((per,) + table.shape[:-d] + (-1,))
 
 
 def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
@@ -340,39 +343,52 @@ def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
     to (grad_y chi^j + e^j); both gradient families are evaluated at the
     slow point x and the offset fast point.  The offset integral has no
     grid-function shifts in it, so it uses the tensor Gauss rule (the
-    integrand is analytic in the offset but not periodic).  Returns
-    (*fine, d, d).
+    integrand is analytic in the offset but not periodic), one row of the
+    lattice at a time, in batches of at most 4096 (fine node, offset)
+    pairs.  Returns (*fine, d, d).
     """
     d = grid.dim
     n_f = spec.n_omega
     spec.check_grid(grid)
     eps = spec.eps
 
-    n_slow = cells.slow_grid.size
     pts = grid.coords().reshape(-1, d)
     slow_corners = corners(cells.slow_grid.n, pts)
     fidx = _fast_index(grid, n_f)
-
-    t_nodes, t_weights = spec.gauss_rule()
-    omegas, weights = spec.gauss_lattice(d)
     fast_base = (np.indices(grid.shape).reshape(d, -1).T % n_f) / n_f
-    gy_tab = _OffsetTables(cells.grad_y_chi, d, n_f, cells.method)
-    gya_tab = _OffsetTables(cells.grad_y_chi_adj, d, n_f, cells.method)
+    t_nodes, t_weights = spec.gauss_rule()
+    nodes, node_w = spec.offset_rule(d)
+    maps = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
+    batch = max(1, 4096 // grid.size)
 
+    eye = np.eye(d)
     out = np.zeros((grid.size, d, d))
-    for om, w in zip(omegas, weights):
-        P = _fine_gather(gy_tab.at(om).reshape(n_slow, d, d, -1), slow_corners, fidx)
-        Q = _fine_gather(gya_tab.at(om).reshape(n_slow, d, d, -1), slow_corners, fidx)
-        for j in range(d):
-            P[:, j, j] += 1.0
-            Q[:, j, j] += 1.0
-        # line average of grad_x a . omega along the offset
-        fast_pts = fast_base + om
-        mid = np.zeros((grid.size, d, d))
-        for tv, tw in zip(t_nodes, t_weights):
-            ga = field.grad_x(pts + tv * eps * om, fast_pts)
-            mid += tw * np.einsum("npqr,r->npq", ga, om)
-        out += w * np.einsum("nkp,npq,njq->njk", Q, mid, P)
+    rows = zip(*(_offset_rows(tab, d, *maps)
+                 for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)))
+    for row, row_vals in enumerate(rows):
+        # (n_slow, per, d, d, n_f^d) gradient tables at the row's offsets
+        row_vals = [np.moveaxis(v.reshape(len(nodes), -1, d, d, n_f ** d), 0, 1)
+                    for v in row_vals]
+        for lo in range(0, len(nodes), batch):
+            sl = slice(lo, lo + batch)
+            om = nodes[sl, None]
+            w = node_w[sl]
+            if d == 2:
+                om = np.concatenate([np.full_like(om, nodes[row]), om], axis=1)
+                w = node_w[row] * w
+            # (N, per, d, d): gradients plus identity at the fine nodes
+            P, Q = (_fine_gather(v[:, sl], slow_corners, fidx) + eye for v in row_vals)
+            # line average of grad_x a . omega along each offset, times its weight
+            fast_pts = fast_base[:, None] + om
+            mid = np.zeros((grid.size, len(w), d, d))
+            for tv, tw in zip(t_nodes, t_weights):
+                ga = field.grad_x(pts[:, None] + tv * eps * om, fast_pts)
+                for r in range(d):
+                    mid += (tw * om[:, r, None, None]) * ga[..., r]
+            mid *= w[:, None, None]
+            # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q]
+            out += np.matmul(P, np.matmul(Q, mid).swapaxes(-1, -2)).sum(axis=1)
+        del row_vals  # one row of offset values alive at a time
     return out.reshape(grid.shape + (d, d))
 
 

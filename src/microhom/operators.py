@@ -154,17 +154,6 @@ def diff_matrix(grid, axis):
     return stencil_matrix(grid, [e, -e], [c, -c])
 
 
-def grad_component_op(grid, axis):
-    """Centered difference along one axis; skew-adjoint on the torus."""
-    return matrix_op(diff_matrix(grid, axis), grid=grid, label=f"D{axis}")
-
-
-def gradient_op(grid):
-    """Stacked centered gradient: scalar field -> d stacked fields."""
-    mat = sp.vstack([diff_matrix(grid, ax) for ax in range(grid.dim)])
-    return matrix_op(mat, grid=grid, label="grad")
-
-
 def h1_gram_op(grid):
     """Gram operator of the discrete H1 inner product: I - sum_m D_m D_m."""
     mat = sp.identity(grid.size, format="csr")

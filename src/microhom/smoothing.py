@@ -60,25 +60,20 @@ class SmoothingSpec:
         x, w = np.polynomial.legendre.leggauss(self.gauss_points)
         return 0.5 * (x + 1.0), 0.5 * w
 
-    def gauss_lattice(self, dim):
-        """Tensor Gauss-Legendre rule on the offset box [-1/2, 1/2]^dim.
+    def offset_rule(self, dim):
+        """1D Gauss-Legendre nodes and weights on the offset axis [-1/2, 1/2].
 
-        Used for offset integrals with no grid-function shifts (the
-        double-averaged matrix): their integrands are analytic but not
-        offset-periodic, so the uniform lattice would stall at O(n^-2)
-        while Gauss converges spectrally.  The per-axis order must also
-        resolve the integrand's cell-periodic oscillation, hence the
-        dimension-dependent default above the lattice size.
+        For offset integrals with no grid-function shifts (the
+        double-averaged matrix), tensorized over the dim axes by the
+        caller: their integrands are analytic but not offset-periodic, so
+        the uniform lattice would stall at O(n^-2) while Gauss converges
+        spectrally.  The order must also resolve the integrand's
+        cell-periodic oscillation, hence the dimension-dependent default
+        above the lattice size.
         """
         order = self.drift_order or max(self.n_omega, 24 if dim == 1 else 12)
         x, w = np.polynomial.legendre.leggauss(order)
-        nodes1 = 0.5 * x
-        w1 = 0.5 * w
-        if dim == 1:
-            return nodes1[:, None], w1
-        N1, N2 = np.meshgrid(nodes1, nodes1, indexing="ij")
-        W = np.outer(w1, w1)
-        return np.stack([N1.ravel(), N2.ravel()], axis=-1), W.ravel()
+        return 0.5 * x, 0.5 * w
 
     def check_grid(self, grid):
         ratio = self.eps / grid.h

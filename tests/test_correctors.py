@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from microhom import (GridFunction, SmoothingSpec, TorusGrid, assemble_fine,
                       corrector_Ktilde, corrector_coeffs, corrector_op,
                       drift_matrix_field, effective_matrix, flux_corrector,
                       full_corrector, resolvent_op, solve)
-from microhom.correctors import _OffsetTables, _restrict_cell_axes
+from microhom.correctors import _cell_kernels, _offset_rows, _restrict_cell_axes
+from microhom.grids import corners
 from microhom.operators import operator_norm, transpose_defect
 
 
@@ -143,6 +146,14 @@ def test_corrector_op_matches_function_form(separable):
     assert np.allclose(op.apply(f), direct.values.ravel(), atol=1e-12)
 
 
+def periodic_interp(n, n_x):
+    """(n, n_x) weights of periodic linear interpolation (np.interp) from the
+    n_x slow samples to the n nodes k/n of one axis."""
+    slow_nodes = np.arange(n_x + 1) / n_x
+    return np.stack([np.interp(np.arange(n) / n, slow_nodes, np.append(e, e[0]),
+                               period=1.0) for e in np.eye(n_x)], axis=1)
+
+
 def rolled_corrector(u, cells, spec, adjoint):
     """K u(x) = sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l), by rolls.
 
@@ -153,11 +164,7 @@ def rolled_corrector(u, cells, spec, adjoint):
     chi = cells.chi_adj if adjoint else cells.chi
     step = chi.shape[-1] // n_f
     fast = chi[(Ellipsis,) + (slice(None, None, step),) * d]
-    n_x = chi.shape[0]
-    slow_nodes = np.arange(n_x + 1) / n_x
-    interp = np.stack([np.interp(np.arange(n) / n, slow_nodes,
-                                 np.append(e, e[0]), period=1.0)
-                       for e in np.eye(n_x)], axis=1)            # (n, n_x)
+    interp = periodic_interp(n, chi.shape[0])
     if d == 1:
         table = np.einsum("as,sj...->aj...", interp, fast)
     else:
@@ -224,6 +231,23 @@ def test_composed_operator_transpose_structure(smooth_2d):
     assert np.allclose(l_op.apply_transpose(x), l_swapped.apply(x), atol=1e-13)
 
 
+def fast_lattice(n_f, d):
+    """(n_f^d, d) fast points c/n_f in C order."""
+    axes = np.meshgrid(*([np.arange(n_f) / n_f] * d), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, d)
+
+
+def mode_sum(table, d, pts):
+    """Real part of the trig interpolant of a cell table at pts (M, d), by a
+    direct sum over the signed modes of its spectrum (Nyquist included)."""
+    n_y = table.shape[-1]
+    spec = np.fft.fftn(table, axes=tuple(range(-d, 0))) / n_y ** d
+    k1 = np.fft.fftfreq(n_y, 1.0 / n_y)
+    modes = np.stack(np.meshgrid(*([k1] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    phase = np.exp(2j * np.pi * pts @ modes.T)                     # (M, n_y^d)
+    return (spec.reshape(table.shape[:-d] + (-1,)) @ phase.T).real
+
+
 @pytest.mark.parametrize("method,tol", [("fv", 0.0), ("spectral", 1e-13)])
 def test_offset_tables_on_cell_nodes_match_rolled_restriction(method, tol):
     # an offset of whole cell-grid steps lands the fast lattice on cell nodes
@@ -231,13 +255,76 @@ def test_offset_tables_on_cell_nodes_match_rolled_restriction(method, tol):
     field = builtin_family("smooth_2d_nonsymmetric", {})
     cells = build_cell_table(field, TorusGrid(d, 4), TorusGrid(d, n_y), tol=1e-12)
     table = cells.grad_y_chi
-    tabs = _OffsetTables(table, d, n_f, method)
     cell_axes = tuple(range(-d, 0))
     for steps in [(1, 0), (3, 5), (-2, 7)]:
-        rolled = np.roll(table, tuple(-s for s in steps), axis=cell_axes)
-        expect = _restrict_cell_axes(rolled, d, n_f).reshape(table.shape[:-d] + (-1,))
-        got = tabs.at(np.asarray(steps) / n_y)
-        assert np.abs(got - expect).max() <= tol, steps
+        nodes = np.asarray(steps) / n_y
+        rows = _offset_rows(table, d, *_cell_kernels(nodes, n_f, n_y, method))
+        # the lattice on two nodes has the offsets (a, b) for a, b in steps
+        for a, row in zip(steps, rows):
+            for b, got in zip(steps, row):
+                rolled = np.roll(table, (-a, -b), axis=cell_axes)
+                expect = _restrict_cell_axes(rolled, d, n_f).reshape(table.shape[:-d] + (-1,))
+                assert np.abs(got - expect).max() <= tol, (a, b)
+    # one off-node Gauss offset
+    nodes = SmoothingSpec(eps=0.25, n_omega=n_f).offset_rule(d)[0][[2, 9]]
+    got = next(_offset_rows(table, d, *_cell_kernels(nodes, n_f, n_y, method)))[1]
+    pts = fast_lattice(n_f, d) + nodes
+    if method == "fv":
+        idx, wts = corners(n_y, pts)
+        flat = table.reshape(table.shape[:-d] + (-1,))
+        expect = sum(w * flat[..., i] for i, w in zip(idx, wts))
+        bound = 1e-15
+    else:
+        expect = mode_sum(table, d, pts)
+        bound = 1e-13
+    assert np.abs(got - expect).max() <= bound * np.abs(expect).max()
+
+
+def looped_drift(field, cells, spec, grid):
+    """The drift_matrix_field docstring formula, one Gauss offset at a time.
+
+    Gradient tables at each offset's fast lattice by `mode_sum`; slow
+    argument by periodic linear interpolation per axis (np.interp); fast
+    argument x/eps + w; offsets on the tensor Gauss-Legendre rule of the
+    default order.
+    """
+    d, n, n_f, eps = grid.dim, grid.n, spec.n_omega, spec.eps
+    x1, w1 = np.polynomial.legendre.leggauss(max(n_f, 24 if d == 1 else 12))
+    x1, w1 = 0.5 * x1, 0.5 * w1                                       # on [-1/2, 1/2]
+    t, tw = np.polynomial.legendre.leggauss(spec.gauss_points)
+    t, tw = 0.5 * (t + 1.0), 0.5 * tw
+    interp = periodic_interp(n, cells.slow_grid.n)
+    slow_w = interp if d == 1 else np.einsum("as,bt->abst", interp, interp)
+    slow_w = slow_w.reshape(grid.size, -1)                            # (N, n_slow)
+    nodes = np.indices(grid.shape).reshape(d, -1)
+    fast_idx = np.ravel_multi_index(tuple(nodes % n_f), (n_f,) * d)
+    x = nodes.T / n
+    out = np.zeros((grid.size, d, d))
+    for idx in itertools.product(range(len(x1)), repeat=d):
+        w, om = np.prod(w1[list(idx)]), x1[list(idx)]
+        fams = []
+        for tab in (cells.grad_y_chi, cells.grad_y_chi_adj):
+            vals = mode_sum(tab, d, fast_lattice(n_f, d) + om)        # (*slow, d, d, n_f^d)
+            vals = vals.reshape(-1, d, d, n_f ** d)[..., fast_idx]    # (n_slow, d, d, N)
+            fams.append(np.einsum("ns,sjqn->njq", slow_w, vals) + np.eye(d))
+        P, Q = fams
+        mid = sum(tv_w * np.einsum("npqr,r->npq", field.grad_x(x + tv * eps * om, x / eps + om),
+                                   om) for tv, tv_w in zip(t, tw))
+        out += w * np.einsum("nkp,npq,njq->njk", Q, mid, P)
+    return out.reshape(grid.shape + (d, d))
+
+
+@pytest.mark.parametrize("family,n_x,n_y,n_f,ks", [
+    ("smooth_2d_nonsymmetric", 4, 16, 8, (2, 3)),
+    ("separable_1d", 8, 64, 16, (8,))])
+def test_drift_matrix_matches_offset_loop(family, n_x, n_y, n_f, ks):
+    field, cells, hom, fc = pipeline(family, {}, n_x, n_y)
+    for k in ks:
+        spec = SmoothingSpec(eps=1.0 / k, n_omega=n_f)
+        grid = TorusGrid(field.dim, n_f * k)
+        got = drift_matrix_field(field, cells, spec, grid)
+        ref = looped_drift(field, cells, spec, grid)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), k
 
 
 def test_drift_matrix_zero_without_slow_dependence():
