@@ -6,7 +6,7 @@ closed form, so periodicity holds bitwise at sampled points.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +26,6 @@ class CoefficientField:
         a xi . xi >= lam |xi|^2  and  |a xi| <= (1/lam) |xi|
     lipschitz_x : claimed Lipschitz constant of x -> a(x, .)
     symmetric : whether a(x, y) is symmetric everywhere
-    grad_x_evaluator : analytic slow gradient, (x, y) -> (..., dim, dim, dim)
-        with the last axis the derivative direction; None if unavailable
     cell_method : preferred cell discretization ("spectral" or "fv")
     """
 
@@ -36,7 +34,6 @@ class CoefficientField:
     ellipticity: float
     lipschitz_x: float
     symmetric: bool
-    grad_x_evaluator: Optional[Callable] = None
     cell_method: str = "spectral"
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
@@ -45,13 +42,6 @@ class CoefficientField:
         x = np.mod(np.asarray(x, dtype=float), 1.0)
         y = np.mod(np.asarray(y, dtype=float), 1.0)
         return self.evaluator(x, y)
-
-    def grad_x(self, x, y):
-        if self.grad_x_evaluator is None:
-            raise ValueError(f"family '{self.name}' has no analytic slow gradient")
-        x = np.mod(np.asarray(x, dtype=float), 1.0)
-        y = np.mod(np.asarray(y, dtype=float), 1.0)
-        return self.grad_x_evaluator(x, y)
 
     def frozen(self, x):
         """Cell evaluator y -> a(x, y) at one fixed slow point x."""
@@ -65,20 +55,14 @@ class CoefficientField:
     def transposed(self):
         """The field with the matrix transposed pointwise; metadata carries over."""
         ev = self.evaluator
-        gx = self.grad_x_evaluator
 
         def ev_t(x, y):
             return np.swapaxes(ev(x, y), -1, -2)
 
-        grad_t = None
-        if gx is not None:
-            def grad_t(x, y):
-                return np.swapaxes(gx(x, y), -2, -3)
-
         return CoefficientField(
             dim=self.dim, evaluator=ev_t, ellipticity=self.ellipticity,
             lipschitz_x=self.lipschitz_x, symmetric=self.symmetric,
-            grad_x_evaluator=grad_t, cell_method=self.cell_method,
+            cell_method=self.cell_method,
             name=self.name + ".T", params=dict(self.params),
         )
 
@@ -110,13 +94,9 @@ def _constant(params):
     def ev(x, y):
         return np.broadcast_to(mat, x.shape[:-1] + (dim, dim)).copy()
 
-    def gx(x, y):
-        return np.zeros(x.shape[:-1] + (dim, dim, dim))
-
     return CoefficientField(dim=dim, evaluator=ev, ellipticity=lam,
                             lipschitz_x=0.0, symmetric=bool(np.array_equal(mat, mat.T)),
-                            grad_x_evaluator=gx, name="constant",
-                            params={"matrix": mat.tolist()})
+                            name="constant", params={"matrix": mat.tolist()})
 
 
 def _separable_1d(params):
@@ -134,13 +114,8 @@ def _separable_1d(params):
         slow = 1.0 + ax * np.sin(TWO_PI * x[..., 0])
         return (fast * slow)[..., None, None]
 
-    def gx(x, y):
-        fast = 2.0 + ay * np.sin(TWO_PI * y[..., 0])
-        dslow = ax * TWO_PI * np.cos(TWO_PI * x[..., 0])
-        return (fast * dslow)[..., None, None, None]
-
     return CoefficientField(dim=1, evaluator=ev, ellipticity=lam, lipschitz_x=c_l,
-                            symmetric=True, grad_x_evaluator=gx, name="separable_1d",
+                            symmetric=True, name="separable_1d",
                             params={"y_amplitude": ay, "x_amplitude": ax})
 
 
@@ -173,17 +148,8 @@ def _laminate_2d(params):
         return _as_matrix({(0, 0): slow * alpha, (1, 1): slow * beta},
                           np.broadcast(x[..., 0], y[..., 0]).shape, 2)
 
-    def gx(x, y):
-        alpha, beta = pieces(y[..., 0])
-        d1 = ax * TWO_PI * np.cos(TWO_PI * x[..., 0])
-        out = np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape + (2, 2, 2))
-        out[..., 0, 0, 0] = d1 * alpha
-        out[..., 1, 1, 0] = d1 * beta
-        return out
-
     return CoefficientField(dim=2, evaluator=ev, ellipticity=lam, lipschitz_x=c_l,
-                            symmetric=True, grad_x_evaluator=gx, cell_method="fv",
-                            name="laminate_2d",
+                            symmetric=True, cell_method="fv", name="laminate_2d",
                             params={"alpha_lo": alo, "alpha_hi": ahi, "beta_lo": blo,
                                     "beta_hi": bhi, "fraction": theta, "x_amplitude": ax})
 
@@ -218,28 +184,8 @@ def _smooth_2d_nonsymmetric(params):
         return _as_matrix({(0, 0): sigma * p, (1, 1): sigma * p,
                            (0, 1): sigma * q + r, (1, 0): sigma * q - r}, shape, 2)
 
-    def gx(x, y):
-        y1, y2 = y[..., 0], y[..., 1]
-        x1, x2 = x[..., 0], x[..., 1]
-        p = 2.0 + 0.6 * np.sin(TWO_PI * y1) + 0.4 * np.cos(TWO_PI * y2)
-        q = off * np.sin(TWO_PI * y2)
-        dsig1 = sa * 0.6 * TWO_PI * np.cos(TWO_PI * x1)
-        dsig2 = -sa * 0.4 * TWO_PI * np.sin(TWO_PI * x2)
-        dr1 = sk * 0.3 * TWO_PI * np.sin(TWO_PI * y1) * np.cos(TWO_PI * x1)
-        shape = np.broadcast(x[..., 0], y[..., 0]).shape
-        out = np.zeros(shape + (2, 2, 2))
-        for r_ax, dsig in ((0, dsig1), (1, dsig2)):
-            out[..., 0, 0, r_ax] = dsig * p
-            out[..., 1, 1, r_ax] = dsig * p
-            out[..., 0, 1, r_ax] = dsig * q
-            out[..., 1, 0, r_ax] = dsig * q
-        out[..., 0, 1, 0] += dr1
-        out[..., 1, 0, 0] -= dr1
-        return out
-
     return CoefficientField(dim=2, evaluator=ev, ellipticity=lam, lipschitz_x=c_l,
-                            symmetric=False, grad_x_evaluator=gx,
-                            name="smooth_2d_nonsymmetric",
+                            symmetric=False, name="smooth_2d_nonsymmetric",
                             params={"slow_amplitude": sa, "offdiag": off, "skew": sk})
 
 
@@ -257,11 +203,8 @@ def _periodic_only(params):
         def ev(x, y):
             return (2.0 + amp * np.sin(TWO_PI * y[..., 0]))[..., None, None]
 
-        def gx(x, y):
-            return np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape + (1, 1, 1))
-
         return CoefficientField(dim=1, evaluator=ev, ellipticity=lam, lipschitz_x=0.0,
-                                symmetric=True, grad_x_evaluator=gx, name="periodic_only",
+                                symmetric=True, name="periodic_only",
                                 params={"dim": 1, "amplitude": amp, "symmetric": True})
 
     # mixed-frequency diagonal keeps the third-order coefficient tensors
@@ -282,11 +225,8 @@ def _periodic_only(params):
         return _as_matrix({(0, 0): p, (1, 1): p, (0, 1): q + r, (1, 0): q - r},
                           shape, 2)
 
-    def gx(x, y):
-        return np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape + (2, 2, 2))
-
     return CoefficientField(dim=2, evaluator=ev, ellipticity=lam, lipschitz_x=0.0,
-                            symmetric=sym, grad_x_evaluator=gx, name="periodic_only",
+                            symmetric=sym, name="periodic_only",
                             params={"dim": 2, "amplitude": amp, "symmetric": sym,
                                     "skew": sk})
 

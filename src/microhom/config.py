@@ -19,7 +19,6 @@ Example::
     cell_tol = 1e-11
     norm_tol = 1e-6
     norm_maxiter = 800
-    gauss_points = 3
     seed = 0
 
     [output]
@@ -28,7 +27,8 @@ Example::
 Epsilon values are given as integer denominators (eps = 1/k).  Missing keys
 take documented defaults; the grid defaults depend on the family dimension
 (1D: n_x=64, n_y=256, n_f=16; 2D: n_x=16, n_y=64, n_f=8).  n_f must
-divide n_y.
+divide n_y.  [coefficient] holds the family's parameters; an unknown
+section, or an unknown key in any other section, raises ConfigError.
 """
 
 import configparser
@@ -40,6 +40,10 @@ from .errors import ConfigError
 _GRID_DEFAULTS = {1: {"n_x": 64, "n_y": 256, "n_f": 16},
                   2: {"n_x": 16, "n_y": 64, "n_f": 8}}
 _EPS_DEFAULTS = {1: (8, 16, 32, 64), 2: (8, 16, 32)}
+_KEYS = {"grids": {"n_x", "n_y", "n_f"},
+         "sweep": {"eps_denominators"},
+         "solver": {"cell_tol", "norm_tol", "norm_maxiter", "seed", "matched_effective"},
+         "output": {"out_dir"}}
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,6 @@ class ExperimentConfig:
     cell_tol: float = 1e-11
     norm_tol: float = 1e-6
     norm_maxiter: int = 800
-    gauss_points: int = 3
     seed: int = 0
     out_dir: str = "results"
     matched_effective: bool = False
@@ -81,7 +84,6 @@ class ExperimentConfig:
                   f"cell_tol = {self.cell_tol!r}",
                   f"norm_tol = {self.norm_tol!r}",
                   f"norm_maxiter = {self.norm_maxiter}",
-                  f"gauss_points = {self.gauss_points}",
                   f"seed = {self.seed}",
                   f"matched_effective = {str(self.matched_effective).lower()}",
                   "", "[output]", f"out_dir = {self.out_dir}", ""]
@@ -121,8 +123,6 @@ def _validate(cfg):
         seen.add(k)
     if cfg.cell_tol <= 0 or cfg.norm_tol <= 0:
         raise ConfigError("tolerances must be positive")
-    if cfg.gauss_points < 1:
-        raise ConfigError("gauss_points must be >= 1")
 
 
 def load_config(path):
@@ -135,6 +135,16 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for section in parser.sections():
+        if section == "coefficient":
+            continue
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]; known: [coefficient], "
+                              + ", ".join(f"[{name}]" for name in _KEYS))
+        for key in parser.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}; "
+                                  f"known: {', '.join(sorted(_KEYS[section]))}")
 
     if not parser.has_option("coefficient", "family"):
         raise ConfigError("missing [coefficient] family")
@@ -179,7 +189,6 @@ def load_config(path):
         cell_tol=_get(parser, "solver", "cell_tol", 1e-11, float),
         norm_tol=_get(parser, "solver", "norm_tol", 1e-6, float),
         norm_maxiter=_get(parser, "solver", "norm_maxiter", 800, int),
-        gauss_points=_get(parser, "solver", "gauss_points", 3, int),
         seed=_get(parser, "solver", "seed", 0, int),
         out_dir=_get(parser, "output", "out_dir", "results"),
         matched_effective=_get(parser, "solver", "matched_effective", False, bool),

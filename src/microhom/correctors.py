@@ -9,9 +9,9 @@ the homogenized resolvent:
     adjoint cell solutions and slow gradients;
   * the eps-free composed operator sandwiches those differential operators
     between homogenized resolvents;
-  * the double-averaged matrix contracts the analytic slow gradient of the
-    coefficient with both families of cell gradients over a tensor Gauss
-    rule of offsets, read off the cell tables by one map per cell axis.
+  * the double-averaged matrix contracts the slow difference quotient of
+    the coefficient with both families of cell gradients over a tensor
+    Gauss rule of offsets, read off the cell tables by one map per cell axis.
 
 The smoothed corrector's fast-variable evaluations land on the n_f-point
 sublattice of the cell by construction (its offsets are grid multiples), so
@@ -336,16 +336,18 @@ def _offset_rows(table, d, kern, imag):
 
 
 def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
-    """Double-averaged matrix from the analytic slow gradient, fine nodes.
+    """Double-averaged matrix from the slow difference quotient, fine nodes.
 
     Entry [j, k] at node x contracts (grad_y chi_adj^k + e^k) with the
-    offset-and-line average of grad_x a(x + t eps w, x/eps + w) . w applied
-    to (grad_y chi^j + e^j); both gradient families are evaluated at the
-    slow point x and the offset fast point.  The offset integral has no
-    grid-function shifts in it, so it uses the tensor Gauss rule (the
-    integrand is analytic in the offset but not periodic), one row of the
-    lattice at a time, in batches of at most 4096 (fine node, offset)
-    pairs.  Returns (*fine, d, d).
+    offset average of the line integral over t in [0, 1] of
+    grad_x a(x + t eps w, x/eps + w) . w applied to (grad_y chi^j + e^j);
+    both gradient families are evaluated at the slow point x and the
+    offset fast point.  The fast argument does not depend on t, so the
+    line integral is exactly (a(x + eps w, y) - a(x, y)) / eps.  The
+    offset integral has no grid-function shifts in it, so it uses the
+    tensor Gauss rule (the integrand is analytic in the offset but not
+    periodic), one row of the lattice at a time, in batches of at most
+    4096 (fine node, offset) pairs.  Returns (*fine, d, d).
     """
     d = grid.dim
     n_f = spec.n_omega
@@ -356,7 +358,6 @@ def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
     slow_corners = corners(cells.slow_grid.n, pts)
     fidx = _fast_index(grid, n_f)
     fast_base = (np.indices(grid.shape).reshape(d, -1).T % n_f) / n_f
-    t_nodes, t_weights = spec.gauss_rule()
     nodes, node_w = spec.offset_rule(d)
     maps = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
     batch = max(1, 4096 // grid.size)
@@ -378,14 +379,11 @@ def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
                 w = node_w[row] * w
             # (N, per, d, d): gradients plus identity at the fine nodes
             P, Q = (_fine_gather(v[:, sl], slow_corners, fidx) + eye for v in row_vals)
-            # line average of grad_x a . omega along each offset, times its weight
+            # line integral of grad_x a . omega along each offset, times its weight
             fast_pts = fast_base[:, None] + om
-            mid = np.zeros((grid.size, len(w), d, d))
-            for tv, tw in zip(t_nodes, t_weights):
-                ga = field.grad_x(pts[:, None] + tv * eps * om, fast_pts)
-                for r in range(d):
-                    mid += (tw * om[:, r, None, None]) * ga[..., r]
-            mid *= w[:, None, None]
+            slow_pts = np.broadcast_to(pts[:, None], fast_pts.shape)
+            mid = field.eval(slow_pts + eps * om, fast_pts) - field.eval(slow_pts, fast_pts)
+            mid *= (w / eps)[:, None, None]
             # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q]
             out += np.matmul(P, np.matmul(Q, mid).swapaxes(-1, -2)).sum(axis=1)
         del row_vals  # one row of offset values alive at a time

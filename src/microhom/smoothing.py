@@ -22,12 +22,11 @@ class SmoothingSpec:
     panels per axis on [-1/2, 1/2]: offsets -1/2 + l/n_omega for
     l = 0..n_omega, endpoint weights halved, tensorized over axes.  With
     n_omega points per eps-cell on the fine grid, every offset eps*omega is
-    an exact multiple of the grid spacing.  `gauss_points` sets the rule
-    used for line averages of slow-gradient data along the offset.
+    an exact multiple of the grid spacing.  `drift_order` sets the order of
+    the Gauss rule for offset integrals without grid shifts (`offset_rule`).
     """
     eps: float
     n_omega: int
-    gauss_points: int = 3
     drift_order: int = 0     # 0: dimension-dependent default
 
     def __post_init__(self):
@@ -54,11 +53,6 @@ class SmoothingSpec:
         shifts = np.stack([S1.ravel(), S2.ravel()], axis=-1)
         omegas = np.stack([O1.ravel(), O2.ravel()], axis=-1)
         return shifts, omegas, W.ravel()
-
-    def gauss_rule(self):
-        """Nodes and weights on [0, 1]."""
-        x, w = np.polynomial.legendre.leggauss(self.gauss_points)
-        return 0.5 * (x + 1.0), 0.5 * w
 
     def offset_rule(self, dim):
         """1D Gauss-Legendre nodes and weights on the offset axis [-1/2, 1/2].

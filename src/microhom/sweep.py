@@ -166,8 +166,7 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     def one_eps(k):
         eps = 1.0 / k
         grid = TorusGrid(d, config.n_f * k)
-        spec = SmoothingSpec(eps=eps, n_omega=config.n_f,
-                             gauss_points=config.gauss_points)
+        spec = SmoothingSpec(eps=eps, n_omega=config.n_f)
         times = {}
 
         @contextmanager

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from microhom import ConfigError, load_config
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/workloads/*.cfg"))
 
 MINIMAL = """
 [coefficient]
@@ -24,7 +29,6 @@ eps_denominators = 4, 8, 16
 cell_tol = 1e-10
 norm_tol = 1e-5
 norm_maxiter = 200
-gauss_points = 4
 seed = 7
 
 [output]
@@ -50,7 +54,6 @@ def test_full_config(tmp_path):
     cfg = load_config(write(tmp_path, FULL))
     assert cfg.params_dict["slow_amplitude"] == 0.2
     assert cfg.eps_denominators == (4, 8, 16)
-    assert cfg.gauss_points == 4
     assert cfg.seed == 7
 
 
@@ -70,6 +73,18 @@ def test_resolution_constraints(tmp_path):
 def test_n_f_must_divide_n_y(tmp_path):
     text = FULL.replace("n_y = 32", "n_y = 60")
     with pytest.raises(ConfigError, match="n_f = 8 must divide n_y = 60"):
+        load_config(write(tmp_path, text))
+
+
+def test_unknown_key_rejected(tmp_path):
+    text = FULL.replace("seed = 7", "seed = 7\ngauss_points = 4")
+    with pytest.raises(ConfigError, match=r"\[solver\] unknown key 'gauss_points'"):
+        load_config(write(tmp_path, text))
+
+
+def test_unknown_section_rejected(tmp_path):
+    text = FULL.replace("[solver]", "[solvers]")
+    with pytest.raises(ConfigError, match=r"unknown section \[solvers\]"):
         load_config(write(tmp_path, text))
 
 
@@ -97,3 +112,9 @@ def test_eps_sorted_descending(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL + "\n[sweep]\neps_denominators = 64,8,32,16\n"))
     assert cfg.eps_denominators == (8, 16, 32, 64)
     assert list(cfg.eps_list) == sorted(cfg.eps_list, reverse=True)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_shipped_configs_load_and_roundtrip(path, tmp_path):
+    cfg = load_config(path)
+    assert load_config(write(tmp_path, cfg.normalized_text())) == cfg

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from microhom import (GridFunction, SmoothingSpec, TorusGrid, assemble_fine,
-                      assemble_homogenized, assemble_L, assemble_M,
+from microhom import (CoefficientField, GridFunction, SmoothingSpec, TorusGrid,
+                      assemble_fine, assemble_homogenized, assemble_L, assemble_M,
                       build_cell_table, builtin_family, corrector_K,
                       corrector_Ktilde, corrector_coeffs, corrector_op,
                       drift_matrix_field, effective_matrix, flux_corrector,
@@ -280,18 +280,52 @@ def test_offset_tables_on_cell_nodes_match_rolled_restriction(method, tol):
     assert np.abs(got - expect).max() <= bound * np.abs(expect).max()
 
 
-def looped_drift(field, cells, spec, grid):
+def grad_x_separable_1d(p, x, y):
+    """Analytic slow gradient of separable_1d, (..., 1, 1, 1)."""
+    fast = 2.0 + p["y_amplitude"] * np.sin(2 * np.pi * y[..., 0])
+    dslow = p["x_amplitude"] * 2 * np.pi * np.cos(2 * np.pi * x[..., 0])
+    return (fast * dslow)[..., None, None, None]
+
+
+def grad_x_smooth_2d_nonsymmetric(p, x, y):
+    """Analytic slow gradient of smooth_2d_nonsymmetric, (..., 2, 2, 2) with
+    the last axis the derivative direction."""
+    sa, off, sk = p["slow_amplitude"], p["offdiag"], p["skew"]
+    y1, y2 = y[..., 0], y[..., 1]
+    x1, x2 = x[..., 0], x[..., 1]
+    pp = 2.0 + 0.6 * np.sin(2 * np.pi * y1) + 0.4 * np.cos(2 * np.pi * y2)
+    q = off * np.sin(2 * np.pi * y2)
+    dsig1 = sa * 0.6 * 2 * np.pi * np.cos(2 * np.pi * x1)
+    dsig2 = -sa * 0.4 * 2 * np.pi * np.sin(2 * np.pi * x2)
+    dr1 = sk * 0.3 * 2 * np.pi * np.sin(2 * np.pi * y1) * np.cos(2 * np.pi * x1)
+    out = np.zeros(np.broadcast(x1, y1).shape + (2, 2, 2))
+    for r_ax, dsig in ((0, dsig1), (1, dsig2)):
+        out[..., 0, 0, r_ax] = dsig * pp
+        out[..., 1, 1, r_ax] = dsig * pp
+        out[..., 0, 1, r_ax] = dsig * q
+        out[..., 1, 0, r_ax] = dsig * q
+    out[..., 0, 1, 0] += dr1
+    out[..., 1, 0, 0] -= dr1
+    return out
+
+
+GRAD_X = {"separable_1d": grad_x_separable_1d,
+          "smooth_2d_nonsymmetric": grad_x_smooth_2d_nonsymmetric}
+
+
+def looped_drift(family, params, cells, spec, grid):
     """The drift_matrix_field docstring formula, one Gauss offset at a time.
 
     Gradient tables at each offset's fast lattice by `mode_sum`; slow
     argument by periodic linear interpolation per axis (np.interp); fast
     argument x/eps + w; offsets on the tensor Gauss-Legendre rule of the
-    default order.
+    default order; the line integral of the analytic slow gradient of
+    `family` by an 8-point Gauss-Legendre rule in t.
     """
     d, n, n_f, eps = grid.dim, grid.n, spec.n_omega, spec.eps
     x1, w1 = np.polynomial.legendre.leggauss(max(n_f, 24 if d == 1 else 12))
     x1, w1 = 0.5 * x1, 0.5 * w1                                       # on [-1/2, 1/2]
-    t, tw = np.polynomial.legendre.leggauss(spec.gauss_points)
+    t, tw = np.polynomial.legendre.leggauss(8)
     t, tw = 0.5 * (t + 1.0), 0.5 * tw
     interp = periodic_interp(n, cells.slow_grid.n)
     slow_w = interp if d == 1 else np.einsum("as,bt->abst", interp, interp)
@@ -308,8 +342,9 @@ def looped_drift(field, cells, spec, grid):
             vals = vals.reshape(-1, d, d, n_f ** d)[..., fast_idx]    # (n_slow, d, d, N)
             fams.append(np.einsum("ns,sjqn->njq", slow_w, vals) + np.eye(d))
         P, Q = fams
-        mid = sum(tv_w * np.einsum("npqr,r->npq", field.grad_x(x + tv * eps * om, x / eps + om),
-                                   om) for tv, tv_w in zip(t, tw))
+        mid = sum(tv_w * np.einsum("npqr,r->npq", GRAD_X[family](params, x + tv * eps * om,
+                                                                 x / eps + om), om)
+                  for tv, tv_w in zip(t, tw))
         out += w * np.einsum("nkp,npq,njq->njk", Q, mid, P)
     return out.reshape(grid.shape + (d, d))
 
@@ -323,8 +358,21 @@ def test_drift_matrix_matches_offset_loop(family, n_x, n_y, n_f, ks):
         spec = SmoothingSpec(eps=1.0 / k, n_omega=n_f)
         grid = TorusGrid(field.dim, n_f * k)
         got = drift_matrix_field(field, cells, spec, grid)
-        ref = looped_drift(field, cells, spec, grid)
+        ref = looped_drift(family, field.params, cells, spec, grid)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), k
+
+
+def test_drift_matrix_of_field_without_slow_gradient():
+    # a field given by its evaluator alone: the drift needs no analytic gradient
+    builtin, cells, hom, fc = pipeline("smooth_2d_nonsymmetric", {}, 4, 16)
+    field = CoefficientField(dim=2, evaluator=builtin.evaluator,
+                             ellipticity=builtin.ellipticity,
+                             lipschitz_x=builtin.lipschitz_x, symmetric=False)
+    spec = SmoothingSpec(eps=0.5, n_omega=8)
+    grid = TorusGrid(2, 16)
+    got = drift_matrix_field(field, cells, spec, grid)
+    ref = looped_drift("smooth_2d_nonsymmetric", builtin.params, cells, spec, grid)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_drift_matrix_zero_without_slow_dependence():
@@ -336,14 +384,14 @@ def test_drift_matrix_zero_without_slow_dependence():
 
 
 def test_drift_matrix_refined_quadrature_oracle(separable):
-    # doubling both the offset-rule and the line-rule orders changes the
-    # double-averaged matrix by less than 1e-6
+    # doubling the offset-rule order changes the double-averaged matrix by
+    # less than 1e-6
     field, cells, hom, fc = separable
     k = 16
     base_grid = TorusGrid(1, 16 * k)
     fine_grid = TorusGrid(1, 32 * k)
-    spec = SmoothingSpec(eps=1.0 / k, n_omega=16, gauss_points=3)
-    spec_hi = SmoothingSpec(eps=1.0 / k, n_omega=32, gauss_points=6, drift_order=48)
+    spec = SmoothingSpec(eps=1.0 / k, n_omega=16)
+    spec_hi = SmoothingSpec(eps=1.0 / k, n_omega=32, drift_order=48)
     c_lo = drift_matrix_field(field, cells, spec, base_grid)
     c_hi = drift_matrix_field(field, cells, spec_hi, fine_grid)
     assert np.abs(c_lo[:, 0, 0] - c_hi[::2, 0, 0]).max() < 1e-6
