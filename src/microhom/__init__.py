@@ -14,7 +14,7 @@ from .coefficients import CoefficientField, ValidationReport, builtin_family, va
 from .config import ExperimentConfig, load_config
 from .correctors import (CorrectorCoeffs, assemble_L, assemble_M, corrector_K,
                          corrector_Ktilde, corrector_coeffs, corrector_op,
-                         drift_matrix_field, full_corrector)
+                         drift_matrix_field, error_operators, full_corrector)
 from .effective import (FluxCorrector, HomogenizedField, effective_matrix,
                         flux_corrector, vector_potential)
 from .errors import ConfigError, SolveError
@@ -32,7 +32,7 @@ __all__ = [
     "assemble_diffusion", "assemble_fine", "assemble_homogenized",
     "assemble_L", "assemble_M", "build_cell_table", "builtin_family",
     "corrector_K", "corrector_Ktilde", "corrector_coeffs", "corrector_op",
-    "drift_matrix_field", "effective_matrix", "emit_report",
+    "drift_matrix_field", "effective_matrix", "emit_report", "error_operators",
     "fit_rate", "flux_corrector", "full_corrector", "h1_gram_op",
     "load_cell_table", "load_config", "matrix_op", "norms", "operator_norm", "resolvent_op",
     "run_sweep", "save_cell_table", "shift", "solve", "solve_adjoint_cell",

@@ -55,8 +55,8 @@ class ExperimentConfig:
     n_f: int
     eps_denominators: tuple  # ascending, so eps descending
     cell_tol: float = 1e-11
-    norm_tol: float = 1e-6
-    norm_maxiter: int = 800
+    norm_tol: float = 1e-6   # Lanczos stop: Ritz residual <= norm_tol * Ritz value
+    norm_maxiter: int = 800  # normal-operator applications allowed per norm
     seed: int = 0
     out_dir: str = "results"
     matched_effective: bool = False

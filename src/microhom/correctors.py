@@ -151,6 +151,7 @@ def corrector_op(cells, spec: SmoothingSpec, grid, resolvent: DiscreteOperator,
                      label="kernel-quad")
     op = quad @ resolvent
     op.label = "Ktilde" if adjoint else "K"
+    op.quad = quad.matrix
     return op
 
 
@@ -276,9 +277,9 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: DiscreteOperator,
                 core = core + (D[j] @ D[m] @ sp.diags(c3_adj[..., k, j, m].ravel()) @ D[k]).T
             core = core - D[k] @ sp.diags(c2[..., j, k].ravel()) @ D[j]
             core = core - (D[j] @ sp.diags(c2_adj[..., k, j].ravel()) @ D[k]).T
-    core = matrix_op(core, grid=grid, label="L-core")
-    op = hom_solver @ core @ hom_solver
+    op = hom_solver @ matrix_op(core, grid=grid, label="L-core") @ hom_solver
     op.label = "Lop"
+    op.core = core
     return op
 
 
@@ -412,9 +413,9 @@ def assemble_M(field, cells, spec: SmoothingSpec, hom_solver: DiscreteOperator,
             if m != k:
                 cross[(m, k)] = cmat[..., m, k]
     mat = assemble_diffusion(grid, diag_faces, cross, mass=0.0)
-    mop = matrix_op(mat, grid=grid, label="M_eps")
-    op = hom_solver @ mop @ hom_solver
+    op = hom_solver @ matrix_op(mat, grid=grid, label="M_eps") @ hom_solver
     op.label = "Mop"
+    op.core = mat
     return op
 
 
@@ -424,3 +425,45 @@ def full_corrector(cor_op: DiscreteOperator, cor_adj_transposed: DiscreteOperato
     op = cor_op + cor_adj_transposed - l_op - m_op
     op.label = "C_eps"
     return op
+
+
+def error_operators(r_eps, r_hom, cor, cor_adj, l_op, m_op, eps):
+    """The three error operators R_eps - R0, R_eps - R0 - eps K, R_eps - R0 - eps C.
+
+    The last two are fused: with u = R0 x, w = R0^T y, Q_K = cor.quad,
+    Q~ = cor_adj.quad and S = L-core + M_eps (summed once),
+
+      diff1 x   = R_eps x - u - eps Q_K u
+      diff1^T y = R_eps^T y - R0^T (y + eps Q_K^T y)
+      diff2 x   = R_eps x - u - eps (Q_K u + R0 (Q~^T x - S u))
+      diff2^T y = R_eps^T y - w - eps (R0^T (Q_K^T y - S^T w) + Q~ w)
+
+    so an application of diff1 costs 2 LU solves and one of diff2 3, either
+    side (the composed forms cost 3 and 8).  Solves go through the
+    resolvents' _mv/_rmv, looked up at each call.
+    """
+    q_k, q_t = cor.quad, cor_adj.quad
+    q_k_t, q_t_t = q_k.T, q_t.T
+    s = (l_op.core + m_op.core).tocsr()
+    s_t = s.T
+
+    def mv1(x):
+        u = r_hom._mv(x)
+        return r_eps._mv(x) - u - eps * (q_k @ u)
+
+    def rmv1(y):
+        return r_eps._rmv(y) - r_hom._rmv(y + eps * (q_k_t @ y))
+
+    def mv2(x):
+        u = r_hom._mv(x)
+        return r_eps._mv(x) - u - eps * (q_k @ u + r_hom._mv(q_t_t @ x - s @ u))
+
+    def rmv2(y):
+        w = r_hom._rmv(y)
+        return r_eps._rmv(y) - w - eps * (r_hom._rmv(q_k_t @ y - s_t @ w) + q_t @ w)
+
+    grid = r_eps.grid
+    diff0 = r_eps - r_hom
+    diff1 = DiscreteOperator(r_eps.shape, mv1, rmv1, grid=grid, label="R_eps-R0-eps*K")
+    diff2 = DiscreteOperator(r_eps.shape, mv2, rmv2, grid=grid, label="R_eps-R0-eps*C")
+    return diff0, diff1, diff2

@@ -6,7 +6,8 @@ precision no matter how deeply operators are composed.  Fixed stencils
 (centered differences, lattice averages, corrector quadratures) are CSR
 matrices whose transposes are exact by construction.  Resolvents are
 backed by sparse LU factorizations whose transposed solves reuse the same
-factors.
+factors.  Norms are Lanczos estimates on the normal operator M^T G M,
+applied one vector at a time.
 """
 
 import numpy as np
@@ -155,7 +156,11 @@ def diff_matrix(grid, axis):
 
 
 def h1_gram_op(grid):
-    """Gram operator of the discrete H1 inner product: I - sum_m D_m D_m."""
+    """Gram operator of the discrete H1 inner product: I - sum_m D_m D_m.
+
+    One CSR matrix; `operator_norm(op, gram=...)` applies it once per
+    normal-operator application to measure op's norm in L2 -> H1.
+    """
     mat = sp.identity(grid.size, format="csr")
     for ax in range(grid.dim):
         dm = diff_matrix(grid, ax)
@@ -165,48 +170,75 @@ def h1_gram_op(grid):
 
 # -- norms ------------------------------------------------------------------
 
-def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, block=3, atol=0.0):
-    """Largest singular value by block power iteration on M^T M.
+# ARPACK's default number of Lanczos vectors for one eigenvalue; operators
+# with at most this many columns are cheaper to assemble than to iterate on
+_NCV = 20
+
+
+def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, atol=0.0, info=None):
+    """Largest singular value by Lanczos (ARPACK eigsh) on the normal operator.
 
     With `gram` given (a symmetric positive operator G), estimates the
-    operator norm measured in the G-inner product on the output side,
-    i.e. the largest eigenvalue of M^T G M, square-rooted.  The block
-    (orthogonal) iteration with Rayleigh-Ritz extraction keeps convergence
-    fast when the top singular values cluster; it stops once the leading
-    estimate's change falls below tol * estimate + atol and raises
-    SolveError if the budget runs out first or the Ritz values are not
-    finite.  Operators that cancel to the
-    roundoff floor never stabilize in the relative sense, so give them a
-    small atol.
+    operator norm measured in the G-inner product on the output side, i.e.
+    the largest eigenvalue of N = M^T G M, square-rooted.  N is applied one
+    vector at a time through op.apply and op.apply_transpose; `maxiter`
+    bounds the number of applications of N.  The start vector is one
+    application of N to a `seed`-drawn Gaussian vector, and N is scaled by
+    the size of that application so its top eigenvalue is at least 1.
+    ARPACK stops once the top Ritz pair's residual ||N v - theta v|| is at
+    most tol * theta, which bounds the distance from theta to an eigenvalue
+    of N.  `atol` adds an absolute tolerance on the norm, for operators that
+    cancel to the roundoff floor and so never converge in the relative sense.
+
+    Raises SolveError when the budget runs out, when ARPACK fails, and on
+    non-finite values.  An operator whose first application is exactly zero
+    has norm 0.0.  Operators with at most _NCV columns are assembled and
+    solved densely.  `info`, when a dict, receives the number of
+    applications of N under "applications".
     """
+    import scipy.sparse.linalg as spla
+
     n = op.shape[1]
-    block = max(1, min(block, n))
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, block)))
-    est = 0.0
-    for _ in range(maxiter):
-        z = np.empty_like(q)
-        for c in range(block):
-            w = op.apply(q[:, c])
-            if gram is not None:
-                w = gram.apply(w)
-            z[:, c] = op.apply_transpose(w)
-        ritz = q.T @ z                      # Rayleigh-Ritz for M^T G M
-        if not np.all(np.isfinite(ritz)):
+    count = [0]
+
+    def normal(x):
+        if count[0] >= maxiter:
+            raise SolveError(f"operator_norm: no convergence to rel. tol {tol:g} "
+                             f"within {maxiter} applications for {op.label}")
+        count[0] += 1
+        w = op.apply(x)
+        if gram is not None:
+            w = gram.apply(w)
+        z = op.apply_transpose(w)
+        if not np.all(np.isfinite(z)):
             # a broken operator must not read as zero error
-            raise SolveError(f"operator_norm: non-finite Ritz values for {op.label}")
-        lam = float(np.linalg.eigvalsh(0.5 * (ritz + ritz.T)).max())
-        if lam <= 0.0:
-            return 0.0
-        new_est = np.sqrt(lam)
-        if est > 0 and abs(new_est - est) <= tol * new_est + atol:
-            return new_est
-        est = new_est
-        q, r = np.linalg.qr(z)
-        if np.linalg.norm(np.diag(r)) == 0.0:
-            return 0.0
-    raise SolveError(f"operator_norm: no convergence to rel. tol {tol:g} "
-                     f"within {maxiter} iterations (last estimate {est:.6e})")
+            raise SolveError(f"operator_norm: non-finite values for {op.label}")
+        return z
+
+    try:
+        if n <= _NCV:
+            mat = np.stack([normal(e) for e in np.eye(n)], axis=1)
+            lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[-1])
+        else:
+            x0 = np.random.default_rng(seed).standard_normal(n)
+            y0 = normal(x0 / np.linalg.norm(x0))
+            scale = float(np.linalg.norm(y0))
+            if scale == 0.0:
+                return 0.0
+            rel = tol + atol / np.sqrt(scale)
+            n_op = spla.LinearOperator((n, n), matvec=lambda x: normal(x) / scale,
+                                       dtype=float)
+            theta = spla.eigsh(n_op, k=1, which="LA", v0=y0, ncv=_NCV, tol=rel,
+                               maxiter=maxiter, return_eigenvectors=False,
+                               rng=np.random.default_rng(seed))
+            lam = float(theta[0]) * scale
+    except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
+        raise SolveError(f"operator_norm: ARPACK failed for {op.label} "
+                         f"after {count[0]} applications: {exc}") from exc
+    finally:
+        if info is not None:
+            info["applications"] = count[0]
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def transpose_defect(op, n_trials=5, seed=0):

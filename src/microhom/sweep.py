@@ -8,7 +8,11 @@ one shared cell table, and measures
     E1 = || R_eps - R0 - eps K ||        (L2 -> H1)
     E2 = || R_eps - R0 - eps C ||        (L2 -> L2)
 
-with C = K + Ktilde^T - Lop - Mop, then fits log-log slopes.
+with C = K + Ktilde^T - Lop - Mop, then fits log-log slopes.  The three
+error operators are applied in fused form (`correctors.error_operators`:
+2, 2 and 3 LU solves per application on either side) and each norm is the
+Lanczos estimate of `operators.operator_norm`, whose number of
+normal-operator applications the report keeps per eps.
 """
 
 import time
@@ -23,8 +27,10 @@ import numpy as np
 from .assemble import assemble_fine, assemble_homogenized, resolvent_op
 from .cell import build_cell_table, make_solver
 from .config import ExperimentConfig
-from .correctors import (assemble_L, assemble_M, corrector_coeffs,
-                         corrector_op, full_corrector)
+# full_corrector is not called here, since the norms apply the fused
+# error_operators, but perfbench/run.py wraps it by this module's name
+from .correctors import (assemble_L, assemble_M, corrector_coeffs, corrector_op,  # noqa: F401
+                         error_operators, full_corrector)
 from .effective import HomogenizedField, effective_matrix, flux_corrector
 from .errors import SolveError
 from .grids import TorusGrid
@@ -43,6 +49,9 @@ class ConvergenceReport:
     timings: dict = dc_field(default_factory=dict)      # stage -> [ms per eps]
     transpose_defect_max: float = 0.0
     prefactors: dict = dc_field(default_factory=dict)   # name -> E / eps^order at finest eps
+    # {"E0": [...], ...}: applications of the normal operator per norm, per eps
+    norm_applications: dict = dc_field(
+        default_factory=lambda: {"E0": [], "E1": [], "E2": []})
 
     def summary(self):
         lines = [f"family: {self.family}", "eps        E0            E1            E2"]
@@ -51,6 +60,11 @@ class ConvergenceReport:
                          + " ".join(f"{self.errors[k][i]:.6e}" for k in ("E0", "E1", "E2")))
         if not self.eps_list:
             lines.append("no data")
+        else:
+            lines.append("eps        normal-operator applications (E0 E1 E2)")
+            for i, eps in enumerate(self.eps_list):
+                lines.append(f"1/{round(1 / eps):<8d} " + " ".join(
+                    f"{self.norm_applications[k][i]:>5d}" for k in ("E0", "E1", "E2")))
         for name, fit in self.slopes.items():
             if fit is None:
                 lines.append(f"slope[{name}]: floor (errors at or below the "
@@ -189,26 +203,22 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
             cor_adj = corrector_op(cells, spec, grid, r_hom.T, adjoint=True)
             l_op = assemble_L(coeffs, r_hom, grid)
             m_op = assemble_M(field, cells, spec, r_hom, grid)
-            c_eps = full_corrector(cor, cor_adj.T, l_op, m_op)
+            diffs = error_operators(r_eps, r_hom, cor, cor_adj, l_op, m_op, eps)
 
+        # the fused error operators' transposes are derived by hand: check them too
         tdef = max(transpose_defect(op, n_trials=2, seed=config.seed)
-                   for op in (r_eps, r_hom, cor, cor_adj, l_op, m_op))
+                   for op in (r_eps, r_hom, cor, cor_adj, l_op, m_op) + diffs[1:])
 
-        diff0 = r_eps - r_hom
-        diff1 = diff0 - eps * cor
-        diff2 = diff0 - eps * c_eps
-        gram = h1_gram_op(grid)
-
-        with stage("norm_E0"):
-            e0 = operator_norm(diff0, tol=config.norm_tol, maxiter=config.norm_maxiter,
-                               seed=_norm_seed(config.seed, f"E0/{k}"))
-        with stage("norm_E1"):
-            e1 = operator_norm(diff1, tol=config.norm_tol, maxiter=config.norm_maxiter,
-                               seed=_norm_seed(config.seed, f"E1/{k}"), gram=gram)
-        with stage("norm_E2"):
-            e2 = operator_norm(diff2, tol=config.norm_tol, maxiter=config.norm_maxiter,
-                               seed=_norm_seed(config.seed, f"E2/{k}"))
-        return eps, e0, e1, e2, times, tdef
+        grams = (None, h1_gram_op(grid), None)
+        values, applications = [], []
+        for name, diff, gram in zip(("E0", "E1", "E2"), diffs, grams):
+            info = {}
+            with stage("norm_" + name):
+                values.append(operator_norm(
+                    diff, tol=config.norm_tol, maxiter=config.norm_maxiter,
+                    seed=_norm_seed(config.seed, f"{name}/{k}"), gram=gram, info=info))
+            applications.append(info["applications"])
+        return eps, values, applications, times, tdef
 
     ks = sorted(config.eps_denominators)
     results, failures = [], []
@@ -232,11 +242,11 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     if failures:
         report.flags.append(f"aborted: {failures[0]}")
 
-    for eps, e0, e1, e2, times, tdef in results:
+    for eps, values, applications, times, tdef in results:
         report.eps_list.append(eps)
-        report.errors["E0"].append(e0)
-        report.errors["E1"].append(e1)
-        report.errors["E2"].append(e2)
+        for key, e, n_app in zip(("E0", "E1", "E2"), values, applications):
+            report.errors[key].append(e)
+            report.norm_applications[key].append(n_app)
         for name in stage_names:
             report.timings[name].append(times[name])
         report.transpose_defect_max = max(report.transpose_defect_max, tdef)
@@ -244,8 +254,9 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     # store descending in eps
     order = np.argsort(report.eps_list)[::-1]
     report.eps_list = [report.eps_list[i] for i in order]
-    for key in report.errors:
-        report.errors[key] = [report.errors[key][i] for i in order]
+    for table in (report.errors, report.norm_applications):
+        for key in table:
+            table[key] = [table[key][i] for i in order]
     for name in stage_names:
         report.timings[name] = [report.timings[name][i] for i in order]
 

@@ -7,11 +7,13 @@ from microhom import (CoefficientField, GridFunction, SmoothingSpec, TorusGrid,
                       assemble_fine, assemble_homogenized, assemble_L, assemble_M,
                       build_cell_table, builtin_family, corrector_K,
                       corrector_Ktilde, corrector_coeffs, corrector_op,
-                      drift_matrix_field, effective_matrix, flux_corrector,
-                      full_corrector, resolvent_op, solve)
+                      drift_matrix_field, effective_matrix, error_operators,
+                      flux_corrector, full_corrector, h1_gram_op, resolvent_op,
+                      solve)
 from microhom.correctors import _cell_kernels, _offset_rows, _restrict_cell_axes
 from microhom.grids import corners
 from microhom.operators import operator_norm, transpose_defect
+from microhom.sweep import _norm_seed
 
 
 def pipeline(family, params, n_x, n_y, tol=1e-12):
@@ -428,3 +430,67 @@ def test_full_corrector_zero_for_constant():
                           assemble_L(co, r0, grid),
                           assemble_M(field, cells, spec, r0, grid))
     assert operator_norm(c_op, tol=1e-6, maxiter=50, seed=1) < 1e-12
+
+
+def error_operator_parts(pipe, n_f, k):
+    """The factors run_sweep feeds error_operators at eps = 1/k."""
+    field, cells, hom, fc = pipe
+    eps = 1.0 / k
+    grid = TorusGrid(field.dim, n_f * k)
+    spec = SmoothingSpec(eps=eps, n_omega=n_f)
+    r_eps = resolvent_op(assemble_fine(field, eps, grid))
+    r0 = resolvent_op(assemble_homogenized(hom, grid))
+    co = corrector_coeffs(cells, fc, field, hom)
+    return (r_eps, r0, corrector_op(cells, spec, grid, r0),
+            corrector_op(cells, spec, grid, r0.T, adjoint=True),
+            assemble_L(co, r0, grid), assemble_M(field, cells, spec, r0, grid), eps)
+
+
+def count_solves(op, counts):
+    for attr in ("_mv", "_rmv"):
+        solve_ = getattr(op, attr)
+        setattr(op, attr, lambda x, f=solve_, a=attr: counts.append(a) or f(x))
+
+
+@pytest.mark.parametrize("case,n_f,k", [("separable", 16, 8), ("smooth_2d", 8, 4)])
+def test_error_operators_match_composition(case, n_f, k, request):
+    parts = error_operator_parts(request.getfixturevalue(case), n_f, k)
+    r_eps, r0, cor, cor_adj, l_op, m_op, eps = parts
+    diff0, diff1, diff2 = error_operators(*parts)
+    composed = (r_eps - r0, r_eps - r0 - eps * cor,
+                r_eps - r0 - eps * full_corrector(cor, cor_adj.T, l_op, m_op))
+    rng = np.random.default_rng(k)
+    for fused, ref in zip((diff0, diff1, diff2), composed):
+        for side in ("apply", "apply_transpose"):
+            x = rng.standard_normal(r0.shape[0])
+            want = getattr(ref, side)(x)
+            got = getattr(fused, side)(x)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (fused.label, side)
+        assert transpose_defect(fused, 3, seed=k) <= 1e-12
+
+    counts = []
+    count_solves(r_eps, counts)
+    count_solves(r0, counts)
+    x = rng.standard_normal(r0.shape[0])
+    for fused, n_solves in ((diff1, 2), (diff2, 3)):
+        for side, attr in (("apply", "_mv"), ("apply_transpose", "_rmv")):
+            counts.clear()
+            getattr(fused, side)(x)
+            assert counts == [attr] * n_solves, (fused.label, side)
+
+
+def test_e1_reaches_top_singular_value_on_a_stalling_start():
+    # the perfbench sep1d workload at eps = 1/32 with the E1 norm seed of its
+    # --seed 1010 run: there an iterate-change stop read E1 6.3e-3 low
+    field = builtin_family("separable_1d", {})
+    cells = build_cell_table(field, TorusGrid(1, 4), TorusGrid(1, 256), tol=1e-12)
+    hom = effective_matrix(cells, field)
+    fc = flux_corrector(cells, field, hom)
+    parts = error_operator_parts((field, cells, hom, fc), 16, 32)
+    diff1 = error_operators(*parts)[1]
+    gram = h1_gram_op(diff1.grid)
+    e1 = operator_norm(diff1, tol=1e-7, maxiter=800, seed=_norm_seed(1010003, "E1/32"),
+                       gram=gram)
+    d1 = diff1.to_dense(max_size=512)
+    ref = np.sqrt(np.linalg.eigvalsh(d1.T @ (gram.matrix @ d1))[-1])
+    assert abs(e1 - ref) <= 1e-7 * ref

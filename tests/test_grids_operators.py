@@ -59,6 +59,48 @@ def test_operator_norm_matches_dense_svd():
     assert operator_norm(op, tol=1e-10, maxiter=5000, seed=2) == pytest.approx(ref, rel=1e-5)
 
 
+def test_operator_norm_resolves_a_clustered_top():
+    # sigma_k = 1 - (k - 1) 1e-6 for k <= 4: an iterate's change falls below
+    # tol long before the start vector's sigma_2..4 components have decayed
+    sig = np.concatenate([1.0 - 1e-6 * np.arange(4), np.linspace(0.7, 0.0, 296)])
+    op = matrix_op(sp.diags(sig))
+    assert abs(operator_norm(op, tol=1e-9, maxiter=2000, seed=3) - 1.0) <= 1e-9
+
+
+def test_operator_norm_budget_exhaustion_raises():
+    m = np.random.default_rng(6).standard_normal((100, 100))
+    op = matrix_op(m)
+    with pytest.raises(SolveError, match="within 5 applications"):
+        operator_norm(op, tol=1e-12, maxiter=5, seed=1)
+
+
+def test_operator_norm_counts_normal_applications():
+    m = np.random.default_rng(6).standard_normal((100, 100))
+    op = matrix_op(m)
+    calls = []
+    apply = op.apply
+    op.apply = lambda x: calls.append(1) or apply(x)
+    info = {}
+    operator_norm(op, tol=1e-8, seed=1, info=info)
+    assert info["applications"] == len(calls) > 0
+
+
+@pytest.mark.parametrize("n", [12, 50])
+def test_operator_norm_zero_operator(n):
+    info = {}
+    assert operator_norm(matrix_op(sp.csr_matrix((n, n))), seed=1, info=info) == 0.0
+    assert info["applications"] == (n if n <= 20 else 1)
+
+
+def test_operator_norm_dense_path_matches_svd():
+    # n <= ARPACK's 20 Lanczos vectors: the normal matrix is assembled
+    m = np.random.default_rng(7).standard_normal((15, 12))
+    ref = np.linalg.svd(m, compute_uv=False)[0]
+    info = {}
+    assert operator_norm(matrix_op(m), seed=2, info=info) == pytest.approx(ref, rel=1e-13)
+    assert info["applications"] == 12
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_operator_norm_rejects_non_finite(bad):
     # a broken operator must fail, not read as a zero (perfect) error

@@ -58,6 +58,17 @@ def test_emit_report_files(quick_report, tmp_path):
     assert paths["timings"].exists()
 
 
+def test_norm_applications_recorded(quick_report, tmp_path):
+    apps = quick_report.norm_applications
+    assert set(apps) == {"E0", "E1", "E2"}
+    assert all(len(v) == len(quick_report.eps_list) for v in apps.values())
+    assert all(1 <= a <= QUICK_1D.norm_maxiter for v in apps.values() for a in v)
+    summary = emit_report(quick_report, tmp_path)["summary"].read_text().splitlines()
+    at = summary.index("eps        normal-operator applications (E0 E1 E2)")
+    finest = summary[at + len(quick_report.eps_list)].split()
+    assert finest == ["1/16"] + [str(apps[k][-1]) for k in ("E0", "E1", "E2")]
+
+
 def test_emit_report_empty():
     rep = ConvergenceReport(family="none", eps_list=[],
                             errors={"E0": [], "E1": [], "E2": []})
