@@ -23,6 +23,7 @@ from .grids import TorusGrid, centered_diff, centered_gradient
 from .spectral import calculus
 
 _ENERGY_SLACK = 1.0 + 1e-6
+_LGMRES_CALLS = 300  # outer lgmres iterations allowed per spectral block solve
 
 
 @dataclass
@@ -44,11 +45,10 @@ class SpectralCellSolver:
     solved together as one block-diagonal system over a (B, *cell) stack.
     """
 
-    def __init__(self, a_nodes, grid, tol, maxiter=300):
+    def __init__(self, a_nodes, grid, tol):
         self.grid = grid
         self.a = a_nodes                    # (*shape, d, d)
         self.tol = tol
-        self.maxiter = maxiter
         self.calc = calculus(grid.shape)
 
     def solve(self, j):
@@ -119,7 +119,7 @@ class SpectralCellSolver:
         x = np.zeros(n)
         outer_v = []
         best_v, best_res = np.zeros(shape), np.ones(nblk)
-        for _ in range(self.maxiter):
+        for _ in range(_LGMRES_CALLS):
             # looked up at call time so that callers may wrap scipy's lgmres
             x, _ = spla.lgmres(lin, rhs.ravel(), x0=x, M=pre,
                                rtol=self.tol / np.sqrt(nblk), atol=0.0,

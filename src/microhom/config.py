@@ -28,8 +28,11 @@ Epsilon values are given as integer denominators (eps = 1/k).  Missing keys
 take documented defaults; the grid defaults depend on the family dimension
 (1D: n_x=64, n_y=256, n_f=16; 2D: n_x=16, n_y=64, n_f=8).  n_f must
 divide n_y; every ExperimentConfig checks its grids and solver settings
-when it is built, and load_config checks the eps denominators.  [coefficient] holds the family's parameters; an unknown
-section, or an unknown key in any other section, raises ConfigError.
+when it is built, and load_config checks the eps denominators.
+[coefficient] holds the family's parameters, each a number or a boolean
+word (1/true/yes/on, 0/false/no/off, any case); any other value, an
+unknown section, or an unknown key in any other section, raises
+ConfigError.
 """
 
 import configparser
@@ -109,12 +112,31 @@ class ExperimentConfig:
         return "\n".join(lines)
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _boolean(raw):
+    word = raw.strip().lower()
+    if word not in _BOOLEANS:
+        raise ValueError(f"not a boolean word ({'/'.join(_BOOLEANS)})")
+    return _BOOLEANS[word]
+
+
+def _param(raw):
+    """A [coefficient] value: a number, else a boolean word."""
+    try:
+        return float(raw)
+    except ValueError:
+        if raw.strip().lower() in _BOOLEANS:
+            return _boolean(raw)
+        raise ValueError(f"not a number or a boolean word ({'/'.join(_BOOLEANS)})") from None
+
+
 def _get(parser, section, key, default=None, cast=str):
     if parser.has_option(section, key):
         raw = parser.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
@@ -146,15 +168,8 @@ def load_config(path):
     if not parser.has_option("coefficient", "family"):
         raise ConfigError("missing [coefficient] family")
     family = parser.get("coefficient", "family").strip()
-    params = {}
-    for key in parser.options("coefficient"):
-        if key == "family":
-            continue
-        raw = parser.get("coefficient", key)
-        try:
-            params[key] = float(raw)
-        except ValueError:
-            params[key] = raw.strip().lower() in ("1", "true", "yes", "on")
+    params = {key: _get(parser, "coefficient", key, cast=_param)
+              for key in parser.options("coefficient") if key != "family"}
 
     # instantiating validates the family id and its parameter ranges
     try:
@@ -193,5 +208,5 @@ def load_config(path):
         norm_maxiter=_get(parser, "solver", "norm_maxiter", 800, int),
         seed=_get(parser, "solver", "seed", 0, int),
         out_dir=_get(parser, "output", "out_dir", "results"),
-        matched_effective=_get(parser, "solver", "matched_effective", False, bool),
+        matched_effective=_get(parser, "solver", "matched_effective", False, _boolean),
     )

@@ -14,8 +14,10 @@ the homogenized resolvent:
     Gauss rule of offsets, read off the cell tables by one map per cell axis.
 
 The smoothed corrector's fast-variable evaluations land on the n_f-point
-sublattice of the cell by construction (its offsets are grid multiples), so
-its cell data is restricted once per sweep point and then only gathered.
+sublattice of the cell by construction (its offsets are grid multiples).
+Both it and the double-averaged matrix read their tables at the fine nodes
+through one CSR slow-interpolation matrix whose columns also carry the fast
+index (`grids.interp_matrix`).
 
 Every factor that does not solve (the kernel quadrature of the centered
 gradient for K and for K-tilde, and the differential core of the composed
@@ -32,7 +34,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from .assemble import assemble_diffusion
 from .effective import _flux, flux_corrector, multilinear
-from .grids import GridFunction, TorusGrid, corners
+from .grids import GridFunction, TorusGrid, interp_matrix
 from .operators import DiscreteOperator, diff_matrix, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
 from .spectral import integer_freqs
@@ -46,70 +48,35 @@ def _restrict_cell_axes(table, d, n_f):
     return table[(Ellipsis,) + (slice(None, None, n_y // n_f),) * d]
 
 
-def _fast_index(grid, n_f, rho=0):
-    """Flat fast-sublattice index of (fine node + rho) mod n_f at each fine node."""
-    nodes = np.indices(grid.shape).reshape(grid.dim, -1)
-    return np.ravel_multi_index(nodes + np.reshape(rho, (-1, 1)), (n_f,) * grid.dim,
-                                mode="wrap")
-
-
-def _fine_gather(table, slow_corners, fidx):
-    """Fast samples slow-interpolated onto the fine nodes.
-
-    table: (n_slow, *comp, n_f^d); slow_corners: `grids.corners` of the
-    slow grid at the N fine nodes; fidx: (N,) fast index.  Returns
-    (N, *comp) with entries sum_c w_c table[idx_c, ..., fidx].
-    """
-    out = np.zeros((fidx.size,) + table.shape[1:-1])
-    for i, w in zip(*slow_corners):
-        out += w.reshape((-1,) + (1,) * (out.ndim - 1)) * table[i, ..., fidx]
-    return out
-
-
-class CorrectorKernel:
-    """Cell solutions evaluated over the fine grid for every fast residue.
-
-    fields[rho][j] is the fine-grid array of chi^j(z, ((i + rho) mod n_f)/n_f)
-    with z the fine node and i its fast index; the offset-lattice operator
-    only ever needs these n_f^d residue fields.
-    """
-
-    def __init__(self, cells, grid, eps, n_f, adjoint=False):
-        d = cells.dim
-        if grid.n % n_f or abs(grid.n * eps - n_f) > 1e-9:
-            raise ValueError("fine grid must carry exactly n_f points per eps-cell")
-        self.grid = grid
-        self.n_f = n_f
-        self.dim = d
-        table = cells.chi_adj if adjoint else cells.chi
-        fast = _restrict_cell_axes(table, d, n_f).reshape(cells.slow_grid.size, d, -1)
-        slow_corners = corners(cells.slow_grid.n, grid.coords().reshape(-1, d))
-        self.fields = {}
-        for rho in np.ndindex((n_f,) * d):
-            per_j = _fine_gather(fast, slow_corners, _fast_index(grid, n_f, rho))
-            self.fields[rho] = np.ascontiguousarray(per_j.T).reshape((d,) + grid.shape)
-
-    def field(self, shift_vec):
-        rho = tuple(int(s) % self.n_f for s in shift_vec)
-        return self.fields[rho]
+def _slow_interp(slow_grid, grid, n_f):
+    """CSR matrix reading a (n_slow * n_f^d, ...) table at each fine node x:
+    the slow argument x interpolated, the fast one x/eps on the sublattice."""
+    d = grid.dim
+    fast = np.ravel_multi_index(np.indices(grid.shape).reshape(d, -1) % n_f, (n_f,) * d)
+    return interp_matrix(slow_grid.n, grid.coords().reshape(-1, d), fast, n_f ** d)
 
 
 def _quad_grad_matrix(cells, spec, grid, adjoint):
     """CSR matrix of u -> sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l).
 
-    Row x reads u at x - s_l +- e_j with weight +-w_l chi^j(x - s_l) / 2h,
-    where s_l is the grid shift of eps w_l and chi^j the residue field of s_l.
+    Row x reads u at x - s_l +- e_j with weight +-w_l chi^j(x - s_l, x/eps) / 2h,
+    where s_l is the grid shift of eps w_l.  That field is the slow
+    interpolation of the fast table rolled by -s_l, rolled back by s_l.
     """
     spec.check_grid(grid)
-    kernel = CorrectorKernel(cells, grid, spec.eps, spec.n_omega, adjoint=adjoint)
-    d = grid.dim
+    d, n_f = grid.dim, spec.n_omega
+    interp = _slow_interp(cells.slow_grid, grid, n_f)
+    table = cells.chi_adj if adjoint else cells.chi
+    fast = np.moveaxis(_restrict_cell_axes(table, d, n_f).reshape((-1, d) + (n_f,) * d), 1, -1)
+    axes = tuple(range(1, d + 1))  # the fast axes of `fast`, the grid axes of a field
     shifts, _, weights = spec.lattice(d)
     eye = np.eye(d, dtype=int)
     offsets = [-s + sign * eye[j] for s in shifts for j in range(d) for sign in (1, -1)]
 
     def coeffs():
         for s, w in zip(shifts, weights):
-            fld = np.roll(kernel.field(s), tuple(s), axis=tuple(range(1, d + 1)))
+            rolled = np.roll(fast, tuple(-s), axis=axes).reshape(-1, d)
+            fld = np.roll((interp @ rolled).T.reshape((d,) + grid.shape), tuple(s), axis=axes)
             for j in range(d):
                 c = (w / (2.0 * grid.h)) * fld[j].ravel()
                 yield c
@@ -289,19 +256,14 @@ def _cell_kernels(nodes, n_f, n_y, method):
 
     Row c of a node's map weighs cell node m by kern[(m - c s) mod n_y],
     s = n_y / n_f, plus the imaginary part imag[c] (-1)^m.  FV tables use
-    the periodic linear hat of `grids.corners` (real); spectral tables the
+    the periodic linear hat of `grids.interp_matrix` (real); spectral tables the
     trigonometric interpolant on the signed modes of `integer_freqs`, whose
     unmatched Nyquist mode is the only complex term.
     """
     if n_y % n_f:
         raise ValueError(f"n_f = {n_f} does not divide n_y = {n_y}")
     if method == "fv":
-        idx, wts = corners(n_y, nodes[:, None])
-        kern = np.zeros((len(nodes), n_y))
-        rows = np.arange(len(nodes))
-        kern[rows, idx[0]] = wts[0]
-        kern[rows, idx[1]] += wts[1]
-        return kern, np.zeros((len(nodes), n_f))
+        return interp_matrix(n_y, nodes[:, None]).toarray(), np.zeros((len(nodes), n_f))
     k = integer_freqs((n_y,))[0]
     z = np.fft.fft(np.exp(2j * np.pi * nodes[:, None] * k), axis=-1) / n_y
     return z.real, z.imag[:, (-(n_y // n_f) * np.arange(n_f)) % n_y]
@@ -357,8 +319,7 @@ def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
     eps = spec.eps
 
     pts = grid.coords().reshape(-1, d)
-    slow_corners = corners(cells.slow_grid.n, pts)
-    fidx = _fast_index(grid, n_f)
+    interp = _slow_interp(cells.slow_grid, grid, n_f)
     fast_base = (np.indices(grid.shape).reshape(d, -1).T % n_f) / n_f
     nodes, node_w = spec.offset_rule(d)
     maps = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
@@ -369,8 +330,8 @@ def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
     rows = zip(*(_offset_rows(tab, d, *maps)
                  for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)))
     for row, row_vals in enumerate(rows):
-        # (n_slow, per, d, d, n_f^d) gradient tables at the row's offsets
-        row_vals = [np.moveaxis(v.reshape(len(nodes), -1, d, d, n_f ** d), 0, 1)
+        # (n_slow, n_f^d, per, d, d) gradient tables at the row's offsets
+        row_vals = [np.moveaxis(v.reshape(len(nodes), -1, d, d, n_f ** d), (0, 4), (2, 1))
                     for v in row_vals]
         for lo in range(0, len(nodes), batch):
             sl = slice(lo, lo + batch)
@@ -380,7 +341,8 @@ def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
                 om = np.concatenate([np.full_like(om, nodes[row]), om], axis=1)
                 w = node_w[row] * w
             # (N, per, d, d): gradients plus identity at the fine nodes
-            P, Q = (_fine_gather(v[:, sl], slow_corners, fidx) + eye for v in row_vals)
+            P, Q = ((interp @ v[:, :, sl].reshape(interp.shape[1], -1))
+                    .reshape(grid.size, -1, d, d) + eye for v in row_vals)
             # line integral of grad_x a . omega along each offset, times its weight
             fast_pts = fast_base[:, None] + om
             slow_pts = np.broadcast_to(pts[:, None], fast_pts.shape)

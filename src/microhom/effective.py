@@ -19,7 +19,7 @@ import numpy as np
 
 from .cell import CellField, CellSolutions, make_solver
 from .errors import SolveError
-from .grids import TorusGrid, centered_diff, corners
+from .grids import TorusGrid, centered_diff, interp_matrix
 from .spectral import calculus, trig_resample
 
 
@@ -75,11 +75,7 @@ def multilinear(table, slow_grid, x):
     """
     d = slow_grid.dim
     x = np.asarray(x, dtype=float)
-    idx, wts = corners(slow_grid.n, x.reshape(-1, d))
-    flat = table.reshape((slow_grid.size, -1))
-    out = wts[0][:, None] * flat[idx[0]]
-    for i, w in zip(idx[1:], wts[1:]):
-        out = out + w[:, None] * flat[i]
+    out = interp_matrix(slow_grid.n, x.reshape(-1, d)) @ table.reshape(slow_grid.size, -1)
     return out.reshape(x.shape[:-1] + table.shape[d:])
 
 

@@ -1,6 +1,7 @@
 """Uniform periodic grids and grid functions on the unit torus."""
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class TorusGrid:
@@ -96,6 +97,23 @@ def corners(n, pts):
             wt = wt * ends[bits[ax]][1][:, ax]
         wts.append(wt)
     return np.stack(idx), np.stack(wts)
+
+
+def interp_matrix(n, pts, fast=None, n_fast=1):
+    """CSR matrix of periodic multilinear interpolation from the (n,)*d nodes.
+
+    One row per point of pts (N, d), holding the 2^d `corners` entries in
+    their order.  With `fast` ((N,) indices below n_fast) the columns are
+    node * n_fast + fast[p], so the matrix reads a table laid out as
+    (n^d * n_fast, ...) at each point's own fast index.
+    """
+    idx, wts = corners(n, pts)
+    if fast is not None:
+        idx = idx * n_fast + fast
+    k, npts = idx.shape
+    indptr = np.arange(0, k * npts + 1, k, dtype=np.int32)
+    return sp.csr_matrix((wts.T.ravel(), idx.T.astype(np.int32).ravel(), indptr),
+                         shape=(npts, n ** pts.shape[-1] * n_fast))
 
 
 def centered_gradient(values, h):

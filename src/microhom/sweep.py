@@ -208,8 +208,8 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         # the fused E1/E2 transposes are derived by hand: check them too.  E0's
         # is the difference of the two resolvents' own (pinned in the tests),
         # so the sweep skips its 8 solves per eps
-        tdef =max(transpose_defect(op, n_trials=2, seed=config.seed)
-                   for op in (r_eps, r_hom, cor, cor_adj, l_op, m_op) + diffs[1:])
+        tdef = max(transpose_defect(op, n_trials=2, seed=config.seed)
+                    for op in (r_eps, r_hom, cor, cor_adj, l_op, m_op) + diffs[1:])
 
         grams = (None, h1_gram_op(grid), None)
         values, applications = [], []

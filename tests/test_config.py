@@ -85,6 +85,17 @@ def test_norm_maxiter_must_be_positive(tmp_path):
         load_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("text,msg", [
+    (MINIMAL + "x_amplitude = 0.5x\n", r"\[coefficient\] x_amplitude = '0.5x'"),
+    (FULL.replace("seed = 7", "seed = 7\nmatched_effective = ture"),
+     r"\[solver\] matched_effective = 'ture'"),
+], ids=["x_amplitude", "matched_effective"])
+def test_malformed_value_rejected(tmp_path, text, msg):
+    # values that are neither numbers nor boolean words once loaded as False
+    with pytest.raises(ConfigError, match=msg):
+        load_config(write(tmp_path, text))
+
+
 def test_unknown_key_rejected(tmp_path):
     text = FULL.replace("seed = 7", "seed = 7\ngauss_points = 4")
     with pytest.raises(ConfigError, match=r"\[solver\] unknown key 'gauss_points'"):

@@ -11,7 +11,7 @@ from microhom import (CoefficientField, GridFunction, SmoothingSpec, TorusGrid,
                       flux_corrector, full_corrector, h1_gram_op, resolvent_op,
                       solve)
 from microhom.correctors import _cell_kernels, _offset_rows, _restrict_cell_axes
-from microhom.grids import corners
+from microhom.grids import corners, interp_matrix
 from microhom.operators import matrix_op, operator_norm, transpose_defect
 from microhom.sweep import _norm_seed
 
@@ -154,6 +154,20 @@ def periodic_interp(n, n_x):
     slow_nodes = np.arange(n_x + 1) / n_x
     return np.stack([np.interp(np.arange(n) / n, slow_nodes, np.append(e, e[0]),
                                period=1.0) for e in np.eye(n_x)], axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_interp_matrix_matches_np_interp(d):
+    n, n_x, n_f = 20, 6, 4
+    pts = TorusGrid(d, n).coords().reshape(-1, d)
+    axis = periodic_interp(n, n_x)
+    ref = axis if d == 1 else np.kron(axis, axis)
+    assert np.abs(interp_matrix(n_x, pts).toarray() - ref).max() <= 1e-15
+    # with a fast index, column node * n_f + fast[p] carries the weight
+    fast = np.random.default_rng(4).integers(n_f, size=len(pts))
+    got = interp_matrix(n_x, pts, fast, n_f).toarray().reshape(len(pts), -1, n_f)
+    expect = ref[:, :, None] * (np.arange(n_f) == fast[:, None, None])
+    assert np.abs(got - expect).max() <= 1e-15
 
 
 def rolled_corrector(u, cells, spec, adjoint):

@@ -4,6 +4,7 @@ import pytest
 from microhom import (TorusGrid, build_cell_table, builtin_family,
                       effective_matrix, flux_corrector, vector_potential)
 from microhom.effective import multilinear
+from microhom.grids import interp_matrix
 from microhom.spectral import calculus
 
 
@@ -113,6 +114,10 @@ def test_multilinear_midpoints_average_neighbours():
                       for s in np.ndindex((2,) * d)]
         expect = np.mean(neighbours, axis=0).reshape((-1, 2, 3))
         vals = multilinear(table, grid, mids)
+        # every row holds 2^d int32 corner entries that sum to 1
+        mat = interp_matrix(grid.n, mids)
+        assert mat.indices.dtype == np.int32 and np.all(np.diff(mat.indptr) == 2 ** d)
+        assert np.abs(np.asarray(mat.sum(axis=1)) - 1.0).max() <= 1e-15
         assert vals.shape == expect.shape
         assert np.allclose(vals, expect, rtol=0, atol=1e-15)
         # the last midpoint averages the final sample with the first one
