@@ -8,8 +8,7 @@ operator-norm convergence of the resolvent approximations they define.
 """
 
 from .assemble import assemble_diffusion, assemble_fine, assemble_homogenized, resolvent_op, solve
-from .cell import (CellField, CellSolutions, build_cell_table, load_cell_table,
-                   save_cell_table, solve_adjoint_cell, solve_cell)
+from .cell import CellField, CellSolutions, build_cell_table, load_cell_table, save_cell_table
 from .coefficients import CoefficientField, ValidationReport, builtin_family, validate_coefficient
 from .config import ExperimentConfig, load_config
 from .correctors import (CorrectorCoeffs, assemble_L, assemble_M, corrector_K,
@@ -35,7 +34,7 @@ __all__ = [
     "drift_matrix_field", "effective_matrix", "emit_report", "error_operators",
     "fit_rate", "flux_corrector", "full_corrector", "h1_gram_op",
     "load_cell_table", "load_config", "matrix_op", "norms", "operator_norm", "resolvent_op",
-    "run_sweep", "save_cell_table", "shift", "solve", "solve_adjoint_cell",
-    "solve_cell", "steklov", "steklov_op", "transpose_defect",
+    "run_sweep", "save_cell_table", "shift", "solve", "steklov", "steklov_op",
+    "transpose_defect",
     "validate_coefficient", "vector_potential",
 ]

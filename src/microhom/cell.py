@@ -22,7 +22,6 @@ from .errors import SolveError
 from .grids import TorusGrid, centered_diff, centered_gradient
 from .spectral import calculus
 
-_ENERGY_SLACK = 1.0 + 1e-6
 _LGMRES_CALLS = 300  # outer lgmres iterations allowed per spectral block solve
 
 
@@ -160,12 +159,12 @@ class FVCellSolver:
         for m in range(d):
             xf = grid.face_coords(m)
             self.diag_faces.append(a_eval(xf)[..., m, m])
-        self.a_nodes = a_eval(grid.coords())
+        self.a = a_eval(grid.coords())      # (*shape, d, d) at the nodes
         self.cross = {}
         for m in range(d):
             for k in range(d):
                 if m != k:
-                    self.cross[(m, k)] = self.a_nodes[..., m, k]
+                    self.cross[(m, k)] = self.a[..., m, k]
         self.mat = assemble_diffusion(grid, self.diag_faces, self.cross, mass=0.0)
         self._lu = None
 
@@ -250,55 +249,16 @@ def make_solver(a_eval, grid, tol, method):
     raise ValueError(f"unknown cell method '{method}'")
 
 
-def solve_cell(a_eval, j, grid, tol=1e-11, method="spectral"):
-    """Solve one periodic cell problem in direction j.
-
-    `a_eval` maps cell coordinates (..., d) to matrices (..., d, d) for one
-    frozen slow point.  Returns a zero-mean CellField whose discrete
-    residual is below 10*tol; raises SolveError otherwise.
-    """
-    if not 0 <= j < grid.dim:
-        raise ValueError(f"direction {j} out of range for dim {grid.dim}")
-    solver = make_solver(a_eval, grid, tol, method)
-    cf = solver.solve(j)
-    _check_energy(cf, grid, a_eval)
-    return cf
-
-
-def solve_adjoint_cell(a_eval, j, grid, tol=1e-11, method="spectral"):
-    """Cell problem with the transposed coefficient matrix."""
-    def a_t(y):
-        return np.swapaxes(a_eval(y), -1, -2)
-    return solve_cell(a_t, j, grid, tol=tol, method=method)
-
-
-def _check_energy(cf, grid, a_eval):
-    # gradient energy of any cell solution obeys |grad chi| <= sqrt(d)/lam^2
-    # for any lam satisfying both ellipticity inequalities; the sampled
-    # two-sided lam below is such a constant
-    a = a_eval(grid.coords())
-    sym = 0.5 * (a + np.swapaxes(a, -1, -2))
-    lam_low = float(np.linalg.eigvalsh(sym).min())
-    if lam_low <= 0:
-        raise SolveError("cell coefficient not elliptic on the grid")
-    upper = float(np.linalg.norm(a, ord=2, axis=(-2, -1)).max())
-    lam = min(lam_low, 1.0 / upper)
-    w = grid.h ** grid.dim
-    gnorm = np.sqrt(w * float(np.sum(cf.grad ** 2)))
-    bound = np.sqrt(grid.dim) / lam ** 2
-    if gnorm > bound * _ENERGY_SLACK:
-        raise SolveError(f"cell gradient energy {gnorm:.3g} violates bound {bound:.3g}")
-
-
 @dataclass
 class CellSolutions:
-    """Cell solutions, adjoints, and slow-variable gradients on a sample grid.
+    """Cell solutions and their adjoints on a sample grid.
 
     Array layout (slow sample axes first, then direction j, then cell axes):
       chi, chi_adj:                 (*slow_shape, d, *cell_shape)
       grad_y_chi, grad_y_chi_adj:   (*slow_shape, d, d, *cell_shape)
-      grad_x_chi, grad_x_chi_adj:   (*slow_shape, d, d, *cell_shape)
-    where grad_* [..., j, m, ...] holds the m-derivative of solution j.
+    where grad_y_* [..., j, m, ...] holds the m-derivative of solution j.
+    Slow-variable gradients are centered differences of neighbouring
+    samples, taken where they are used.
     """
     family: str
     slow_grid: TorusGrid
@@ -307,8 +267,6 @@ class CellSolutions:
     grad_y_chi: np.ndarray
     chi_adj: np.ndarray
     grad_y_chi_adj: np.ndarray
-    grad_x_chi: np.ndarray
-    grad_x_chi_adj: np.ndarray
     residual_max: float = 0.0
     lipschitz_quotient: float = 0.0
     method: str = "spectral"
@@ -318,19 +276,13 @@ class CellSolutions:
         return self.cell_grid.dim
 
 
-def _h1_cell_norm(values, grad, w):
-    return np.sqrt(w * (np.sum(values ** 2) + np.sum(grad ** 2)))
-
-
 def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     """Solve primal and adjoint cell problems at every slow sample.
 
     The directions and adjoints of one sample are solved together (one
-    block system on the spectral path); samples are solved in turn.
-
-    Slow-variable gradients are taken by centered differences over the
-    (periodic) slow grid.  The largest adjacent-sample H1 Lipschitz
-    quotient of the solutions is recorded.
+    block system on the spectral path); samples are solved in turn and
+    written straight into the tables.  The largest adjacent-sample H1
+    Lipschitz quotient of the solutions is recorded.
     """
     d = field.dim
     if slow_grid.dim != d or cell_grid.dim != d:
@@ -350,34 +302,27 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
             fields = make_solver(field.frozen(xs[i]), cell_grid, tol, method).solve_all(
                 adjoint=not field.symmetric)
         except SolveError as exc:
-            raise SolveError(f"slow sample x = {xs[i]}: {exc}") from exc
-        return fields if not field.symmetric else fields + fields
-
-    try:
-        if field.lipschitz_x == 0.0:
-            # no slow dependence: one solve serves every sample
-            results = [work(0)] * n_slow
-        else:
-            results = [work(i) for i in range(n_slow)]
-    except SolveError as exc:
-        raise SolveError(f"cell table build failed: {exc}") from exc
-
-    residual_max = 0.0
-    for i, fields in enumerate(results):
+            raise SolveError(f"cell table build failed: slow sample x = {xs[i]}: {exc}") from exc
+        if field.symmetric:
+            fields = fields + fields
         for j in range(d):
             chi[i, j], gy[i, j] = fields[j].values, fields[j].grad
             chi_a[i, j], gy_a[i, j] = fields[d + j].values, fields[d + j].grad
-        residual_max = max([residual_max] + [cf.residual for cf in fields])
+        return max(cf.residual for cf in fields)
+
+    if field.lipschitz_x == 0.0:
+        # no slow dependence: one solve serves every sample
+        residual_max = work(0)
+        for table in (chi, gy, chi_a, gy_a):
+            table[1:] = table[0]
+    else:
+        residual_max = max(work(i) for i in range(n_slow))
 
     sshape = slow_grid.shape
     chi = chi.reshape(sshape + (d,) + cshape)
     gy = gy.reshape(sshape + (d, d) + cshape)
     chi_a = chi_a.reshape(sshape + (d,) + cshape)
     gy_a = gy_a.reshape(sshape + (d, d) + cshape)
-
-    # centered differences over the slow axes, derivative axis after j
-    gx, gx_a = (np.stack([centered_diff(t, ax, slow_grid.h) for ax in range(d)], axis=d + 1)
-                for t in (chi, chi_a))
 
     # adjacent-sample H1 Lipschitz quotient along each slow axis
     w = cell_grid.h ** d
@@ -392,25 +337,23 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
 
     return CellSolutions(family=field.name, slow_grid=slow_grid, cell_grid=cell_grid,
                          chi=chi, grad_y_chi=gy, chi_adj=chi_a, grad_y_chi_adj=gy_a,
-                         grad_x_chi=gx, grad_x_chi_adj=gx_a,
                          residual_max=residual_max, lipschitz_quotient=quot,
                          method=method)
 
 
 # -- binary container --------------------------------------------------------
 
-_MAGIC = b"CELLTBL2"
+_MAGIC = b"CELLTBL3"
 
 
 def save_cell_table(path, cells):
     """Write a cell table to the documented flat binary layout.
 
-    Layout: 8-byte magic `CELLTBL2`, 64-byte family name and 8-byte cell
+    Layout: 8-byte magic `CELLTBL3`, 64-byte family name and 8-byte cell
     method (`spectral` or `fv`; both utf-8, zero padded), three
     little-endian int64 (dim, n_x, n_y), one little-endian float64 pair
-    (residual_max, lipschitz_quotient), then the six float64 arrays chi,
-    grad_y_chi, chi_adj, grad_y_chi_adj, grad_x_chi, grad_x_chi_adj in
-    C order.
+    (residual_max, lipschitz_quotient), then the four float64 arrays chi,
+    grad_y_chi, chi_adj, grad_y_chi_adj in C order.
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -418,8 +361,7 @@ def save_cell_table(path, cells):
         fh.write(cells.method.encode()[:8].ljust(8, b"\0"))
         fh.write(struct.pack("<3q", cells.dim, cells.slow_grid.n, cells.cell_grid.n))
         fh.write(struct.pack("<2d", cells.residual_max, cells.lipschitz_quotient))
-        for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj,
-                    cells.grad_y_chi_adj, cells.grad_x_chi, cells.grad_x_chi_adj):
+        for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj, cells.grad_y_chi_adj):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -444,9 +386,6 @@ def load_cell_table(path):
         gy = read(sshape + (dim, dim) + cshape)
         chi_a = read(sshape + (dim,) + cshape)
         gy_a = read(sshape + (dim, dim) + cshape)
-        gx = read(sshape + (dim, dim) + cshape)
-        gx_a = read(sshape + (dim, dim) + cshape)
     return CellSolutions(family=family, slow_grid=slow, cell_grid=cell,
                          chi=chi, grad_y_chi=gy, chi_adj=chi_a, grad_y_chi_adj=gy_a,
-                         grad_x_chi=gx, grad_x_chi_adj=gx_a,
                          residual_max=residual_max, lipschitz_quotient=lip, method=method)

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from .assemble import assemble_diffusion
-from .effective import _flux, flux_corrector, multilinear
+from .effective import _sample_fluxes, multilinear
 from .grids import GridFunction, TorusGrid, interp_matrix
 from .operators import DiscreteOperator, diff_matrix, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
@@ -143,59 +143,45 @@ class CorrectorCoeffs:
     equivalence_defect: float = 0.0
 
 
-def corrector_coeffs(cells, fc, field, hom, fc_adj=None) -> CorrectorCoeffs:
-    """Coefficient tensors from the flux deviations and cell solutions.
+def corrector_coeffs(cells, field) -> CorrectorCoeffs:
+    """Coefficient tensors, built in one walk over the slow samples.
 
-    `fc` is the primal flux corrector; the adjoint one is built on demand
-    (deviation of the transposed field from the adjoint cell solutions).
-    The third-order tensor is also evaluated through its reduced form
-    < chi_adj^k (a (grad chi^j + e^j))_m > and the worst relative
-    disagreement of the two quadratures is recorded.
+    Each sample's primal and adjoint fluxes and deviations come from the
+    flux kernel (`effective._sample_flux`, which also checks the energy
+    bound and solenoidality); the slow gradients in c2 are centered
+    differences of the neighbouring samples' cell solutions, as in
+    `grids.centered_diff`.  The third-order tensor is also evaluated
+    through its reduced form < chi_adj^k (a (grad chi^j + e^j))_m > and the
+    worst relative disagreement of the two quadratures is recorded.
     """
-    if fc_adj is None:
-        fc_adj = flux_corrector(cells, field, hom, adjoint=True)
     d = cells.dim
+    slow = cells.slow_grid
     cell_axes = tuple(range(-d, 0))
     w_mean = lambda arr: arr.mean(axis=cell_axes)
+    chi = cells.chi.reshape((-1, d) + cells.cell_grid.shape)
+    chi_a = cells.chi_adj.reshape((-1, d) + cells.cell_grid.shape)
+    index = np.arange(slow.size).reshape(slow.shape)
+    neighbours = [(np.roll(index, -1, axis=ax).ravel(), np.roll(index, 1, axis=ax).ravel())
+                  for ax in range(d)]
 
-    sshape = cells.slow_grid.shape
-    c3 = np.zeros(sshape + (d, d, d))
-    c3_alt = np.zeros(sshape + (d, d, d))
-    c3_adj = np.zeros(sshape + (d, d, d))
-    c2 = np.zeros(sshape + (d, d))
-    c2_adj = np.zeros(sshape + (d, d))
+    def grad_x(table, i):
+        # (j, m, *cell): the m-th slow derivative of solution j at sample i
+        return np.stack([(table[up[i]] - table[down[i]]) * (1.0 / (2.0 * slow.h))
+                         for up, down in neighbours], axis=1)
 
-    xs = cells.slow_grid.coords()
-    ys = cells.cell_grid.coords()
-    xb = xs.reshape(xs.shape[:-1] + (1,) * d + (d,))
-    a = field.eval(np.broadcast_to(xb, xs.shape[:-1] + ys.shape),
-                   np.broadcast_to(ys, xs.shape[:-1] + ys.shape))
-
+    c3, c3_alt, c3_adj = (np.zeros((slow.size, d, d, d)) for _ in range(3))
+    c2, c2_adj = np.zeros((slow.size, d, d)), np.zeros((slow.size, d, d))
     integrand_scale = 1e-30
-    for j in range(d):
-        dev_j = np.take(fc.deviation, j, axis=d)        # (*slow, d, *cell)
-        grad_j = np.take(cells.grad_y_chi, j, axis=d)
-        epg = grad_j.copy()
-        epg[(Ellipsis, j) + (slice(None),) * d] += 1.0
-        flux_j = _flux(a, epg, d)
-        for k in range(d):
-            chi_ak = np.take(cells.chi_adj, k, axis=d)  # (*slow, *cell)
-            gx_ak = np.take(cells.grad_x_chi_adj, k, axis=d)
-            for m in range(d):
-                c3[..., j, k, m] = w_mean(np.take(dev_j, m, axis=d) * chi_ak)
-                c3_alt[..., j, k, m] = w_mean(np.take(flux_j, m, axis=d) * chi_ak)
-                integrand_scale = max(integrand_scale,
-                                      float(w_mean(np.abs(np.take(flux_j, m, axis=d)
-                                                          * chi_ak)).max()))
-            c2[..., j, k] = w_mean((dev_j * gx_ak).sum(axis=d))
-    for k in range(d):
-        dev_ak = np.take(fc_adj.deviation, k, axis=d)
-        for j in range(d):
-            chi_j = np.take(cells.chi, j, axis=d)
-            gx_j = np.take(cells.grad_x_chi, j, axis=d)
-            for m in range(d):
-                c3_adj[..., k, j, m] = w_mean(np.take(dev_ak, m, axis=d) * chi_j)
-            c2_adj[..., k, j] = w_mean((dev_ak * gx_j).sum(axis=d))
+    walk = zip(_sample_fluxes(cells, field), _sample_fluxes(cells, field, adjoint=True))
+    for i, ((flux, dev, _), (_, dev_a, _)) in enumerate(walk):
+        # index order [j, k, m] (c3, c2) and [k, j, m] (c3_adj, c2_adj)
+        c3[i] = w_mean(dev[:, None] * chi_a[i][None, :, None])
+        reduced = flux[:, None] * chi_a[i][None, :, None]
+        c3_alt[i] = w_mean(reduced)
+        integrand_scale = max(integrand_scale, float(w_mean(np.abs(reduced)).max()))
+        c2[i] = w_mean((dev[:, None] * grad_x(chi_a, i)[None]).sum(axis=2))
+        c3_adj[i] = w_mean(dev_a[:, None] * chi[i][None, :, None])
+        c2_adj[i] = w_mean((dev_a[:, None] * grad_x(chi, i)[None]).sum(axis=2))
 
     # relative to the integrand's own magnitude, so identically-zero tensors
     # (one-dimensional flux deviations vanish) do not produce 0/0 ratios
@@ -207,8 +193,9 @@ def corrector_coeffs(cells, fc, field, hom, fc_adj=None) -> CorrectorCoeffs:
         if float(np.abs(arr).max()) < 1e-12 * integrand_scale:
             arr[...] = 0.0
 
-    return CorrectorCoeffs(slow_grid=cells.slow_grid, c3=c3, c3_adj=c3_adj,
-                           c2=c2, c2_adj=c2_adj, equivalence_defect=defect)
+    lift = lambda arr: arr.reshape(slow.shape + arr.shape[1:])
+    return CorrectorCoeffs(slow_grid=slow, c3=lift(c3), c3_adj=lift(c3_adj), c2=lift(c2),
+                           c2_adj=lift(c2_adj), equivalence_defect=defect)
 
 
 def _coeff_field(table, slow_grid, grid):

@@ -17,10 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cell import CellField, CellSolutions, make_solver
+from .cell import CellField, CellSolutions, FVCellSolver, make_solver
 from .errors import SolveError
-from .grids import TorusGrid, centered_diff, interp_matrix
+from .grids import TorusGrid, interp_matrix
 from .spectral import calculus, trig_resample
+
+_ENERGY_SLACK = 1.0 + 1e-6
+_DIV_LIMIT = 1e-6   # largest divergence defect accepted (deviations, potentials)
 
 
 @dataclass
@@ -28,8 +31,8 @@ class HomogenizedField:
     """Effective matrix a0 on the slow sample grid.
 
     `matrices` has shape (*slow_shape, d, d).  Off-sample evaluation is
-    multilinear (`at`); assembly onto fine grids uses trigonometric
-    resampling of the analytic-in-x samples (`resample_entry`).
+    `multilinear(matrices, slow_grid, x)`; assembly onto fine grids uses
+    trigonometric resampling of the analytic-in-x samples (`resample_entry`).
     """
     slow_grid: TorusGrid
     matrices: np.ndarray
@@ -41,10 +44,6 @@ class HomogenizedField:
     @property
     def dim(self):
         return self.slow_grid.dim
-
-    def at(self, x):
-        """Multilinear periodic interpolation at points x of shape (..., d)."""
-        return multilinear(self.matrices, self.slow_grid, x)
 
     def resample_entry(self, p, q, n_to, face_axis=None):
         """Entry (p, q) on a uniform n_to grid, optionally at face midpoints."""
@@ -132,8 +131,7 @@ class FluxCorrector:
 
     deviation[..., j, m, cell...] holds component m of g^j at the slow
     samples; potential stores only the strictly-upper-triangle components
-    of the skew matrix G^j (empty in 1D).  Slow gradients of the potential
-    are computed on demand (`grad_x_potential`).
+    of the skew matrix G^j (empty in 1D).
     """
     slow_grid: TorusGrid
     cell_grid: TorusGrid
@@ -162,14 +160,58 @@ class FluxCorrector:
                 t += 1
         return out
 
-    def grad_x_potential(self, j):
-        """Centered slow-grid differences of the potential components."""
-        if self.potential_upper is None:
-            raise ValueError("potential not built; call vector_potential first")
-        d = self.dim
-        comp = self.potential_upper[..., j, :, :, :] if d == 2 else self.potential_upper
-        return np.stack([centered_diff(comp, ax, self.slow_grid.h) for ax in range(d)],
-                        axis=d)
+
+def _sample_flux(solver, chi, grad, lam, x):
+    """Node flux a (e^j + grad_y chi^j) of one slow sample, every direction j.
+
+    `solver` is the sample's `make_solver`: it holds `a` at the cell nodes
+    and, on finite volumes, the scheme matrix.  chi (d, *cell) and grad
+    (d, d, *cell) are the sample's cell solutions for that coefficient.
+    Each direction is held first to the gradient energy bound
+    |grad chi^j| <= sqrt(d) / lam^2, valid for any lam satisfying both
+    ellipticity inequalities (the field's claimed constant), then to
+    solenoidality: the spectral divergence of the deviation, or on finite
+    volumes (whose fluxes carry kinks) the residual of the scheme that
+    defined the solve.  Returns the flux (j, m, *cell), its deviation from
+    the node-quadrature cell mean and the worst divergence defect; raises
+    SolveError naming the sample.
+    """
+    grid = solver.grid
+    d = grid.dim
+    w = grid.h ** d
+    cell_axes = tuple(range(-d, 0))
+    gnorm = float(np.sqrt(w * np.sum(grad ** 2, axis=(1,) + cell_axes)).max())
+    bound = np.sqrt(d) / lam ** 2
+    if gnorm > bound * _ENERGY_SLACK:
+        raise SolveError(f"slow sample x = {x}: cell gradient energy {gnorm:.3g} "
+                         f"violates bound {bound:.3g}")
+    epg = grad + np.eye(d).reshape((d, d) + (1,) * d)
+    # C order: the default would follow a's (cell, p, q) layout, and the cell
+    # means taken of the flux and its products reduce several times slower
+    flux = np.einsum("...pq,jq...->jp...", solver.a, epg, order="C")
+    dev = flux - flux.mean(axis=cell_axes, keepdims=True)
+    if isinstance(solver, FVCellSolver):
+        res = np.stack([solver.mat @ chi[j].ravel() - solver._rhs(j).ravel() for j in range(d)])
+    else:
+        res = solver.calc.div(dev).reshape(d, -1)
+    defect = float(np.sqrt(w * np.sum(res ** 2, axis=1)).max())
+    if defect > _DIV_LIMIT:
+        raise SolveError(f"slow sample x = {x}: flux deviation not solenoidal: defect "
+                         f"{defect:.2e} (upstream cell table inconsistent with the field)")
+    return flux, dev, defect
+
+
+def _sample_fluxes(cells: CellSolutions, field, adjoint=False):
+    """`_sample_flux` of every slow sample in turn, for the field or (with
+    `adjoint`) its transpose and the adjoint cell solutions."""
+    d = cells.dim
+    fld = field.transposed() if adjoint else field
+    chi, gy = (cells.chi_adj, cells.grad_y_chi_adj) if adjoint else (cells.chi, cells.grad_y_chi)
+    chi = chi.reshape((-1, d) + cells.cell_grid.shape)
+    gy = gy.reshape((-1, d, d) + cells.cell_grid.shape)
+    for i, x in enumerate(cells.slow_grid.coords().reshape(-1, d)):
+        solver = make_solver(fld.frozen(x), cells.cell_grid, 1e-11, cells.method)
+        yield _sample_flux(solver, chi[i], gy[i], fld.ellipticity, x)
 
 
 def flux_corrector(cells: CellSolutions, field, hom: HomogenizedField,
@@ -177,90 +219,21 @@ def flux_corrector(cells: CellSolutions, field, hom: HomogenizedField,
     """Pointwise flux deviation g^j per slow sample.
 
     With adjoint=True, builds the deviation of the transposed field from
-    the adjoint cell solutions (used by the coefficient tensors).  The mean
-    is removed with the same node quadrature that defines it, so the
-    zero-mean identity holds at machine precision; solenoidality is
-    inherited from the cell residual.
+    the adjoint cell solutions.  Every sample goes through the flux kernel
+    of the coefficient tensors (`_sample_flux`): the mean is removed with
+    the same node quadrature that defines it, so the zero-mean identity
+    holds at machine precision, and the energy bound and solenoidality are
+    checked sample by sample.
     """
     d = cells.dim
-    if adjoint:
-        fld = field.transposed()
-        gy = cells.grad_y_chi_adj
-    else:
-        fld = field
-        gy = cells.grad_y_chi
-    xs = cells.slow_grid.coords()
-    ys = cells.cell_grid.coords()
-    cell_axes = tuple(range(-d, 0))
-
-    # a(x_i, y) for all samples and cell nodes: (*slow, *cell, d, d)
-    xb = xs.reshape(xs.shape[:-1] + (1,) * d + (d,))
-    a = fld.eval(np.broadcast_to(xb, xs.shape[:-1] + ys.shape),
-                 np.broadcast_to(ys, xs.shape[:-1] + ys.shape))
-
-    dev = np.zeros(cells.slow_grid.shape + (d, d) + cells.cell_grid.shape)
-    for j in range(d):
-        grad = np.take(gy, j, axis=d)       # (*slow, d, *cell)
-        e_plus_grad = grad.copy()
-        idx = (Ellipsis, j) + (slice(None),) * d
-        e_plus_grad[idx] += 1.0
-        flux = _flux(a, e_plus_grad, d)     # (*slow, d, *cell)
-        mean = flux.mean(axis=cell_axes, keepdims=True)
-        dev[(Ellipsis, j) + (slice(None),) * (d + 1)] = flux - mean
-
-    fc = FluxCorrector(slow_grid=cells.slow_grid, cell_grid=cells.cell_grid,
-                       deviation=dev, adjoint=adjoint)
-    if cells.method == "fv":
-        fc.div_defect = _divergence_defect_fv(cells, fld, adjoint)
-    else:
-        fc.div_defect = _divergence_defect(fc)
-    if fc.div_defect > 1e-6:
-        raise SolveError(f"flux deviation not solenoidal: defect {fc.div_defect:.2e} "
-                         "(upstream cell table inconsistent with the field)")
-    return fc
-
-
-def _flux(a, e_plus_grad, d):
-    """flux[..., m(comp), cell...] = sum_q a[..., cell..., m, q] epg[..., q(comp), cell...]"""
-    if d == 1:
-        return a[..., 0, 0][..., None, :] * e_plus_grad
-    # d == 2: a (*slow, cy1, cy2, 2, 2); epg (*slow, 2, cy1, cy2)
-    return np.einsum("...yzpq,...qyz->...pyz", a, e_plus_grad)
-
-
-def _divergence_defect(fc):
-    """Max spectral-divergence norm of the deviations over samples and j."""
-    d = fc.dim
-    calc = calculus(fc.cell_grid.shape)
-    w = fc.cell_grid.h ** d
-    dev = fc.deviation.reshape((-1, d, d) + fc.cell_grid.shape)
+    dev = np.zeros((cells.slow_grid.size, d, d) + cells.cell_grid.shape)
     worst = 0.0
-    for i in range(dev.shape[0]):
-        for j in range(d):
-            div = calc.div(dev[i, j])
-            worst = max(worst, np.sqrt(w * float(np.sum(div ** 2))))
-    return worst
-
-
-def _divergence_defect_fv(cells, fld, adjoint):
-    """Conservative-scheme divergence of the microscopic flux per sample.
-
-    For finite-volume cell tables the flux deviation carries kinks, so
-    solenoidality is measured in the scheme's own sense: the flux
-    differencing that defined the solve.
-    """
-    d = cells.dim
-    grid = cells.cell_grid
-    w = grid.h ** d
-    xs = cells.slow_grid.coords().reshape(-1, d)
-    chi = (cells.chi_adj if adjoint else cells.chi).reshape((-1, d) + grid.shape)
-    worst = 0.0
-    for i, x in enumerate(xs):
-        solver = make_solver(fld.frozen(x), grid, 1e-11, "fv")
-        for j in range(d):
-            res = solver.mat @ chi[i, j].ravel() - solver._rhs(j).ravel()
-            worst = max(worst, np.sqrt(w * float(np.sum(res ** 2))))
-    return worst
+    for i, (_, dev_i, defect) in enumerate(_sample_fluxes(cells, field, adjoint)):
+        dev[i] = dev_i
+        worst = max(worst, defect)
+    return FluxCorrector(slow_grid=cells.slow_grid, cell_grid=cells.cell_grid,
+                         deviation=dev.reshape(cells.slow_grid.shape + dev.shape[1:]),
+                         adjoint=adjoint, div_defect=worst)
 
 
 def vector_potential(fc: FluxCorrector, grid: TorusGrid) -> FluxCorrector:
@@ -313,6 +286,6 @@ def vector_potential(fc: FluxCorrector, grid: TorusGrid) -> FluxCorrector:
                 worst_ratio = max(worst_ratio, np.sqrt(h1_sq) / g_l2)
     fc.potential_bound_ratio = worst_ratio
     fc.div_defect = max(fc.div_defect, worst_div)
-    if worst_div > 1e-6:
+    if worst_div > _DIV_LIMIT:
         raise SolveError(f"potential divergence defect {worst_div:.2e} too large")
     return fc

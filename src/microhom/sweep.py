@@ -27,11 +27,12 @@ import numpy as np
 from .assemble import assemble_fine, assemble_homogenized, resolvent_op
 from .cell import build_cell_table, make_solver
 from .config import ExperimentConfig
-# full_corrector is not called here, since the norms apply the fused
-# error_operators, but perfbench/run.py wraps it by this module's name
+# full_corrector and flux_corrector are not called here (the norms apply
+# the fused error_operators, and corrector_coeffs builds its own flux
+# deviations), but perfbench/run.py wraps both by this module's name
 from .correctors import (assemble_L, assemble_M, corrector_coeffs, corrector_op,  # noqa: F401
                          error_operators, full_corrector)
-from .effective import HomogenizedField, effective_matrix, flux_corrector
+from .effective import HomogenizedField, effective_matrix, flux_corrector  # noqa: F401
 from .errors import SolveError
 from .grids import TorusGrid
 from .operators import h1_gram_op, operator_norm, transpose_defect
@@ -46,7 +47,7 @@ class ConvergenceReport:
     slopes: dict = dc_field(default_factory=dict)       # name -> (slope, intercept, residual)
     flags: list = dc_field(default_factory=list)
     config_text: str = ""
-    timings: dict = dc_field(default_factory=dict)      # stage -> [ms per eps]
+    timings: dict = dc_field(default_factory=dict)      # stage -> [ms per eps], or [ms]
     transpose_defect_max: float = 0.0
     prefactors: dict = dc_field(default_factory=dict)   # name -> E / eps^order at finest eps
     # {"E0": [...], ...}: applications of the normal operator per norm, per eps
@@ -128,6 +129,10 @@ def matched_effective_matrix(field, hom, n_f, tol):
                             symmetric=hom.symmetric)
 
 
+# the eps-independent stages, timed once per sweep
+SETUP_STAGES = ("cell_table_ms", "moments_ms", "matched_effective_ms")
+
+
 def _norm_seed(seed, tag):
     # crc32 keeps the derived seed stable across interpreter runs
     return (seed * 1000003 + zlib.crc32(tag.encode())) % (2 ** 31)
@@ -140,8 +145,10 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     for every eps; a cell residual accepted above cell_tol (the FFT
     roundoff floor) is flagged.  A per-eps failure aborts the sweep but
     keeps the points already measured, with the failing eps and stage
-    (assemble, correctors, norm_E0, norm_E1 or norm_E2) recorded in the
-    `aborted:` flag.  `jobs` > 1 runs the eps points in a thread pool.
+    (assemble, correctors, pairing, norm_E0, norm_E1 or norm_E2) recorded in
+    the `aborted:` flag.  `jobs` > 1 runs the eps points in a thread pool.
+    The cell table is checked sample by sample (gradient energy bound and
+    solenoidal flux deviations) when the coefficient tensors are built.
     """
     say = progress or (lambda msg: None)
     field = config.make_field()
@@ -153,26 +160,33 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
                                errors={"E0": [], "E1": [], "E2": []},
                                config_text=config.normalized_text())
 
-    t0 = time.perf_counter()
-    say("building cell table")
-    cells = build_cell_table(field, slow_grid, cell_grid, tol=config.cell_tol)
+    @contextmanager
+    def setup_stage(name):
+        t = time.perf_counter()
+        yield
+        report.timings[name + "_ms"] = [1000.0 * (time.perf_counter() - t)]
+
+    with setup_stage("cell_table"):
+        say("building cell table")
+        cells = build_cell_table(field, slow_grid, cell_grid, tol=config.cell_tol)
     if cells.residual_max > config.cell_tol:
         report.flags.append(f"cell residual_max {cells.residual_max:.2e} above "
                             f"cell_tol {config.cell_tol:g} (roundoff floor)")
-    hom = effective_matrix(cells, field)
-    fc = flux_corrector(cells, field, hom)
-    fc_adj = flux_corrector(cells, field, hom, adjoint=True)
-    coeffs = corrector_coeffs(cells, fc, field, hom, fc_adj=fc_adj)
-    report.timings["cells_ms"] = [1000.0 * (time.perf_counter() - t0)]
+    with setup_stage("moments"):
+        # the tensors first: their walk checks every sample's energy bound
+        # and solenoidality before anything else is read off the table
+        coeffs = corrector_coeffs(cells, field)
+        hom = effective_matrix(cells, field)
 
     hom_for_r0 = hom
-    if config.matched_effective:
-        say("building matched effective matrix")
-        hom_for_r0 = matched_effective_matrix(field, hom, config.n_f, config.cell_tol)
-        report.flags.append("matched_effective: homogenized operator uses the "
-                            "fine scheme's implicit cell limit")
+    with setup_stage("matched_effective"):
+        if config.matched_effective:
+            say("building matched effective matrix")
+            hom_for_r0 = matched_effective_matrix(field, hom, config.n_f, config.cell_tol)
+            report.flags.append("matched_effective: homogenized operator uses the "
+                                "fine scheme's implicit cell limit")
 
-    stage_names = ("assemble_ms", "correctors_ms", "norm_E0_ms",
+    stage_names = ("assemble_ms", "correctors_ms", "pairing_ms", "norm_E0_ms",
                    "norm_E1_ms", "norm_E2_ms")
     for name in stage_names:
         report.timings[name] = []
@@ -208,8 +222,9 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         # the fused E1/E2 transposes are derived by hand: check them too.  E0's
         # is the difference of the two resolvents' own (pinned in the tests),
         # so the sweep skips its 8 solves per eps
-        tdef = max(transpose_defect(op, n_trials=2, seed=config.seed)
-                    for op in (r_eps, r_hom, cor, cor_adj, l_op, m_op) + diffs[1:])
+        with stage("pairing"):
+            tdef = max(transpose_defect(op, n_trials=2, seed=config.seed)
+                       for op in (r_eps, r_hom, cor, cor_adj, l_op, m_op) + diffs[1:])
 
         grams = (None, h1_gram_op(grid), None)
         values, applications = [], []
@@ -297,12 +312,12 @@ def emit_report(report: ConvergenceReport, out_dir):
     results.write_text("\n".join(lines) + "\n")
 
     timings = out / "timings.csv"
-    stage_names = [k for k in report.timings if k != "cells_ms"]
+    stage_names = [k for k in report.timings if k not in SETUP_STAGES]
     tlines = ["eps," + ",".join(stage_names)]
     for i, eps in enumerate(report.eps_list):
         tlines.append(f"{eps:.6e}," + ",".join(
             f"{report.timings[s][i]:.3f}" for s in stage_names))
-    tlines.append(f"# cells_ms,{report.timings.get('cells_ms', [0.0])[0]:.3f}")
+    tlines += [f"# {s},{report.timings[s][0]:.3f}" for s in SETUP_STAGES if s in report.timings]
     timings.write_text("\n".join(tlines) + "\n")
 
     summary = out / "summary.txt"

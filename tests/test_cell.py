@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
-                      effective_matrix, load_cell_table, save_cell_table,
-                      solve_adjoint_cell, solve_cell)
+                      effective_matrix, load_cell_table, save_cell_table)
 from microhom.cell import make_solver
 from microhom.spectral import FourierCalculus
 
@@ -11,7 +10,7 @@ from microhom.spectral import FourierCalculus
 def test_identity_coefficient_gives_zero():
     f = builtin_family("constant", {"matrix": np.eye(2)})
     g = TorusGrid(2, 16)
-    cf = solve_cell(f.frozen([0, 0]), 0, g)
+    cf = make_solver(f.frozen([0, 0]), g, 1e-11, "spectral").solve(0)
     assert np.abs(cf.values).max() == 0.0
     assert np.abs(cf.grad).max() == 0.0
 
@@ -22,7 +21,7 @@ def test_1d_closed_form_solution():
     # high-resolution quadrature of that closed form
     f = builtin_family("separable_1d", {"x_amplitude": 0.0})
     g = TorusGrid(1, 256)
-    cf = solve_cell(f.frozen([0.0]), 0, g, tol=1e-12)
+    cf = make_solver(f.frozen([0.0]), g, 1e-12, "spectral").solve(0)
 
     m = 2 ** 15
     ys = (np.arange(m) + 0.5) / m
@@ -59,25 +58,25 @@ def test_adjoint_equals_primal_on_transposed_field():
     def a_eval_t(y):
         return np.swapaxes(a_eval(y), -1, -2)
 
+    # the adjoint blocks of one batched solve against the transposed coefficient alone
+    adj = make_solver(a_eval, g, 1e-12, "spectral").solve_all(adjoint=True)[2:]
     for j in range(2):
-        adj = solve_adjoint_cell(a_eval, j, g, tol=1e-12)
-        ref = solve_cell(a_eval_t, j, g, tol=1e-12)
-        assert np.array_equal(adj.values, ref.values)
+        ref = make_solver(a_eval_t, g, 1e-12, "spectral").solve(j)
+        assert np.abs(adj[j].values - ref.values).max() <= 1e-13
 
 
 def test_adjoint_of_symmetric_is_identical():
     f = builtin_family("periodic_only", {"dim": 2, "symmetric": True})
     g = TorusGrid(2, 32)
-    a_eval = f.frozen([0, 0])
-    p = solve_cell(a_eval, 1, g, tol=1e-12)
-    q = solve_adjoint_cell(a_eval, 1, g, tol=1e-12)
+    p = make_solver(f.frozen([0, 0]), g, 1e-12, "spectral").solve(1)
+    q = make_solver(f.transposed().frozen([0, 0]), g, 1e-12, "spectral").solve(1)
     assert np.array_equal(p.values, q.values)
 
 
 def test_zero_mean_and_energy_bound():
     f = builtin_family("smooth_2d_nonsymmetric", {})
     g = TorusGrid(2, 32)
-    cf = solve_cell(f.frozen([0.1, 0.9]), 0, g, tol=1e-11)
+    cf = make_solver(f.frozen([0.1, 0.9]), g, 1e-11, "spectral").solve(0)
     assert abs(cf.values.mean()) < 1e-13
     w = g.h ** 2
     gnorm = np.sqrt(w * np.sum(cf.grad ** 2))
@@ -87,7 +86,7 @@ def test_zero_mean_and_energy_bound():
 def test_residual_reported_below_tolerance():
     f = builtin_family("separable_1d", {})
     g = TorusGrid(1, 128)
-    cf = solve_cell(f.frozen([0.37]), 0, g, tol=1e-11)
+    cf = make_solver(f.frozen([0.37]), g, 1e-11, "spectral").solve(0)
     assert cf.residual <= 1e-10
 
 
@@ -112,16 +111,16 @@ def test_fv_grid_convergence_second_order():
 def test_build_table_periodic_only_has_zero_slow_gradient():
     f = builtin_family("periodic_only", {"dim": 2})
     cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16), tol=1e-11)
-    assert np.abs(cells.grad_x_chi).max() == 0.0
-    assert np.abs(cells.grad_x_chi_adj).max() == 0.0
+    for table in (cells.chi, cells.chi_adj):
+        assert np.abs(np.roll(table, 1, axis=0) - table).max() == 0.0
+        assert np.abs(np.roll(table, 1, axis=1) - table).max() == 0.0
     assert cells.lipschitz_quotient == 0.0
 
 
 def test_build_table_constant_family_all_zero():
     f = builtin_family("constant", {"matrix": [[1.5, 0.2], [0.2, 1.1]]})
     cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16))
-    for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj,
-                cells.grad_y_chi_adj, cells.grad_x_chi, cells.grad_x_chi_adj):
+    for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj, cells.grad_y_chi_adj):
         assert np.abs(arr).max() == 0.0
 
 
@@ -150,7 +149,7 @@ def test_spectral_solve_stops_at_roundoff_floor(monkeypatch):
     # must stop there instead of restarting lgmres until maxiter
     f = builtin_family("separable_1d", {})
     calls = count_operator_applications(monkeypatch)
-    cf = solve_cell(f.frozen([0.37]), 0, TorusGrid(1, 256), tol=1e-12)
+    cf = make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-12, "spectral").solve(0)
     assert calls[0] <= 100
     assert cf.residual <= 10 * 1e-12
 
@@ -159,7 +158,7 @@ def test_unreachable_tolerance_raises(monkeypatch):
     f = builtin_family("separable_1d", {})
     calls = count_operator_applications(monkeypatch)
     with pytest.raises(SolveError, match="residual"):
-        solve_cell(f.frozen([0.37]), 0, TorusGrid(1, 256), tol=1e-15)
+        make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-15, "spectral").solve(0)
     assert calls[0] <= 100
 
 
@@ -173,8 +172,8 @@ def test_batched_table_matches_per_direction_solves(family):
     chi_a = cells.chi_adj.reshape((len(xs), f.dim) + cell.shape)
     for i, x in enumerate(xs):
         for j in range(f.dim):
-            ref = solve_cell(f.frozen(x), j, cell, tol=1e-12)
-            ref_a = solve_adjoint_cell(f.frozen(x), j, cell, tol=1e-12)
+            ref = make_solver(f.frozen(x), cell, 1e-12, f.cell_method).solve(j)
+            ref_a = make_solver(f.transposed().frozen(x), cell, 1e-12, f.cell_method).solve(j)
             assert np.abs(chi[i, j] - ref.values).max() <= 1e-13
             assert np.abs(chi_a[i, j] - ref_a.values).max() <= 1e-13
 
@@ -192,8 +191,7 @@ def test_save_load_roundtrip(tmp_path, family, n_y):
     assert loaded.method == cells.method == f.cell_method
     assert loaded.slow_grid == cells.slow_grid
     assert loaded.cell_grid == cells.cell_grid
-    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj",
-                 "grad_x_chi", "grad_x_chi_adj"):
+    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj"):
         assert np.array_equal(getattr(loaded, attr), getattr(cells, attr)), attr
     assert loaded.residual_max == cells.residual_max
     assert loaded.lipschitz_quotient == cells.lipschitz_quotient
@@ -208,7 +206,11 @@ def test_load_rejects_wrong_magic(tmp_path):
         load_cell_table(p)
 
 
-def test_bad_direction_rejected():
+def test_load_rejects_previous_container(tmp_path):
+    # CELLTBL2 tables also stored the slow gradients; they must be rebuilt
     f = builtin_family("separable_1d", {})
-    with pytest.raises(ValueError, match="direction"):
-        solve_cell(f.frozen([0.0]), 1, TorusGrid(1, 32))
+    path = tmp_path / "cells.bin"
+    save_cell_table(path, build_cell_table(f, TorusGrid(1, 4), TorusGrid(1, 16)))
+    path.write_bytes(b"CELLTBL2" + path.read_bytes()[8:])
+    with pytest.raises(ValueError, match="CELLTBL3"):
+        load_cell_table(path)

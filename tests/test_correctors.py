@@ -10,9 +10,11 @@ from microhom import (CoefficientField, GridFunction, SmoothingSpec, TorusGrid,
                       drift_matrix_field, effective_matrix, error_operators,
                       flux_corrector, full_corrector, h1_gram_op, resolvent_op,
                       solve)
+from microhom.cell import make_solver
 from microhom.correctors import _cell_kernels, _offset_rows, _restrict_cell_axes
-from microhom.grids import corners, interp_matrix
+from microhom.grids import centered_diff, corners, interp_matrix
 from microhom.operators import matrix_op, operator_norm, transpose_defect
+from microhom.spectral import calculus
 from microhom.sweep import _norm_seed
 
 
@@ -92,12 +94,12 @@ def test_ktilde_differs_for_nonsymmetric(smooth_2d):
 
 def test_corrector_coeffs_zero_cases():
     field, cells, hom, fc = pipeline("constant", {"matrix": np.eye(2)}, 4, 16)
-    co = corrector_coeffs(cells, fc, field, hom)
+    co = corrector_coeffs(cells, field)
     assert np.abs(co.c3).max() < 1e-14
     assert np.abs(co.c2).max() < 1e-14
 
     field, cells, hom, fc = pipeline("periodic_only", {"dim": 2, "symmetric": False}, 4, 32)
-    co = corrector_coeffs(cells, fc, field, hom)
+    co = corrector_coeffs(cells, field)
     assert np.abs(co.c2).max() < 1e-12
     assert np.abs(co.c2_adj).max() < 1e-12
     # third-order tensors need not vanish without slow dependence
@@ -113,8 +115,71 @@ def test_corrector_coeffs_zero_cases():
 ])
 def test_reduced_quadrature_equivalence(family, params, n_x, n_y):
     field, cells, hom, fc = pipeline(family, params, n_x, n_y)
-    co = corrector_coeffs(cells, fc, field, hom)
+    co = corrector_coeffs(cells, field)
     assert co.equivalence_defect < 1e-10
+
+
+def whole_table_reference(cells, field):
+    """c3, c3_adj, c2, c2_adj, both deviations and their worst divergence
+    defects in 2D, by whole-table passes: one field.eval block per family,
+    grids.centered_diff slow gradients, and one divergence per sample."""
+    xs, ys = cells.slow_grid.coords(), cells.cell_grid.coords()
+    shape = xs.shape[:-1] + ys.shape
+    xb = np.broadcast_to(xs.reshape(xs.shape[:-1] + (1, 1, 2)), shape)
+    yb = np.broadcast_to(ys, shape)
+    mean = lambda arr: arr.mean(axis=(-2, -1))
+    ref = {}
+    for tag, fld, chi, gy in (("", field, cells.chi, cells.grad_y_chi),
+                              ("_adj", field.transposed(), cells.chi_adj,
+                               cells.grad_y_chi_adj)):
+        epg = gy + np.eye(2)[:, :, None, None]
+        flux = np.einsum("...yzpq,...jqyz->...jpyz", fld.eval(xb, yb), epg)
+        ref["dev" + tag] = flux - flux.mean(axis=(-2, -1), keepdims=True)
+        ref["gx" + tag] = np.stack([centered_diff(chi, ax, cells.slow_grid.h)
+                                    for ax in range(2)], axis=3)
+        w = cells.cell_grid.h ** 2
+        defect = 0.0
+        for i, x in enumerate(xs.reshape(-1, 2)):
+            solver = make_solver(fld.frozen(x), cells.cell_grid, 1e-11, cells.method)
+            for j in range(2):
+                if cells.method == "fv":
+                    res = (solver.mat @ chi.reshape(-1, 2, cells.cell_grid.size)[i, j]
+                           - solver._rhs(j).ravel())
+                else:
+                    res = calculus(cells.cell_grid.shape).div(
+                        ref["dev" + tag].reshape((-1, 2, 2) + ys.shape[:-1])[i, j])
+                defect = max(defect, np.sqrt(w * np.sum(res ** 2)))
+        ref["div" + tag] = defect
+    # [j, k, m] and [k, j, m] over the trailing axes
+    pair = lambda dev, chi: dev[..., :, None, :, :, :] * chi[..., None, :, None, :, :]
+    ref["c3"] = mean(pair(ref["dev"], cells.chi_adj))
+    ref["c3_adj"] = mean(pair(ref["dev_adj"], cells.chi))
+    ref["c2"] = mean((ref["dev"][..., :, None, :, :, :]
+                      * ref["gx_adj"][..., None, :, :, :, :]).sum(axis=-3))
+    ref["c2_adj"] = mean((ref["dev_adj"][..., :, None, :, :, :]
+                          * ref["gx"][..., None, :, :, :, :]).sum(axis=-3))
+    return ref
+
+
+@pytest.mark.parametrize("family,params", [("smooth_2d_nonsymmetric", {}),
+                                           ("laminate_2d", {"x_amplitude": 0.3})],
+                         ids=["spectral", "fv"])
+def test_sample_walk_matches_whole_table_formulas(family, params):
+    field, cells, hom, fc = pipeline(family, params, 4, 32)
+    fc_adj = flux_corrector(cells, field, hom, adjoint=True)
+    co = corrector_coeffs(cells, field)
+    ref = whole_table_reference(cells, field)
+    got = {"c3": co.c3, "c3_adj": co.c3_adj, "c2": co.c2, "c2_adj": co.c2_adj,
+           "dev": fc.deviation, "dev_adj": fc_adj.deviation}
+    # the four moments share one scale: a laminate's c2 vanishes, as its
+    # cells do not vary with x
+    moments = max(np.abs(ref[name]).max() for name in ("c3", "c3_adj", "c2", "c2_adj"))
+    for name, arr in got.items():
+        scale = moments if name.startswith("c") else np.abs(ref[name]).max()
+        assert scale > 1e-3, name
+        assert np.abs(arr - ref[name]).max() <= 1e-13 * scale, name
+    for fcorr, tag in ((fc, ""), (fc_adj, "_adj")):
+        assert fcorr.div_defect == pytest.approx(ref["div" + tag], rel=1e-6, abs=1e-13)
 
 
 def test_corrector_op_duality(smooth_2d):
@@ -218,7 +283,7 @@ def test_corrector_op_matches_rolled_formula(case, adjoint, request):
 
 def test_composed_operator_zero_for_symmetric_periodic():
     field, cells, hom, fc = pipeline("periodic_only", {"dim": 2, "symmetric": True}, 4, 32)
-    co = corrector_coeffs(cells, fc, field, hom)
+    co = corrector_coeffs(cells, field)
     grid = TorusGrid(2, 32)
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
@@ -234,7 +299,7 @@ def test_composed_operator_transpose_structure(smooth_2d):
     # tensor families swapped and the resolvent transposed
     field, cells, hom, fc = smooth_2d
     from microhom.correctors import CorrectorCoeffs
-    co = corrector_coeffs(cells, fc, field, hom)
+    co = corrector_coeffs(cells, field)
     grid = TorusGrid(2, 16)
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
@@ -419,7 +484,7 @@ def test_full_corrector_composition(smooth_2d):
     spec = SmoothingSpec(eps=0.5, n_omega=8)
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
-    co = corrector_coeffs(cells, fc, field, hom)
+    co = corrector_coeffs(cells, field)
     k_op = corrector_op(cells, spec, grid, r0)
     kt_op = corrector_op(cells, spec, grid, r0.T, adjoint=True)
     l_op = assemble_L(co, r0, grid)
@@ -438,7 +503,7 @@ def test_full_corrector_zero_for_constant():
     spec = SmoothingSpec(eps=0.5, n_omega=8)
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
-    co = corrector_coeffs(cells, fc, field, hom)
+    co = corrector_coeffs(cells, field)
     c_op = full_corrector(corrector_op(cells, spec, grid, r0),
                           corrector_op(cells, spec, grid, r0.T, adjoint=True).T,
                           assemble_L(co, r0, grid),
@@ -454,7 +519,7 @@ def error_operator_parts(pipe, n_f, k):
     spec = SmoothingSpec(eps=eps, n_omega=n_f)
     r_eps = resolvent_op(assemble_fine(field, eps, grid))
     r0 = resolvent_op(assemble_homogenized(hom, grid))
-    co = corrector_coeffs(cells, fc, field, hom)
+    co = corrector_coeffs(cells, field)
     return (r_eps, r0, corrector_op(cells, spec, grid, r0),
             corrector_op(cells, spec, grid, r0.T, adjoint=True),
             assemble_L(co, r0, grid), assemble_M(field, cells, spec, r0, grid), eps)

@@ -69,6 +69,29 @@ def test_emit_report_files(quick_report, tmp_path):
     assert paths["timings"].exists()
 
 
+def test_timings_split_per_eps_and_setup_stages(quick_report, tmp_path):
+    lines = emit_report(quick_report, tmp_path)["timings"].read_text().splitlines()
+    assert lines[0] == ("eps,assemble_ms,correctors_ms,pairing_ms,"
+                        "norm_E0_ms,norm_E1_ms,norm_E2_ms")
+    assert len(lines) == 1 + len(quick_report.eps_list) + 3
+    setup = [line.split(",")[0] for line in lines[-3:]]
+    assert setup == ["# cell_table_ms", "# moments_ms", "# matched_effective_ms"]
+
+
+def test_cell_table_breaking_energy_bound_aborts_sweep(monkeypatch):
+    # a real table with its cell gradients scaled by 1e3 breaks the bound
+    # sqrt(d) / lam^2 at every sample: the sweep refuses it and names one
+    build = microhom.sweep.build_cell_table
+
+    def inflated(*args, **kwargs):
+        cells = build(*args, **kwargs)
+        cells.grad_y_chi *= 1e3
+        return cells
+    monkeypatch.setattr(microhom.sweep, "build_cell_table", inflated)
+    with pytest.raises(SolveError, match="slow sample x = .*energy"):
+        run_sweep(QUICK_1D)
+
+
 def test_norm_applications_recorded(quick_report, tmp_path):
     apps = quick_report.norm_applications
     assert set(apps) == {"E0", "E1", "E2"}
