@@ -7,7 +7,7 @@ composed and double-averaged corrector operators) and measures the
 operator-norm convergence of the resolvent approximations they define.
 """
 
-from .assemble import assemble_diffusion, assemble_fine, assemble_homogenized, resolvent_op, solve
+from .assemble import assemble_diffusion, assemble_fine, assemble_homogenized, resolvent_op
 from .cell import CellField, CellSolutions, build_cell_table, load_cell_table, save_cell_table
 from .coefficients import CoefficientField, ValidationReport, builtin_family, validate_coefficient
 from .config import ExperimentConfig, load_config
@@ -34,7 +34,7 @@ __all__ = [
     "drift_matrix_field", "effective_matrix", "emit_report", "error_operators",
     "fit_rate", "flux_corrector", "full_corrector", "h1_gram_op",
     "load_cell_table", "load_config", "matrix_op", "norms", "operator_norm", "resolvent_op",
-    "run_sweep", "save_cell_table", "shift", "solve", "steklov", "steklov_op",
+    "run_sweep", "save_cell_table", "shift", "steklov", "steklov_op",
     "transpose_defect",
     "validate_coefficient", "vector_potential",
 ]

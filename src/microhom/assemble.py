@@ -11,8 +11,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolveError
-from .grids import GridFunction, norms
 from .operators import DiscreteOperator, matrix_op
 
 
@@ -114,9 +112,7 @@ def assemble_fine(field, eps, grid):
         raise ValueError(f"need >= 8 points per eps-cell, got {grid.n // k}")
     diag_faces, cross = _sample_coefficient(field, grid, eps=eps)
     mat = assemble_diffusion(grid, diag_faces, cross, mass=1.0)
-    op = matrix_op(mat, grid=grid, label=f"A_eps(1/{k})+1")
-    op.is_coercive = True
-    return op
+    return matrix_op(mat, grid=grid, label=f"A_eps(1/{k})+1")
 
 
 def assemble_homogenized(hom, grid):
@@ -133,9 +129,7 @@ def assemble_homogenized(hom, grid):
                 if m != k:
                     cross[(m, k)] = hom.resample_entry(m, k, grid.n)
     mat = assemble_diffusion(grid, diag_faces, cross, mass=1.0)
-    op = matrix_op(mat, grid=grid, label="A0+1")
-    op.is_coercive = True
-    return op
+    return matrix_op(mat, grid=grid, label="A0+1")
 
 
 def resolvent_op(assembled, label=None):
@@ -146,28 +140,3 @@ def resolvent_op(assembled, label=None):
     op.lu = lu
     return op
 
-
-def solve(op, rhs, tol=1e-10):
-    """Direct solve of an assembled coercive system.
-
-    Returns (solution, info); info records the relative residual and the
-    discrete-H1-to-L2 energy quotient of the solution.  Raises SolveError
-    if the factorization cannot reach the requested residual.
-    """
-    if not getattr(op, "is_coercive", False):
-        raise ValueError("solve expects an assembled coercive operator")
-    grid = op.grid
-    b = rhs.values.ravel() if isinstance(rhs, GridFunction) else np.asarray(rhs).ravel()
-    if not hasattr(op, "_resolvent"):
-        op._resolvent = resolvent_op(op)
-    x = op._resolvent.matvec(b)
-    nb = np.linalg.norm(b)
-    res = np.linalg.norm(op.matvec(x) - b) / nb if nb > 0 else 0.0
-    if res > max(tol, 1e-12):
-        raise SolveError(f"{op.label}: residual {res:.3e} above tolerance {tol:.3e}")
-    u = GridFunction(grid, x.reshape(grid.shape))
-    l2, h1 = norms(u)
-    rhs_l2 = np.sqrt(grid.h ** grid.dim) * nb
-    info = {"residual": res,
-            "energy_quotient": h1 / rhs_l2 if rhs_l2 > 0 else 0.0}
-    return u, info

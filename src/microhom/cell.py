@@ -27,11 +27,12 @@ _LGMRES_CALLS = 300  # outer lgmres iterations allowed per spectral block solve
 
 @dataclass
 class CellField:
-    """One cell solution: zero-mean values and gradient on the cell grid."""
+    """One cell solution: zero-mean values, gradient, and the cell mean of its
+    flux a (e^j + grad chi^j) in the solving scheme (effective column j)."""
     values: np.ndarray          # (*cell_shape)
     grad: np.ndarray            # (d, *cell_shape)
     residual: float             # relative discrete residual
-    method: str
+    column: np.ndarray          # (d,)
 
 
 class SpectralCellSolver:
@@ -84,7 +85,13 @@ class SpectralCellSolver:
             if res > 10 * self.tol:
                 raise SolveError(f"cell solve (spectral, j={dirs[b]}) residual {res:.2e}")
         grads = self.calc.grad(values)
-        return [CellField(values[b], grads[b], float(residuals[b]), "spectral")
+        # cell mean of the node flux a (e^j + grad chi^j) of every block, taken
+        # in a's (node, p) layout: numpy then sums a 2D cell's nodes in turn,
+        # not pairwise, and the columns keep their values to the last bit
+        epg = grads + np.eye(d)[dirs].reshape((len(dirs), d) + (1,) * d)
+        flux = np.einsum("bpq...,bq...->bp...", a, epg, order="C")
+        columns = np.moveaxis(flux, 1, -1).copy().reshape(len(dirs), -1, d).mean(axis=1)
+        return [CellField(values[b], grads[b], float(residuals[b]), columns[b])
                 for b in range(len(dirs))]
 
     def _krylov(self, a, rhs):
@@ -132,13 +139,6 @@ class SpectralCellSolver:
             if best_res.max() <= self.tol or not halved:
                 break
         return best_v, best_res
-
-    def effective_column(self, cf, j):
-        """Cell mean of the node flux a (e^j + grad chi^j)."""
-        ej = np.zeros_like(cf.grad)
-        ej[j] = 1.0
-        flux = np.einsum("...pq,q...->p...", self.a, cf.grad + ej)
-        return flux.reshape(self.grid.dim, -1).mean(axis=1)
 
 
 class FVCellSolver:
@@ -203,7 +203,7 @@ class FVCellSolver:
         if nb == 0.0:
             zero = np.zeros(self.grid.shape)
             return CellField(zero, np.zeros((self.grid.dim,) + self.grid.shape),
-                             0.0, "fv")
+                             0.0, self._column(zero, j))
         b_pinned = b.copy()
         b_pinned[0] = 0.0
         x = self.lu.solve(b_pinned)
@@ -212,7 +212,7 @@ class FVCellSolver:
         res = np.linalg.norm(self.mat @ v.ravel() - b) / nb
         if res > max(10 * self.tol, 1e-10):
             raise SolveError(f"cell solve (fv, j={j}) residual {res:.2e}")
-        return CellField(v, centered_gradient(v, self.grid.h), res, "fv")
+        return CellField(v, centered_gradient(v, self.grid.h), res, self._column(v, j))
 
     def solve_all(self, adjoint):
         """Every direction, then with `adjoint` every transposed-coefficient one."""
@@ -223,18 +223,18 @@ class FVCellSolver:
             fields += [solver_t.solve(j) for j in range(self.grid.dim)]
         return fields
 
-    def effective_column(self, cf, j):
+    def _column(self, values, j):
         """Flux mean of a (e^j + grad chi^j): conservative faces plus node cross terms."""
         d = self.grid.dim
         h = self.grid.h
         col = np.zeros(d)
         for m in range(d):
             face_flux = self.diag_faces[m] * (
-                (np.roll(cf.values, -1, axis=m) - cf.values) / h + (1.0 if m == j else 0.0))
+                (np.roll(values, -1, axis=m) - values) / h + (1.0 if m == j else 0.0))
             col[m] = face_flux.mean()
             for k in range(d):
                 if k != m:
-                    dk = centered_diff(cf.values, k, h)
+                    dk = centered_diff(values, k, h)
                     col[m] += (self.cross[(m, k)] * (dk + (1.0 if k == j else 0.0))).mean()
         return col
 
@@ -256,7 +256,9 @@ class CellSolutions:
     Array layout (slow sample axes first, then direction j, then cell axes):
       chi, chi_adj:                 (*slow_shape, d, *cell_shape)
       grad_y_chi, grad_y_chi_adj:   (*slow_shape, d, d, *cell_shape)
-    where grad_y_* [..., j, m, ...] holds the m-derivative of solution j.
+      a0, a0_adj:                   (*slow_shape, d, d)
+    where grad_y_* [..., j, m, ...] holds the m-derivative of solution j
+    and a0[..., :, j] its effective column (`CellField.column`).
     Slow-variable gradients are centered differences of neighbouring
     samples, taken where they are used.
     """
@@ -267,6 +269,8 @@ class CellSolutions:
     grad_y_chi: np.ndarray
     chi_adj: np.ndarray
     grad_y_chi_adj: np.ndarray
+    a0: np.ndarray
+    a0_adj: np.ndarray
     residual_max: float = 0.0
     lipschitz_quotient: float = 0.0
     method: str = "spectral"
@@ -296,6 +300,8 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     gy = np.zeros((n_slow, d, d) + cshape)
     chi_a = np.zeros((n_slow, d) + cshape)
     gy_a = np.zeros((n_slow, d, d) + cshape)
+    a0 = np.zeros((n_slow, d, d))
+    a0_a = np.zeros((n_slow, d, d))
 
     def work(i):
         try:
@@ -306,14 +312,15 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
         if field.symmetric:
             fields = fields + fields
         for j in range(d):
-            chi[i, j], gy[i, j] = fields[j].values, fields[j].grad
-            chi_a[i, j], gy_a[i, j] = fields[d + j].values, fields[d + j].grad
+            prim, adj = fields[j], fields[d + j]
+            chi[i, j], gy[i, j], a0[i, :, j] = prim.values, prim.grad, prim.column
+            chi_a[i, j], gy_a[i, j], a0_a[i, :, j] = adj.values, adj.grad, adj.column
         return max(cf.residual for cf in fields)
 
     if field.lipschitz_x == 0.0:
         # no slow dependence: one solve serves every sample
         residual_max = work(0)
-        for table in (chi, gy, chi_a, gy_a):
+        for table in (chi, gy, chi_a, gy_a, a0, a0_a):
             table[1:] = table[0]
     else:
         residual_max = max(work(i) for i in range(n_slow))
@@ -323,6 +330,8 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     gy = gy.reshape(sshape + (d, d) + cshape)
     chi_a = chi_a.reshape(sshape + (d,) + cshape)
     gy_a = gy_a.reshape(sshape + (d, d) + cshape)
+    a0 = a0.reshape(sshape + (d, d))
+    a0_a = a0_a.reshape(sshape + (d, d))
 
     # adjacent-sample H1 Lipschitz quotient along each slow axis
     w = cell_grid.h ** d
@@ -337,23 +346,23 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
 
     return CellSolutions(family=field.name, slow_grid=slow_grid, cell_grid=cell_grid,
                          chi=chi, grad_y_chi=gy, chi_adj=chi_a, grad_y_chi_adj=gy_a,
-                         residual_max=residual_max, lipschitz_quotient=quot,
-                         method=method)
+                         a0=a0, a0_adj=a0_a, residual_max=residual_max,
+                         lipschitz_quotient=quot, method=method)
 
 
 # -- binary container --------------------------------------------------------
 
-_MAGIC = b"CELLTBL3"
+_MAGIC = b"CELLTBL4"
 
 
 def save_cell_table(path, cells):
     """Write a cell table to the documented flat binary layout.
 
-    Layout: 8-byte magic `CELLTBL3`, 64-byte family name and 8-byte cell
+    Layout: 8-byte magic `CELLTBL4`, 64-byte family name and 8-byte cell
     method (`spectral` or `fv`; both utf-8, zero padded), three
     little-endian int64 (dim, n_x, n_y), one little-endian float64 pair
-    (residual_max, lipschitz_quotient), then the four float64 arrays chi,
-    grad_y_chi, chi_adj, grad_y_chi_adj in C order.
+    (residual_max, lipschitz_quotient), then the six float64 arrays chi,
+    grad_y_chi, chi_adj, grad_y_chi_adj, a0, a0_adj in C order.
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -361,7 +370,8 @@ def save_cell_table(path, cells):
         fh.write(cells.method.encode()[:8].ljust(8, b"\0"))
         fh.write(struct.pack("<3q", cells.dim, cells.slow_grid.n, cells.cell_grid.n))
         fh.write(struct.pack("<2d", cells.residual_max, cells.lipschitz_quotient))
-        for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj, cells.grad_y_chi_adj):
+        for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj, cells.grad_y_chi_adj,
+                    cells.a0, cells.a0_adj):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -386,6 +396,9 @@ def load_cell_table(path):
         gy = read(sshape + (dim, dim) + cshape)
         chi_a = read(sshape + (dim,) + cshape)
         gy_a = read(sshape + (dim, dim) + cshape)
+        a0 = read(sshape + (dim, dim))
+        a0_a = read(sshape + (dim, dim))
     return CellSolutions(family=family, slow_grid=slow, cell_grid=cell,
                          chi=chi, grad_y_chi=gy, chi_adj=chi_a, grad_y_chi_adj=gy_a,
-                         residual_max=residual_max, lipschitz_quotient=lip, method=method)
+                         a0=a0, a0_adj=a0_a, residual_max=residual_max,
+                         lipschitz_quotient=lip, method=method)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cell import CellField, CellSolutions, FVCellSolver, make_solver
+from .cell import CellSolutions, FVCellSolver, make_solver
 from .errors import SolveError
 from .grids import TorusGrid, interp_matrix
 from .spectral import calculus, trig_resample
@@ -39,7 +39,7 @@ class HomogenizedField:
     ellipticity: float
     lipschitz_quotient: float
     symmetric: bool
-    adjoint_defect: float = 0.0
+    adjoint_defect: float
 
     @property
     def dim(self):
@@ -79,7 +79,7 @@ def multilinear(table, slow_grid, x):
 
 
 def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
-    """Cell-average flux response at every slow sample.
+    """The cell table's effective columns, checked and packaged.
 
     Checks ellipticity of every sample against the field's claimed
     constant, records the adjacent-sample Lipschitz quotient, and verifies
@@ -87,33 +87,16 @@ def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
     solutions equals the transpose of the primal one.
     """
     d = cells.dim
-    xs = cells.slow_grid.coords().reshape(-1, d)
-    cshape = cells.cell_grid.shape
-    n_slow = xs.shape[0]
-    mats = np.zeros((n_slow, d, d))
-    mats_adj = np.zeros((n_slow, d, d))
-    for fld, chi, gy, out in ((field, cells.chi, cells.grad_y_chi, mats),
-                              (field.transposed(), cells.chi_adj, cells.grad_y_chi_adj,
-                               mats_adj)):
-        chi = chi.reshape((n_slow, d) + cshape)
-        gy = gy.reshape((n_slow, d, d) + cshape)
-        for i, x in enumerate(xs):
-            solver = make_solver(fld.frozen(x), cells.cell_grid, 1e-11, cells.method)
-            for j in range(d):
-                cf = CellField(chi[i, j], gy[i, j], 0.0, cells.method)
-                out[i, :, j] = solver.effective_column(cf, j)
-
-    adjoint_defect = float(np.abs(mats_adj - np.swapaxes(mats, -1, -2)).max())
+    mats = cells.a0
+    adjoint_defect = float(np.abs(cells.a0_adj - np.swapaxes(mats, -1, -2)).max())
 
     lam = field.ellipticity
-    for i in range(n_slow):
-        sym = 0.5 * (mats[i] + mats[i].T)
-        low = float(np.linalg.eigvalsh(sym).min())
+    for i, mat in enumerate(mats.reshape(-1, d, d)):
+        low = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
         if low < lam * (1 - 1e-8) - 1e-12:
             raise SolveError(
                 f"effective matrix lost ellipticity at sample {i}: {low:.6g} < {lam:.6g}")
 
-    mats = mats.reshape(cells.slow_grid.shape + (d, d))
     lip = 0.0
     for ax in range(d):
         diff = np.roll(mats, -1, axis=ax) - mats
@@ -214,8 +197,7 @@ def _sample_fluxes(cells: CellSolutions, field, adjoint=False):
         yield _sample_flux(solver, chi[i], gy[i], fld.ellipticity, x)
 
 
-def flux_corrector(cells: CellSolutions, field, hom: HomogenizedField,
-                   adjoint=False) -> FluxCorrector:
+def flux_corrector(cells: CellSolutions, field, adjoint=False) -> FluxCorrector:
     """Pointwise flux deviation g^j per slow sample.
 
     With adjoint=True, builds the deviation of the transposed field from

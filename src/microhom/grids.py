@@ -63,9 +63,6 @@ class GridFunction:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
-
     def __repr__(self):
         return f"GridFunction(grid={self.grid!r})"
 

@@ -19,20 +19,21 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import cell, effective
 from .assemble import assemble_fine, assemble_homogenized, resolvent_op
-from .cell import build_cell_table, make_solver
+from .cell import build_cell_table
 from .config import ExperimentConfig
 # full_corrector and flux_corrector are not called here (the norms apply
 # the fused error_operators, and corrector_coeffs builds its own flux
 # deviations), but perfbench/run.py wraps both by this module's name
 from .correctors import (assemble_L, assemble_M, corrector_coeffs, corrector_op,  # noqa: F401
                          error_operators, full_corrector)
-from .effective import HomogenizedField, effective_matrix, flux_corrector  # noqa: F401
+from .effective import effective_matrix, flux_corrector  # noqa: F401
 from .errors import SolveError
 from .grids import TorusGrid
 from .operators import h1_gram_op, operator_norm, transpose_defect
@@ -103,7 +104,7 @@ def fit_rate(eps, errors):
     return float(coef[0]), float(coef[1]), resid
 
 
-def matched_effective_matrix(field, hom, n_f, tol):
+def matched_effective_matrix(field, slow_grid, n_f, tol):
     """Effective matrix of the fine scheme's own implicit cell problem.
 
     Re-solves the cell problems with the conservative finite-volume
@@ -111,22 +112,13 @@ def matched_effective_matrix(field, hom, n_f, tol):
     grid), so the homogenized operator matches the discrete two-scale limit
     of the fine scheme instead of the continuum one.  Used only by sweeps
     on eps^2 scaling, where the continuum-vs-discrete effective offset would
-    otherwise floor the curve.
+    otherwise floor the curve.  It is checked like the continuum one.
     """
-    d = field.dim
-    cell_grid = TorusGrid(d, n_f)
-    xs = hom.slow_grid.coords().reshape(-1, d)
-    mats = np.zeros((xs.shape[0], d, d))
-    for i, x in enumerate(xs):
-        solver = make_solver(field.frozen(x), cell_grid, tol, "fv")
-        for j in range(d):
-            cf = solver.solve(j)
-            mats[i, :, j] = solver.effective_column(cf, j)
-    mats = mats.reshape(hom.slow_grid.shape + (d, d))
-    return HomogenizedField(slow_grid=hom.slow_grid, matrices=mats,
-                            ellipticity=hom.ellipticity,
-                            lipschitz_quotient=hom.lipschitz_quotient,
-                            symmetric=hom.symmetric)
+    fv = replace(field, cell_method="fv")
+    # through their modules: perfbench/run.py wraps this module's names, and
+    # the matched stage keeps its own span apart from the spectral table's
+    cells = cell.build_cell_table(fv, slow_grid, TorusGrid(field.dim, n_f), tol)
+    return effective.effective_matrix(cells, fv)
 
 
 # the eps-independent stages, timed once per sweep
@@ -182,7 +174,7 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     with setup_stage("matched_effective"):
         if config.matched_effective:
             say("building matched effective matrix")
-            hom_for_r0 = matched_effective_matrix(field, hom, config.n_f, config.cell_tol)
+            hom_for_r0 = matched_effective_matrix(field, slow_grid, config.n_f, config.cell_tol)
             report.flags.append("matched_effective: homogenized operator uses the "
                                 "fine scheme's implicit cell limit")
 

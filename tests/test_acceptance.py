@@ -82,7 +82,7 @@ def test_criterion_3_degeneration_ladder():
     field = builtin_family("constant", {"matrix": np.eye(2)})
     cells = build_cell_table(field, TorusGrid(2, 4), TorusGrid(2, 32))
     hom = effective_matrix(cells, field)
-    fc = vector_potential(flux_corrector(cells, field, hom), cells.cell_grid)
+    fc = vector_potential(flux_corrector(cells, field), cells.cell_grid)
     assert np.abs(cells.chi).max() == 0.0
     assert np.abs(cells.chi_adj).max() == 0.0
     assert np.abs(fc.deviation).max() < 1e-12
@@ -137,7 +137,7 @@ def test_criterion_4_flux_potential_identities():
     field = builtin_family("smooth_2d_nonsymmetric", {})
     cells = build_cell_table(field, TorusGrid(2, 4), TorusGrid(2, 128), tol=1e-12)
     hom = effective_matrix(cells, field)
-    fc = flux_corrector(cells, field, hom)
+    fc = flux_corrector(cells, field)
     mean_g = float(np.abs(fc.deviation.mean(axis=(-1, -2))).max())
     assert mean_g <= 1e-8
     fc = vector_potential(fc, cells.cell_grid)

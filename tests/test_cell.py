@@ -98,9 +98,7 @@ def test_fv_grid_convergence_second_order():
     errs, hs = [], []
     for n in (16, 32, 64, 128):
         g = TorusGrid(1, n)
-        s = make_solver(a_eval, g, 1e-12, "fv")
-        cf = s.solve(0)
-        a0 = s.effective_column(cf, 0)[0]
+        a0 = make_solver(a_eval, g, 1e-12, "fv").solve(0).column[0]
         errs.append(abs(a0 - np.sqrt(3.0)))
         hs.append(g.h)
     fit = np.polyfit(np.log(hs), np.log(errs), 1)
@@ -191,7 +189,7 @@ def test_save_load_roundtrip(tmp_path, family, n_y):
     assert loaded.method == cells.method == f.cell_method
     assert loaded.slow_grid == cells.slow_grid
     assert loaded.cell_grid == cells.cell_grid
-    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj"):
+    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj", "a0", "a0_adj"):
         assert np.array_equal(getattr(loaded, attr), getattr(cells, attr)), attr
     assert loaded.residual_max == cells.residual_max
     assert loaded.lipschitz_quotient == cells.lipschitz_quotient
@@ -207,10 +205,10 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 
 def test_load_rejects_previous_container(tmp_path):
-    # CELLTBL2 tables also stored the slow gradients; they must be rebuilt
+    # CELLTBL3 tables lack the effective columns; they must be rebuilt
     f = builtin_family("separable_1d", {})
     path = tmp_path / "cells.bin"
     save_cell_table(path, build_cell_table(f, TorusGrid(1, 4), TorusGrid(1, 16)))
-    path.write_bytes(b"CELLTBL2" + path.read_bytes()[8:])
-    with pytest.raises(ValueError, match="CELLTBL3"):
+    path.write_bytes(b"CELLTBL3" + path.read_bytes()[8:])
+    with pytest.raises(ValueError, match="CELLTBL4"):
         load_cell_table(path)

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from microhom import (TorusGrid, build_cell_table, builtin_family,
+import microhom.effective
+from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
                       effective_matrix, flux_corrector, vector_potential)
+from microhom.cell import make_solver
 from microhom.effective import multilinear
-from microhom.grids import interp_matrix
+from microhom.grids import centered_diff, interp_matrix
 from microhom.spectral import calculus
+from microhom.sweep import matched_effective_matrix
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +137,105 @@ def test_resample_entry_matches_samples(smooth_2d):
     assert np.allclose(re, hom.matrices[..., 0, 1], atol=1e-12)
 
 
+def spectral_column(a, grad, j, grid):
+    """Cell mean of the node flux a (e^j + grad chi^j), one einsum per cell."""
+    ej = np.zeros_like(grad)
+    ej[j] = 1.0
+    flux = np.einsum("...pq,q...->p...", a, grad + ej)
+    return flux.reshape(grid.dim, -1).mean(axis=1)
+
+
+def fv_column(a_eval, values, j, grid):
+    """Face-flux quadrature: diagonal entries at face midpoints with the
+    two-point difference, off-diagonal ones at nodes with centered ones."""
+    d, h = grid.dim, grid.h
+    a_nodes = a_eval(grid.coords())
+    col = np.zeros(d)
+    for m in range(d):
+        a_face = a_eval(grid.face_coords(m))[..., m, m]
+        col[m] = (a_face * ((np.roll(values, -1, axis=m) - values) / h
+                            + (1.0 if m == j else 0.0))).mean()
+        for k in range(d):
+            if k != m:
+                dk = centered_diff(values, k, h)
+                col[m] += (a_nodes[..., m, k] * (dk + (1.0 if k == j else 0.0))).mean()
+    return col
+
+
+def per_sample_columns(field, cells, adjoint=False):
+    """Effective matrices of a table's stored solutions, sample by sample."""
+    d, cell_grid = field.dim, cells.cell_grid
+    fld = field.transposed() if adjoint else field
+    chi, gy = (cells.chi_adj, cells.grad_y_chi_adj) if adjoint else (cells.chi, cells.grad_y_chi)
+    xs = cells.slow_grid.coords().reshape(-1, d)
+    chi = chi.reshape((len(xs), d) + cell_grid.shape)
+    gy = gy.reshape((len(xs), d, d) + cell_grid.shape)
+    mats = np.zeros((len(xs), d, d))
+    for i, x in enumerate(xs):
+        for j in range(d):
+            if cells.method == "fv":
+                mats[i, :, j] = fv_column(fld.frozen(x), chi[i, j], j, cell_grid)
+            else:
+                mats[i, :, j] = spectral_column(fld.frozen(x)(cell_grid.coords()),
+                                                gy[i, j], j, cell_grid)
+    return mats.reshape(cells.slow_grid.shape + (d, d))
+
+
+def matched_by_hand(field, slow_grid, n_f, tol):
+    """Finite-volume effective matrix, one primal solve per sample and
+    direction."""
+    d = field.dim
+    cell_grid = TorusGrid(d, n_f)
+    xs = slow_grid.coords().reshape(-1, d)
+    mats = np.zeros((len(xs), d, d))
+    for i, x in enumerate(xs):
+        solver = make_solver(field.frozen(x), cell_grid, tol, "fv")
+        for j in range(d):
+            mats[i, :, j] = fv_column(field.frozen(x), solver.solve(j).values, j, cell_grid)
+    return mats.reshape(slow_grid.shape + (d, d))
+
+
+@pytest.mark.parametrize("family,params", [("smooth_2d_nonsymmetric", {}),
+                                           ("laminate_2d", {"x_amplitude": 0.3})],
+                         ids=["spectral", "fv"])
+def test_table_columns_match_the_quadratures(monkeypatch, family, params):
+    # the columns the solves return are the node-flux mean (spectral) and
+    # the face quadrature (fv) of the stored solutions, bit for bit, and
+    # effective_matrix reads them without building a solver
+    field = builtin_family(family, params)
+    slow, cell = TorusGrid(2, 4), TorusGrid(2, 32)
+    cells = build_cell_table(field, slow, cell, tol=1e-11)
+    a0 = per_sample_columns(field, cells)
+    a0_adj = per_sample_columns(field, cells, adjoint=True)
+    assert np.array_equal(cells.a0, a0)
+    assert np.array_equal(cells.a0_adj, a0_adj)
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("effective_matrix built a cell solver")
+    monkeypatch.setattr(microhom.effective, "make_solver", no_solver)
+    hom = effective_matrix(cells, field)
+    assert np.array_equal(hom.matrices, a0)
+    assert hom.adjoint_defect == np.abs(a0_adj - np.swapaxes(a0, -1, -2)).max()
+
+    matched = matched_effective_matrix(field, slow, 8, 1e-11)
+    assert np.array_equal(matched.matrices, matched_by_hand(field, slow, 8, 1e-11))
+
+
+def test_matched_effective_matrix_is_checked():
+    field = builtin_family("smooth_2d_nonsymmetric", {})
+    slow = TorusGrid(2, 4)
+    matched = matched_effective_matrix(field, slow, 8, 1e-11)
+    assert matched.adjoint_defect <= 1e-14
+    # the matched matrices' smallest eigenvalue is near 1.4: a field
+    # claiming more than that is refused
+    with pytest.raises(SolveError, match="ellipticity"):
+        matched_effective_matrix(replace(field, ellipticity=2.0), slow, 8, 1e-11)
+
+
 def test_flux_deviation_zero_for_constant():
     f = builtin_family("constant", {"matrix": [[1.7, 0.0], [0.0, 1.1]]})
     cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16))
-    hom = effective_matrix(cells, f)
-    fc = flux_corrector(cells, f, hom)
+    fc = flux_corrector(cells, f)
     assert np.abs(fc.deviation).max() < 1e-13
 
 
@@ -145,27 +244,26 @@ def test_flux_deviation_1d_vanishes():
     # is identically zero up to solver tolerance
     f = builtin_family("separable_1d", {})
     cells = build_cell_table(f, TorusGrid(1, 8), TorusGrid(1, 128), tol=1e-12)
-    hom = effective_matrix(cells, f)
-    fc = flux_corrector(cells, f, hom)
+    fc = flux_corrector(cells, f)
     assert np.abs(fc.deviation).max() < 1e-9
 
 
 def test_flux_mean_zero_at_machine_precision(smooth_2d):
     field, cells, hom = smooth_2d
-    fc = flux_corrector(cells, field, hom)
+    fc = flux_corrector(cells, field)
     means = fc.deviation.mean(axis=(-1, -2))
     assert np.abs(means).max() < 1e-13
 
 
 def test_flux_divergence_free(smooth_2d):
     field, cells, hom = smooth_2d
-    fc = flux_corrector(cells, field, hom)
+    fc = flux_corrector(cells, field)
     assert fc.div_defect < 1e-9
 
 
 def test_potential_identities(smooth_2d):
     field, cells, hom = smooth_2d
-    fc = flux_corrector(cells, field, hom)
+    fc = flux_corrector(cells, field)
     fc = vector_potential(fc, cells.cell_grid)
     assert fc.div_defect < 1e-8
     g = fc.potential_matrix((0, 0), 0)
@@ -178,16 +276,14 @@ def test_potential_identities(smooth_2d):
 def test_potential_zero_for_zero_deviation():
     f = builtin_family("constant", {"matrix": np.eye(2)})
     cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16))
-    hom = effective_matrix(cells, f)
-    fc = vector_potential(flux_corrector(cells, f, hom), cells.cell_grid)
+    fc = vector_potential(flux_corrector(cells, f), cells.cell_grid)
     assert np.abs(fc.potential_upper).max() == 0.0
 
 
 def test_potential_1d_is_empty_skew():
     f = builtin_family("separable_1d", {})
     cells = build_cell_table(f, TorusGrid(1, 4), TorusGrid(1, 64))
-    hom = effective_matrix(cells, f)
-    fc = vector_potential(flux_corrector(cells, f, hom), cells.cell_grid)
+    fc = vector_potential(flux_corrector(cells, f), cells.cell_grid)
     assert fc.potential_upper.shape[-3] == 0 or fc.potential_upper.size == 0
     g = fc.potential_matrix((0,), 0)
     assert g.shape[:2] == (1, 1)
@@ -196,7 +292,7 @@ def test_potential_1d_is_empty_skew():
 
 def test_adjoint_flux_uses_transposed_field(smooth_2d):
     field, cells, hom = smooth_2d
-    fc_adj = flux_corrector(cells, field, hom, adjoint=True)
+    fc_adj = flux_corrector(cells, field, adjoint=True)
     # solenoidal and zero mean like the primal one
     assert np.abs(fc_adj.deviation.mean(axis=(-1, -2))).max() < 1e-13
     assert fc_adj.div_defect < 1e-9

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from microhom import (GridFunction, SolveError, TorusGrid, assemble_fine,
-                      assemble_homogenized, build_cell_table, builtin_family,
-                      effective_matrix, resolvent_op, solve)
+from microhom import (GridFunction, TorusGrid, assemble_fine, assemble_homogenized,
+                      build_cell_table, builtin_family, effective_matrix, norms,
+                      resolvent_op)
 from microhom.operators import operator_norm, transpose_defect
 
 
@@ -46,13 +46,11 @@ def test_resolution_constraints():
         assemble_fine(f, 1.0 / 16, TorusGrid(1, 64))
 
 
-def test_solve_zero_rhs():
-    f = builtin_family("separable_1d", {})
-    g = TorusGrid(1, 128)
-    op = assemble_fine(f, 1.0 / 8, g)
-    u, info = solve(op, GridFunction.zeros(g))
-    assert np.abs(u.values).max() == 0.0
-    assert info["residual"] == 0.0
+def solve(op, rhs, tol):
+    """LU solve of an assembled system, held to a relative residual."""
+    u = resolvent_op(op).matvec(rhs.ravel())
+    assert np.linalg.norm(op.matvec(u) - rhs.ravel()) <= tol * np.linalg.norm(rhs)
+    return u.reshape(rhs.shape)
 
 
 def test_solve_analytic_eigenpair():
@@ -62,12 +60,14 @@ def test_solve_analytic_eigenpair():
     g = TorusGrid(1, 256)
     op = assemble_fine(f, 1.0 / 16, g)
     x = g.axis_coords()
-    rhs = GridFunction(g, np.sin(2 * np.pi * x))
-    u, info = solve(op, rhs, tol=1e-12)
+    rhs = np.sin(2 * np.pi * x)
+    u = solve(op, rhs, tol=1e-12)
     mu_h = (2 - 2 * np.cos(2 * np.pi * g.h)) / g.h ** 2 + 1.0
-    assert np.allclose(u.values, rhs.values / mu_h, atol=1e-12)
-    assert u.values.max() == pytest.approx(1.0 / (4 * np.pi ** 2 + 1), rel=1e-3)
-    assert info["energy_quotient"] <= 1.0 + 1e-12
+    assert np.allclose(u, rhs / mu_h, atol=1e-12)
+    assert u.max() == pytest.approx(1.0 / (4 * np.pi ** 2 + 1), rel=1e-3)
+    # discrete H1 norm of the solution over the L2 norm of the data
+    energy_quotient = norms(GridFunction(g, u))[1] / norms(GridFunction(g, rhs))[0]
+    assert energy_quotient <= 1.0 + 1e-12
 
 
 def test_solve_nonsymmetric_system():
@@ -75,9 +75,7 @@ def test_solve_nonsymmetric_system():
     g = TorusGrid(2, 32)
     op = assemble_fine(f, 0.25, g)
     rng = np.random.default_rng(0)
-    rhs = GridFunction(g, rng.standard_normal(g.shape))
-    u, info = solve(op, rhs, tol=1e-10)
-    assert info["residual"] <= 1e-10
+    solve(op, rng.standard_normal(g.shape), tol=1e-10)
 
 
 def test_self_convergence_of_fine_solve():
@@ -89,10 +87,9 @@ def test_self_convergence_of_fine_solve():
         g = TorusGrid(1, n)
         op = assemble_fine(f, eps, g)
         x = g.axis_coords()
-        rhs = GridFunction(g, np.cos(2 * np.pi * x))
-        sols[n], _ = solve(op, rhs)
-    e1 = np.abs(sols[128].values - sols[256].values[::2]).max()
-    e2 = np.abs(sols[256].values - sols[512].values[::2]).max()
+        sols[n] = solve(op, np.cos(2 * np.pi * x), tol=1e-10)
+    e1 = np.abs(sols[128] - sols[256][::2]).max()
+    e2 = np.abs(sols[256] - sols[512][::2]).max()
     assert e2 < e1 / 3.2   # order >= 1.7 between dyadic levels
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import microhom
 import microhom.sweep
 from microhom import (ConfigError, ConvergenceReport, SolveError, emit_report, fit_rate,
                       run_sweep)
@@ -217,3 +218,8 @@ def test_cli_cells_effective_sweep(tmp_path, capsys):
     assert (tmp_path / "sw" / "results.csv").exists()
     out = capsys.readouterr().out
     assert "slope[E2]" in out
+
+
+def test_public_names_resolve():
+    missing = [name for name in microhom.__all__ if not hasattr(microhom, name)]
+    assert missing == []
