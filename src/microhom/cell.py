@@ -5,9 +5,10 @@ For each slow sample x and direction j this solves
     div_y[ a(x, y) (e^j + grad_y chi^j(x, y)) ] = 0,   <chi^j(x, .)> = 0,
 
 periodically in y, together with the adjoint problems (coefficient a^T).
-Smooth coefficients use Fourier collocation with an inverse-Laplacian
-preconditioner; discontinuous laminates use conservative finite volumes
-with a direct sparse solve.
+Smooth coefficients use Fourier collocation, iterated on the half spectrum
+with the Green operator of the Laplacian as right preconditioner;
+discontinuous laminates use conservative finite volumes with a direct
+sparse solve whose factor also serves the adjoint.
 """
 
 import struct
@@ -38,10 +39,11 @@ class CellField:
 class SpectralCellSolver:
     """Fourier collocation for div_y[a (e^j + grad chi)] = 0 on one cell.
 
-    The unknown lives in the zero-mean, Nyquist-masked trig space; the
-    preconditioner is the exact inverse Laplacian on that space, so the
-    preconditioned operator has spectrum controlled by the ellipticity
-    bounds alone.  The directions (and adjoint directions) of one cell are
+    The unknown y is the packed half spectrum (`FourierCalculus.pack`),
+    right-preconditioned by the Green operator (Moulinec-Suquet): chi_hat =
+    |2 pi k|^-2 y, so the operator's spectrum is controlled by the ellipticity
+    bounds alone and one application costs d inverse and d forward
+    transforms.  The directions (and adjoint directions) of one cell are
     solved together as one block-diagonal system over a (B, *cell) stack.
     """
 
@@ -69,76 +71,74 @@ class SpectralCellSolver:
         tolerance is tol/sqrt(B), so every block's relative residual is
         bounded by tol; each block's true residual is still checked alone.
         """
-        shape, d = self.grid.shape, self.grid.dim
-        cell_axes = tuple(range(1, d + 1))
-        a = np.moveaxis(a, (-2, -1), (1, 2))                 # (B, d, d, *shape)
-        rhs = self.calc.div(a[np.arange(len(dirs)), :, dirs])
-        scale = np.sqrt(np.sum(rhs ** 2, axis=cell_axes))
+        d, calc = self.grid.dim, self.calc
+        a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))   # (B, d, d, *shape)
+        rhs = np.sum(calc.deriv * calc.forward(a[np.arange(len(dirs)), :, dirs]), axis=1)
+        scale = np.linalg.norm(calc.pack(rhs), axis=-1)               # grid l2 norm of div(a e^j)
         live = scale > 0.0
-        values = np.zeros((len(dirs),) + shape)
+        spec = np.zeros_like(rhs)
         residuals = np.zeros(len(dirs))
         if live.any():
             norms = scale[live].reshape((-1,) + (1,) * d)
-            values[live], residuals[live] = self._krylov(a[live], rhs[live] / norms)
-            values[live] *= norms
+            spec[live], residuals[live] = self._krylov(a[live], rhs[live] / norms)
+            spec[live] *= norms
         for b, res in enumerate(residuals):
             if res > 10 * self.tol:
                 raise SolveError(f"cell solve (spectral, j={dirs[b]}) residual {res:.2e}")
-        grads = self.calc.grad(values)
+        values = calc.inverse(spec)
+        grads = calc.inverse(calc.deriv * spec[:, None])
         # cell mean of the node flux a (e^j + grad chi^j) of every block, taken
-        # in a's (node, p) layout: numpy then sums a 2D cell's nodes in turn,
-        # not pairwise, and the columns keep their values to the last bit
+        # in (node, p) layout: numpy then sums a 2D cell's nodes in turn, not
+        # pairwise, and the columns keep their values to the last bit
         epg = grads + np.eye(d)[dirs].reshape((len(dirs), d) + (1,) * d)
-        flux = np.einsum("bpq...,bq...->bp...", a, epg, order="C")
+        flux = np.sum(a * epg[:, None], axis=2)
         columns = np.moveaxis(flux, 1, -1).copy().reshape(len(dirs), -1, d).mean(axis=1)
         return [CellField(values[b], grads[b], float(residuals[b]), columns[b])
                 for b in range(len(dirs))]
 
     def _krylov(self, a, rhs):
-        """Block solve for unit-norm right-hand sides: (zero-mean values, residuals).
+        """Block solve for unit-norm half-spectrum right-hand sides: (solution
+        half spectra, residuals).
 
         lgmres runs one outer iteration per call, warm-started from the last
         iterate and its augmentation vectors, and the true residual of every
-        block is checked after each call.  It cannot push the
-        residual below the FFT roundoff floor, so the solve stops as soon as
-        every block reaches tol or a chunk fails to halve the best residual,
-        and keeps the best iterate.
+        block (the grid l2 one: the packing is an isometry) is checked after
+        each call.  It cannot push the residual below the FFT roundoff floor,
+        so the solve stops as soon as every block reaches tol or a chunk
+        fails to halve the best residual, and keeps the best iterate.
         """
+        calc = self.calc
         nblk = rhs.shape[0]
-        shape = rhs.shape
-        n = rhs.size
-        cell_axes = tuple(range(1, rhs.ndim))
+        b = calc.pack(rhs)                                            # (B, m)
+        op = flux_operator(calc, a)
 
-        def apply(x):
-            g = self.calc.grad(x.reshape(shape))             # (B, d, *cell)
-            flux = np.sum(a * g[:, None], axis=2)
-            return -self.calc.div(flux).ravel()
+        def apply(y):
+            return calc.pack(op(calc.poisson_mult * calc.unpack(y.reshape(b.shape)))).ravel()
 
-        def residuals(v):
-            r = (apply(v.ravel()) - rhs.ravel()).reshape(shape)
-            return np.sqrt(np.sum(r ** 2, axis=cell_axes))
-
-        lin = spla.LinearOperator((n, n), matvec=apply, dtype=float)
-        pre = spla.LinearOperator(
-            (n, n), matvec=lambda r: self.calc.poisson(r.reshape(shape)).ravel(),
-            dtype=float)
-        x = np.zeros(n)
+        lin = spla.LinearOperator((b.size, b.size), matvec=apply, dtype=float)
+        y = np.zeros(b.size)
         outer_v = []
-        best_v, best_res = np.zeros(shape), np.ones(nblk)
+        best_y, best_res = y, np.ones(nblk)
         for _ in range(_LGMRES_CALLS):
             # looked up at call time so that callers may wrap scipy's lgmres
-            x, _ = spla.lgmres(lin, rhs.ravel(), x0=x, M=pre,
-                               rtol=self.tol / np.sqrt(nblk), atol=0.0,
+            y, _ = spla.lgmres(lin, b.ravel(), x0=y, rtol=self.tol / np.sqrt(nblk), atol=0.0,
                                maxiter=1, outer_v=outer_v)
-            v = x.reshape(shape)
-            v = v - v.mean(axis=cell_axes, keepdims=True)
-            res = residuals(v)
+            res = np.linalg.norm(apply(y).reshape(b.shape) - b, axis=1)
             halved = res.max() <= 0.5 * best_res.max()
             if res.max() < best_res.max():
-                best_v, best_res = v, res
+                best_y, best_res = y, res
             if best_res.max() <= self.tol or not halved:
                 break
-        return best_v, best_res
+        return calc.poisson_mult * calc.unpack(best_y.reshape(b.shape)), best_res
+
+
+def flux_operator(calc, a):
+    """x_hat -> half spectrum of -div(a grad x) on (B, *half) spectra, for a
+    C-contiguous (B, d, d, *cell) stack a: d inverse and d forward FFTs per block."""
+    def apply(xhat):
+        grad = calc.inverse(calc.deriv * xhat[:, None])
+        return -np.sum(calc.deriv * calc.forward(np.sum(a * grad[:, None], axis=2)), axis=1)
+    return apply
 
 
 class FVCellSolver:
@@ -146,14 +146,15 @@ class FVCellSolver:
 
     The singular periodic system is pinned at node 0 (the conservative
     right-hand side is exactly compatible, so pinning is exact) and solved
-    directly.  The effective column uses the face-flux quadrature, which is
-    exact for laminates whose jumps align with grid nodes.
+    directly.  The scheme satisfies A(a^T) = A(a)^T, so the adjoint cells
+    are solved with the transposed factor of the same matrix.  The
+    effective column uses the face-flux quadrature, which is exact for
+    laminates whose jumps align with grid nodes.
     """
 
     def __init__(self, a_eval, grid, tol):
         self.grid = grid
         self.tol = tol
-        self.a_eval = a_eval
         d = grid.dim
         self.diag_faces = []
         for m in range(d):
@@ -184,49 +185,57 @@ class FVCellSolver:
             self._lu = spla.splu(pinned)
         return self._lu
 
-    def _rhs(self, j):
+    def _cross(self, adjoint):
+        # the adjoint scheme A(a^T) shares the faces; its cross term (m, k) is a_km
+        return {(k, m): c for (m, k), c in self.cross.items()} if adjoint else self.cross
+
+    def _rhs(self, j, adjoint=False):
         # div of the constant-direction flux a e^j, discretized like the matrix
         d = self.grid.dim
         h = self.grid.h
+        cross = self._cross(adjoint)
         out = np.zeros(self.grid.shape)
         for m in range(d):
             if m == j:
                 af = self.diag_faces[m]
                 out += (af - np.roll(af, 1, axis=m)) / h
             else:
-                out += centered_diff(self.cross[(m, j)], m, h)
+                out += centered_diff(cross[(m, j)], m, h)
         return out
 
-    def solve(self, j):
-        b = self._rhs(j).ravel()
+    def solve(self, j, adjoint=False):
+        b = self._rhs(j, adjoint).ravel()
         nb = np.linalg.norm(b)
         if nb == 0.0:
             zero = np.zeros(self.grid.shape)
             return CellField(zero, np.zeros((self.grid.dim,) + self.grid.shape),
-                             0.0, self._column(zero, j))
+                             0.0, self._column(zero, j, adjoint))
         b_pinned = b.copy()
         b_pinned[0] = 0.0
-        x = self.lu.solve(b_pinned)
+        x = self.lu.solve(b_pinned, trans="T" if adjoint else "N")
+        if adjoint:
+            # the pinned row is e_0^T, so rows 1.. of the transposed system
+            # are those of A^T pinned at node 0; row 0 alone sees x[0]
+            x[0] = 0.0
         v = x.reshape(self.grid.shape)
         v = v - v.mean()
-        res = np.linalg.norm(self.mat @ v.ravel() - b) / nb
+        res = np.linalg.norm((self.mat.T if adjoint else self.mat) @ v.ravel() - b) / nb
         if res > max(10 * self.tol, 1e-10):
             raise SolveError(f"cell solve (fv, j={j}) residual {res:.2e}")
-        return CellField(v, centered_gradient(v, self.grid.h), res, self._column(v, j))
+        return CellField(v, centered_gradient(v, self.grid.h), res, self._column(v, j, adjoint))
 
     def solve_all(self, adjoint):
         """Every direction, then with `adjoint` every transposed-coefficient one."""
         fields = [self.solve(j) for j in range(self.grid.dim)]
         if adjoint:
-            solver_t = FVCellSolver(lambda y: np.swapaxes(self.a_eval(y), -1, -2),
-                                    self.grid, self.tol)
-            fields += [solver_t.solve(j) for j in range(self.grid.dim)]
+            fields += [self.solve(j, adjoint=True) for j in range(self.grid.dim)]
         return fields
 
-    def _column(self, values, j):
+    def _column(self, values, j, adjoint):
         """Flux mean of a (e^j + grad chi^j): conservative faces plus node cross terms."""
         d = self.grid.dim
         h = self.grid.h
+        cross = self._cross(adjoint)
         col = np.zeros(d)
         for m in range(d):
             face_flux = self.diag_faces[m] * (
@@ -235,7 +244,7 @@ class FVCellSolver:
             for k in range(d):
                 if k != m:
                     dk = centered_diff(values, k, h)
-                    col[m] += (self.cross[(m, k)] * (dk + (1.0 if k == j else 0.0))).mean()
+                    col[m] += (cross[(m, k)] * (dk + (1.0 if k == j else 0.0))).mean()
         return col
 
 

@@ -7,6 +7,8 @@ and leaves the subspace of masked modes invariant, which the iterative cell
 solver relies on.
 """
 
+from itertools import product
+
 import numpy as np
 
 
@@ -52,25 +54,67 @@ class FourierCalculus:
         nz = mask & (k2 > 0)
         inv[nz] = 1.0 / k2[nz]
         self.poisson_mult = inv  # (-Laplace)^-1 on masked, zero-mean modes
+        # boxes of the float view (re, im on the last axis) of a half spectrum:
+        # box l holds 0 < k_l < n_l/2, later axes at 0 and earlier ones off
+        # Nyquist, so every masked nonzero mode or its conjugate is kept once
+        d = self.dim
+        self._boxes = []
+        for l, n in enumerate(shape):
+            before = [(slice(0, m // 2), slice(m // 2 + 1, m)) for m in shape[:l]]
+            at = ((slice(2, n),) if l == d - 1 else
+                  (slice(1, n // 2),) + (slice(0, 1),) * (d - 2 - l) + (slice(0, 2),))
+            self._boxes += [head + at for head in product(*before)]
+        flt = np.empty(mask.shape[:-1] + (2 * mask.shape[-1],))
+        self._splits = np.cumsum([flt[box].size for box in self._boxes])[:-1]
+        # each kept mode stands for itself and its conjugate (Parseval)
+        self._weight = np.sqrt(2.0 / np.prod(shape))
+        self._negate = np.ix_(*[-np.arange(n) % n for n in shape[:-1]])
 
-    def _forward(self, values):
+    def forward(self, values):
+        """Half spectrum (`rfftn`) over the trailing grid axes."""
         return np.fft.rfftn(values, axes=self.axes)
 
-    def _inverse(self, spec):
+    def inverse(self, spec):
+        """Real grid values of a half spectrum (`irfftn`)."""
         return np.fft.irfftn(spec, s=self.shape, axes=self.axes)
+
+    def pack(self, spec):
+        """Real coordinates of masked, zero-mean half spectra: (*batch, *half) -> (*batch, m).
+
+        The Euclidean norm of the coordinates is the grid l2 norm of the field.
+        """
+        flt = np.ascontiguousarray(spec).view(float)
+        batch = flt.shape[:-self.dim]
+        return np.concatenate([flt[(...,) + box].reshape(batch + (-1,)) for box in self._boxes],
+                              axis=-1) * self._weight
+
+    def unpack(self, packed):
+        """Half spectra of packed coordinates, the inverse of `pack`."""
+        spec = np.zeros(packed.shape[:-1] + self.poisson_mult.shape, dtype=complex)
+        flt = spec.view(float)
+        for box, part in zip(self._boxes, np.split(packed * (1.0 / self._weight), self._splits,
+                                                   axis=-1)):
+            target = flt[(...,) + box]
+            target[...] = part.reshape(target.shape)
+        if self.dim > 1:
+            # irfftn reads only the Hermitian part of the k_last = 0 plane:
+            # give every kept mode there its conjugate partner at -k
+            plane = spec[..., 0]
+            plane += np.conj(plane[(...,) + self._negate])
+        return spec
 
     def grad(self, values):
         """Masked spectral gradient: (*batch, *shape) -> (*batch, d, *shape)."""
-        vhat = self._forward(values)
-        return self._inverse(self.deriv * np.expand_dims(vhat, -self.dim - 1))
+        vhat = self.forward(values)
+        return self.inverse(self.deriv * np.expand_dims(vhat, -self.dim - 1))
 
     def div(self, vec):
         """Masked spectral divergence: (*batch, d, *shape) -> (*batch, *shape)."""
-        return self._inverse(np.sum(self.deriv * self._forward(vec), axis=-self.dim - 1))
+        return self.inverse(np.sum(self.deriv * self.forward(vec), axis=-self.dim - 1))
 
     def poisson(self, rhs):
         """Zero-mean solution of -Laplace(u) = rhs on the torus, per batch entry."""
-        return self._inverse(self.poisson_mult * self._forward(rhs))
+        return self.inverse(self.poisson_mult * self.forward(rhs))
 
 
 _CALC_CACHE = {}

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
                       effective_matrix, load_cell_table, save_cell_table)
-from microhom.cell import make_solver
-from microhom.spectral import FourierCalculus
+from microhom.cell import flux_operator, make_solver
+from microhom.spectral import calculus
 
 
 def test_identity_coefficient_gives_zero():
@@ -131,24 +132,29 @@ def test_lipschitz_quotient_stable_across_slow_resolutions():
 
 
 def count_operator_applications(monkeypatch):
-    # every application of a spectral cell operator takes one gradient
+    # every application of the operator handed to lgmres (the cell solver
+    # looks lgmres up at call time)
     calls = [0]
-    grad = FourierCalculus.grad
+    lgmres = spla.lgmres
 
-    def counted(self, values):
-        calls[0] += 1
-        return grad(self, values)
-    monkeypatch.setattr(FourierCalculus, "grad", counted)
+    def counted(A, b, **kwargs):
+        A = spla.aslinearoperator(A)
+
+        def matvec(x):
+            calls[0] += 1
+            return A.matvec(x)
+        return lgmres(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), b, **kwargs)
+    monkeypatch.setattr(spla, "lgmres", counted)
     return calls
 
 
 def test_spectral_solve_stops_at_roundoff_floor(monkeypatch):
-    # at n_y = 256 the FFT roundoff floor sits near tol = 1e-12; the solve
+    # at n_y = 256, tol = 1e-12 lies near the FFT roundoff floor; the solve
     # must stop there instead of restarting lgmres until maxiter
     f = builtin_family("separable_1d", {})
     calls = count_operator_applications(monkeypatch)
     cf = make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-12, "spectral").solve(0)
-    assert calls[0] <= 100
+    assert 0 < calls[0] <= 100
     assert cf.residual <= 10 * 1e-12
 
 
@@ -157,7 +163,44 @@ def test_unreachable_tolerance_raises(monkeypatch):
     calls = count_operator_applications(monkeypatch)
     with pytest.raises(SolveError, match="residual"):
         make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-15, "spectral").solve(0)
-    assert calls[0] <= 100
+    assert 0 < calls[0] <= 100
+
+
+def test_1d_acceptance_cells_reach_tol():
+    # the 1D acceptance grids: every cell solve reaches cell_tol = 1e-12
+    # (an iteration on grid values stopped at a floor of 3.9e-12 here)
+    f = builtin_family("separable_1d", {})
+    cells = build_cell_table(f, TorusGrid(1, 64), TorusGrid(1, 256), tol=1e-12)
+    assert cells.residual_max <= 1e-12
+
+
+def test_flux_operator_matches_grid_calculus():
+    # the Fourier-space operator the Krylov solve iterates on is
+    # -div(a grad .) of the grid calculus, on masked zero-mean fields
+    f = builtin_family("smooth_2d_nonsymmetric", {})
+    g = TorusGrid(2, 32)
+    calc = calculus(g.shape)
+    a = np.stack([f.frozen(x)(g.coords()) for x in ([0.1, 0.9], [0.6, 0.3])])
+    a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))      # (B, d, d, *cell)
+    x = calc.poisson(np.random.default_rng(5).standard_normal((2,) + g.shape))
+    ref = -calc.div(np.sum(a * calc.grad(x)[:, None], axis=2))
+    out = calc.inverse(flux_operator(calc, a)(calc.forward(x)))
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_tables_do_not_depend_on_earlier_solves():
+    # no warm start or state carries over between solves: a table is the
+    # same bit for bit whatever was solved before it
+    f = builtin_family("smooth_2d_nonsymmetric", {})
+    other = builtin_family("smooth_2d_nonsymmetric", {"skew": 0.1})
+    slow, cell = TorusGrid(2, 4), TorusGrid(2, 16)
+    first = build_cell_table(f, slow, cell, tol=1e-11)
+    build_cell_table(other, slow, cell, tol=1e-11)
+    make_solver(other.frozen([0.5, 0.5]), cell, 1e-12, "spectral").solve_all(adjoint=True)
+    second = build_cell_table(f, slow, cell, tol=1e-11)
+    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj", "a0", "a0_adj"):
+        assert np.array_equal(getattr(first, attr), getattr(second, attr)), attr
+    assert first.residual_max == second.residual_max
 
 
 @pytest.mark.parametrize("family", ["separable_1d", "smooth_2d_nonsymmetric"])

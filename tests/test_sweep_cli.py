@@ -147,10 +147,17 @@ def test_failed_eps_keeps_measured_points(quick_report, monkeypatch, jobs):
     assert len(aborted) == 1 and "eps = 1/16, stage assemble: injected" in aborted[0]
 
 
-def test_cell_residual_above_tol_flagged(tmp_path):
-    # at n_y = 256 the FFT roundoff floor lies above cell_tol = 1e-12: the
-    # accepted residual is flagged, the sweep is not aborted
+def test_cell_residual_above_tol_flagged(monkeypatch, tmp_path):
+    # a table accepted at a roundoff floor between cell_tol and the abort
+    # limit 10 * cell_tol is flagged, the sweep is not aborted
     cfg = replace(QUICK_1D, n_y=256, cell_tol=1e-12)
+    build = microhom.sweep.build_cell_table
+
+    def at_floor(*args, **kwargs):
+        cells = build(*args, **kwargs)
+        cells.residual_max = 4e-12
+        return cells
+    monkeypatch.setattr(microhom.sweep, "build_cell_table", at_floor)
     rep = run_sweep(cfg)
     floor = [f for f in rep.flags if "(roundoff floor)" in f]
     assert len(floor) == 1 and floor[0].startswith("cell residual_max ")
