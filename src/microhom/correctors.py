@@ -286,8 +286,8 @@ def _offset_rows(table, d, kern, imag):
         yield np.moveaxis(vals, 3, 0).reshape((per,) + table.shape[:-d] + (-1,))
 
 
-def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
-    """Double-averaged matrix from the slow difference quotient, fine nodes.
+def drift_matrix_field(field, cells, specs, grids):
+    """Double-averaged matrices from the slow difference quotient, fine nodes.
 
     Entry [j, k] at node x contracts (grad_y chi_adj^k + e^k) with the
     offset average of the line integral over t in [0, 1] of
@@ -297,71 +297,69 @@ def drift_matrix_field(field, cells, spec: SmoothingSpec, grid: TorusGrid):
     line integral is exactly (a(x + eps w, y) - a(x, y)) / eps.  The
     offset integral has no grid-function shifts in it, so it uses the
     tensor Gauss rule (the integrand is analytic in the offset but not
-    periodic), one row of the lattice at a time, in batches of at most
-    4096 (fine node, offset) pairs.  Returns (*fine, d, d).
+    periodic), whose rows are walked once for every (spec, grid) pair: each
+    row's table values are added into every pair's matrix, in batches of
+    at most 4096 (fine node, offset) pairs of its grid.  The specs must
+    share n_omega and drift_order.  Returns a list of (*fine, d, d).
     """
-    d = grid.dim
-    n_f = spec.n_omega
-    spec.check_grid(grid)
-    eps = spec.eps
-
-    pts = grid.coords().reshape(-1, d)
-    interp = _slow_interp(cells.slow_grid, grid, n_f)
-    fast_base = (np.indices(grid.shape).reshape(d, -1).T % n_f) / n_f
-    nodes, node_w = spec.offset_rule(d)
-    maps = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
-    batch = max(1, 4096 // grid.size)
-
+    if len({(spec.n_omega, spec.drift_order) for spec in specs}) != 1:
+        raise ValueError("one drift walk needs specs with one offset rule "
+                         "(n_omega and drift_order)")
+    d = cells.dim
+    n_f = specs[0].n_omega
     eye = np.eye(d)
-    out = np.zeros((grid.size, d, d))
+    runs = []
+    for spec, grid in zip(specs, grids, strict=True):
+        spec.check_grid(grid)
+        runs.append((spec.eps, grid, grid.coords().reshape(-1, d),
+                     _slow_interp(cells.slow_grid, grid, n_f),
+                     (np.indices(grid.shape).reshape(d, -1).T % n_f) / n_f,
+                     max(1, 4096 // grid.size), np.zeros((grid.size, d, d))))
+    nodes, node_w = specs[0].offset_rule(d)
+    maps = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
+
     rows = zip(*(_offset_rows(tab, d, *maps)
                  for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)))
     for row, row_vals in enumerate(rows):
         # (n_slow, n_f^d, per, d, d) gradient tables at the row's offsets
         row_vals = [np.moveaxis(v.reshape(len(nodes), -1, d, d, n_f ** d), (0, 4), (2, 1))
                     for v in row_vals]
-        for lo in range(0, len(nodes), batch):
-            sl = slice(lo, lo + batch)
-            om = nodes[sl, None]
-            w = node_w[sl]
-            if d == 2:
-                om = np.concatenate([np.full_like(om, nodes[row]), om], axis=1)
-                w = node_w[row] * w
-            # (N, per, d, d): gradients plus identity at the fine nodes
-            P, Q = ((interp @ v[:, :, sl].reshape(interp.shape[1], -1))
-                    .reshape(grid.size, -1, d, d) + eye for v in row_vals)
-            # line integral of grad_x a . omega along each offset, times its weight
-            fast_pts = fast_base[:, None] + om
-            slow_pts = np.broadcast_to(pts[:, None], fast_pts.shape)
-            mid = field.eval(slow_pts + eps * om, fast_pts) - field.eval(slow_pts, fast_pts)
-            mid *= (w / eps)[:, None, None]
-            # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q]
-            out += np.matmul(P, np.matmul(Q, mid).swapaxes(-1, -2)).sum(axis=1)
+        for eps, grid, pts, interp, fast_base, batch, out in runs:
+            for lo in range(0, len(nodes), batch):
+                sl = slice(lo, lo + batch)
+                om = nodes[sl, None]
+                w = node_w[sl]
+                if d == 2:
+                    om = np.concatenate([np.full_like(om, nodes[row]), om], axis=1)
+                    w = node_w[row] * w
+                # (N, per, d, d): gradients plus identity at the fine nodes
+                P, Q = ((interp @ v[:, :, sl].reshape(interp.shape[1], -1))
+                        .reshape(grid.size, -1, d, d) + eye for v in row_vals)
+                # line integral of grad_x a . omega along each offset, times its weight
+                fast_pts = fast_base[:, None] + om
+                slow_pts = np.broadcast_to(pts[:, None], fast_pts.shape)
+                mid = field.eval(slow_pts + eps * om, fast_pts) - field.eval(slow_pts, fast_pts)
+                mid *= (w / eps)[:, None, None]
+                # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q]
+                out += np.matmul(P, np.matmul(Q, mid).swapaxes(-1, -2)).sum(axis=1)
         del row_vals  # one row of offset values alive at a time
-    return out.reshape(grid.shape + (d, d))
+    return [out.reshape(grid.shape + (d, d)) for _, grid, *_, out in runs]
 
 
-def assemble_M(field, cells, spec: SmoothingSpec, hom_solver: LinearOperator,
-               grid: TorusGrid) -> LinearOperator:
+def assemble_M(chat, hom_solver: LinearOperator, grid: TorusGrid) -> LinearOperator:
     """Conservative discretization of the double-averaged form, sandwiched.
 
+    `chat` is this eps's (*fine, d, d) matrix from `drift_matrix_field`.
     The bilinear form is <c-hat^{jk} d_j u, d_k v>, so the assembler
     receives the transposed matrix field (its flux convention is
     flux_m = sum_k C[m, k] d_k u).  Diagonal entries are averaged onto
     faces; off-diagonal entries stay at nodes.
     """
     d = grid.dim
-    chat = drift_matrix_field(field, cells, spec, grid)
     cmat = np.swapaxes(chat, -1, -2)
-    diag_faces = []
-    for m in range(d):
-        vals = cmat[..., m, m]
-        diag_faces.append(0.5 * (vals + np.roll(vals, -1, axis=m)))
-    cross = {}
-    for m in range(d):
-        for k in range(d):
-            if m != k:
-                cross[(m, k)] = cmat[..., m, k]
+    diag_faces = [0.5 * (cmat[..., m, m] + np.roll(cmat[..., m, m], -1, axis=m))
+                  for m in range(d)]
+    cross = {(m, k): cmat[..., m, k] for m in range(d) for k in range(d) if m != k}
     mat = assemble_diffusion(grid, diag_faces, cross, mass=0.0)
     op = hom_solver @ matrix_op(mat, grid=grid, label="M_eps") @ hom_solver
     op.label = "Mop"

@@ -94,7 +94,7 @@ def test_criterion_3_degeneration_ladder():
     for op in (corrector_op(cells, spec, grid, r0),
                corrector_op(cells, spec, grid, r0.T, adjoint=True),
                assemble_L(co, r0, grid),
-               assemble_M(field, cells, spec, r0, grid)):
+               assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid)):
         assert operator_norm(op, tol=1e-6, maxiter=60, seed=1) < 1e-12
 
     # periodic only: no slow gradients, second-order tensors and the
@@ -109,7 +109,7 @@ def test_criterion_3_degeneration_ladder():
         assert all(np.array_equal(sample, flat[0]) for sample in flat)
     assert np.abs(cop.c2).max() == 0.0
     assert np.abs(cop.c2_adj).max() == 0.0
-    chat = drift_matrix_field(fieldp, cellsp, spec, grid)
+    chat = drift_matrix_field(fieldp, cellsp, [spec], [grid])[0]
     assert np.abs(chat).max() == 0.0
 
     # symmetric: the adjoint corrector coincides with the primal one
@@ -246,7 +246,7 @@ def test_criterion_10_adjoint_identities():
     k_op = corrector_op(cells, spec, grid, r0)
     kt_op = corrector_op(cells, spec, grid, r0.T, adjoint=True)
     l_op = assemble_L(co, r0, grid)
-    m_op = assemble_M(field, cells, spec, r0, grid)
+    m_op = assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid)
     c_op = full_corrector(k_op, kt_op.T, l_op, m_op)
     ops = {"A_eps": a_eps, "A0": a0, "R_eps": r_eps, "R0": r0, "K": k_op,
            "Ktilde": kt_op, "L": l_op, "M": m_op, "C": c_op,

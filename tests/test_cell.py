@@ -93,17 +93,16 @@ def test_residual_reported_below_tolerance():
 
 def test_fv_grid_convergence_second_order():
     # the FV discretization of a smooth 1D cell recovers the effective
-    # value at O(h^2); fitted order over three dyadic grids >= 1.8
+    # value at least at O(h^2): each halving of h cuts the error by 3.5x or
+    # more, unless it is already at roundoff (no log of an exact 0)
     f = builtin_family("separable_1d", {"x_amplitude": 0.0})
     a_eval = f.frozen([0.0])
-    errs, hs = [], []
+    errs = []
     for n in (16, 32, 64, 128):
-        g = TorusGrid(1, n)
-        a0 = make_solver(a_eval, g, 1e-12, "fv").solve(0).column[0]
+        a0 = make_solver(a_eval, TorusGrid(1, n), 1e-12, "fv").solve(0).column[0]
         errs.append(abs(a0 - np.sqrt(3.0)))
-        hs.append(g.h)
-    fit = np.polyfit(np.log(hs), np.log(errs), 1)
-    assert fit[0] >= 1.8
+    for coarse, fine in zip(errs, errs[1:]):
+        assert fine <= coarse / 3.5 or fine <= 1e-14, errs
     assert errs[-1] < errs[0]
 
 

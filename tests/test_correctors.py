@@ -291,7 +291,8 @@ def test_composed_operator_zero_for_symmetric_periodic():
     l_op = assemble_L(co, r0, grid)
     # the two halves cancel structurally; the norm sits at the noise floor
     assert operator_norm(l_op, tol=1e-6, maxiter=100, seed=1, atol=1e-15) < 1e-12
-    m_op = assemble_M(field, cells, SmoothingSpec(eps=0.25, n_omega=8), r0, grid)
+    spec = SmoothingSpec(eps=0.25, n_omega=8)
+    m_op = assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid)
     assert operator_norm(m_op, tol=1e-6, maxiter=100, seed=1, atol=1e-15) < 1e-13
 
 
@@ -439,9 +440,35 @@ def test_drift_matrix_matches_offset_loop(family, n_x, n_y, n_f, ks):
     for k in ks:
         spec = SmoothingSpec(eps=1.0 / k, n_omega=n_f)
         grid = TorusGrid(field.dim, n_f * k)
-        got = drift_matrix_field(field, cells, spec, grid)
+        got = drift_matrix_field(field, cells, [spec], [grid])[0]
         ref = looped_drift(family, field.params, cells, spec, grid)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), k
+
+
+@pytest.mark.parametrize("family,n_x,n_y,n_f,ks", [
+    ("smooth_2d_nonsymmetric", 4, 16, 8, (2, 3, 4)),
+    ("separable_1d", 8, 64, 16, (4, 8, 16))])
+def test_drift_walk_over_several_eps_matches_one_walk_per_eps(family, n_x, n_y, n_f, ks):
+    # each eps keeps its own grid, batches and summation order: bitwise equal
+    field, cells, hom, fc = pipeline(family, {}, n_x, n_y)
+    specs = [SmoothingSpec(eps=1.0 / k, n_omega=n_f) for k in ks]
+    grids = [TorusGrid(field.dim, n_f * k) for k in ks]
+    together = drift_matrix_field(field, cells, specs, grids)
+    assert len(together) == len(ks)
+    for spec, grid, chat in zip(specs, grids, together):
+        alone = drift_matrix_field(field, cells, [spec], [grid])[0]
+        assert chat.shape == grid.shape + (field.dim, field.dim)
+        assert np.array_equal(chat, alone)
+
+
+def test_drift_walk_needs_one_offset_rule():
+    field, cells, hom, fc = pipeline("separable_1d", {}, 8, 64)
+    spec = SmoothingSpec(eps=0.25, n_omega=16)
+    grid = TorusGrid(1, 64)
+    for other, other_grid in ((SmoothingSpec(eps=0.25, n_omega=8), TorusGrid(1, 32)),
+                              (SmoothingSpec(eps=0.25, n_omega=16, drift_order=32), grid)):
+        with pytest.raises(ValueError, match="one offset rule"):
+            drift_matrix_field(field, cells, [spec, other], [grid, other_grid])
 
 
 def test_drift_matrix_of_field_without_slow_gradient():
@@ -452,7 +479,7 @@ def test_drift_matrix_of_field_without_slow_gradient():
                              lipschitz_x=builtin.lipschitz_x, symmetric=False)
     spec = SmoothingSpec(eps=0.5, n_omega=8)
     grid = TorusGrid(2, 16)
-    got = drift_matrix_field(field, cells, spec, grid)
+    got = drift_matrix_field(field, cells, [spec], [grid])[0]
     ref = looped_drift("smooth_2d_nonsymmetric", builtin.params, cells, spec, grid)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -461,7 +488,7 @@ def test_drift_matrix_zero_without_slow_dependence():
     field, cells, hom, fc = pipeline("periodic_only", {"dim": 2, "symmetric": False}, 4, 32)
     grid = TorusGrid(2, 32)
     spec = SmoothingSpec(eps=0.25, n_omega=8)
-    chat = drift_matrix_field(field, cells, spec, grid)
+    chat = drift_matrix_field(field, cells, [spec], [grid])[0]
     assert np.abs(chat).max() == 0.0
 
 
@@ -474,8 +501,8 @@ def test_drift_matrix_refined_quadrature_oracle(separable):
     fine_grid = TorusGrid(1, 32 * k)
     spec = SmoothingSpec(eps=1.0 / k, n_omega=16)
     spec_hi = SmoothingSpec(eps=1.0 / k, n_omega=32, drift_order=48)
-    c_lo = drift_matrix_field(field, cells, spec, base_grid)
-    c_hi = drift_matrix_field(field, cells, spec_hi, fine_grid)
+    c_lo = drift_matrix_field(field, cells, [spec], [base_grid])[0]
+    c_hi = drift_matrix_field(field, cells, [spec_hi], [fine_grid])[0]
     assert np.abs(c_lo[:, 0, 0] - c_hi[::2, 0, 0]).max() < 1e-6
 
 
@@ -489,7 +516,7 @@ def test_full_corrector_composition(smooth_2d):
     k_op = corrector_op(cells, spec, grid, r0)
     kt_op = corrector_op(cells, spec, grid, r0.T, adjoint=True)
     l_op = assemble_L(co, r0, grid)
-    m_op = assemble_M(field, cells, spec, r0, grid)
+    m_op = assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid)
     c_op = full_corrector(k_op, kt_op.T, l_op, m_op)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(grid.size)
@@ -508,7 +535,7 @@ def test_full_corrector_zero_for_constant():
     c_op = full_corrector(corrector_op(cells, spec, grid, r0),
                           corrector_op(cells, spec, grid, r0.T, adjoint=True).T,
                           assemble_L(co, r0, grid),
-                          assemble_M(field, cells, spec, r0, grid))
+                          assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid))
     assert operator_norm(c_op, tol=1e-6, maxiter=50, seed=1) < 1e-12
 
 
@@ -523,7 +550,8 @@ def error_operator_parts(pipe, n_f, k):
     co = corrector_coeffs(cells, field)
     return (r_eps, r0, corrector_op(cells, spec, grid, r0),
             corrector_op(cells, spec, grid, r0.T, adjoint=True),
-            assemble_L(co, r0, grid), assemble_M(field, cells, spec, r0, grid), eps)
+            assemble_L(co, r0, grid),
+            assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid), eps)
 
 
 def count_solves(op, counts):

@@ -74,9 +74,10 @@ def test_timings_split_per_eps_and_setup_stages(quick_report, tmp_path):
     lines = emit_report(quick_report, tmp_path)["timings"].read_text().splitlines()
     assert lines[0] == ("eps,assemble_ms,correctors_ms,pairing_ms,"
                         "norm_E0_ms,norm_E1_ms,norm_E2_ms")
-    assert len(lines) == 1 + len(quick_report.eps_list) + 3
-    setup = [line.split(",")[0] for line in lines[-3:]]
-    assert setup == ["# cell_table_ms", "# moments_ms", "# matched_effective_ms"]
+    assert len(lines) == 1 + len(quick_report.eps_list) + 4
+    setup = [line.split(",")[0] for line in lines[-4:]]
+    assert setup == ["# cell_table_ms", "# moments_ms", "# matched_effective_ms",
+                     "# drift_ms"]
 
 
 def test_cell_table_breaking_energy_bound_aborts_sweep(monkeypatch):
@@ -91,6 +92,33 @@ def test_cell_table_breaking_energy_bound_aborts_sweep(monkeypatch):
     monkeypatch.setattr(microhom.sweep, "build_cell_table", inflated)
     with pytest.raises(SolveError, match="slow sample x = .*energy"):
         run_sweep(QUICK_1D)
+
+
+def test_sweep_walks_offset_rows_once_per_gradient_table(monkeypatch):
+    # one drift walk serves every eps: one pass over each gradient table
+    walked = []
+    offset_rows = microhom.correctors._offset_rows
+
+    def counted(table, *args):
+        walked.append(table.shape)
+        return offset_rows(table, *args)
+    monkeypatch.setattr(microhom.correctors, "_offset_rows", counted)
+    rep = run_sweep(QUICK_1D)
+    assert len(rep.eps_list) == len(QUICK_1D.eps_denominators)
+    assert len(walked) == 2
+
+
+def test_per_eps_stages_run_without_gradient_tables(monkeypatch):
+    seen = []
+    corrector_op = microhom.sweep.corrector_op
+
+    def watched(cells, *args, **kwargs):
+        seen.append((cells.grad_y_chi, cells.grad_y_chi_adj))
+        return corrector_op(cells, *args, **kwargs)
+    monkeypatch.setattr(microhom.sweep, "corrector_op", watched)
+    run_sweep(QUICK_1D)
+    assert len(seen) == 2 * len(QUICK_1D.eps_denominators)
+    assert all(gy is None and gy_adj is None for gy, gy_adj in seen)
 
 
 def test_norm_applications_recorded(quick_report, tmp_path):
