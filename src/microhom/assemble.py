@@ -1,11 +1,15 @@
 """Conservative discretization of -div(a grad u) + c u on torus grids.
 
-Diagonal tensor entries are sampled at face midpoints and discretized with
-conservative two-point fluxes; off-diagonal entries are sampled at nodes and
+A coefficient is read as one sample pair (`sample_coefficient`): the
+diagonal entries a_mm at face midpoints, discretized with conservative
+two-point fluxes, and the node matrix, whose off-diagonal entries are
 discretized with nested centered differences.  This split keeps the scheme
 second order, conservative, and gives the exact matrix identity
-A(a^T) = A(a)^T, which the adjoint checks rely on.
+A(a^T) = A(a)^T: the transposed coefficient has the same faces and the
+transposed node matrix, so every adjoint reads the transpose.
 """
+
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,15 +18,22 @@ import scipy.sparse.linalg as spla
 from .operators import DiscreteOperator, matrix_op
 
 
-def assemble_diffusion(grid, diag_faces, cross_nodes=None, mass=0.0):
+def sample_coefficient(a_eval, grid):
+    """(faces, nodes) of a coefficient x -> a(x), as `assemble_diffusion` reads them."""
+    faces = [a_eval(grid.face_coords(m))[..., m, m] for m in range(grid.dim)]
+    return faces, a_eval(grid.coords())
+
+
+def assemble_diffusion(grid, faces, nodes=None, mass=0.0):
     """Sparse matrix of -div(a grad .) + mass * I.
 
     Parameters
     ----------
     grid : TorusGrid
-    diag_faces : list of d arrays, diag_faces[m][i] = a_mm at the face
-        between node i and i + e_m
-    cross_nodes : dict {(m, k): array} of node samples of a_mk, m != k
+    faces : list of d arrays, faces[m][i] = a_mm at the face between node i
+        and i + e_m
+    nodes : (*shape, d, d) node matrix of a; only its entries a_mk with
+        m != k are read (none in 1D), each as the band pair -D0_m(a_mk D0_k)
     mass : coefficient of the identity part
     """
     d = grid.dim
@@ -39,62 +50,35 @@ def assemble_diffusion(grid, diag_faces, cross_nodes=None, mass=0.0):
         vals.append(v.ravel())
 
     for m in range(d):
-        af = np.asarray(diag_faces[m], dtype=float)
+        af = np.asarray(faces[m], dtype=float)
         ip = np.roll(idx, -1, axis=m)          # node i + e_m
         af_minus = np.roll(af, 1, axis=m)      # face between i - e_m and i
         add(idx, idx, (af + af_minus) / h2)
         add(idx, ip, -af / h2)
         add(ip, idx, -af / h2)
 
-    if cross_nodes:
-        for (m, k), c in cross_nodes.items():
-            if m == k:
-                raise ValueError("cross_nodes keys must have m != k")
-            c = np.asarray(c, dtype=float)
-            cp = np.roll(c, -1, axis=m)        # c at i + e_m
-            cm = np.roll(c, 1, axis=m)
-            # -D0_m(c D0_k u): four shifted-diagonal bands
-            i_pp = np.roll(np.roll(idx, -1, axis=m), -1, axis=k)
-            i_pm = np.roll(np.roll(idx, -1, axis=m), 1, axis=k)
-            i_mp = np.roll(np.roll(idx, 1, axis=m), -1, axis=k)
-            i_mm = np.roll(np.roll(idx, 1, axis=m), 1, axis=k)
-            q = 1.0 / (4.0 * h2)
-            add(idx, i_pp, -q * cp)
-            add(idx, i_pm, q * cp)
-            add(idx, i_mp, q * cm)
-            add(idx, i_mm, -q * cm)
+    for m, k in permutations(range(d), 2) if nodes is not None else ():
+        c = np.asarray(nodes[..., m, k], dtype=float)
+        cp = np.roll(c, -1, axis=m)            # c at i + e_m
+        cm = np.roll(c, 1, axis=m)
+        # -D0_m(c D0_k u): four shifted-diagonal bands
+        i_pp = np.roll(np.roll(idx, -1, axis=m), -1, axis=k)
+        i_pm = np.roll(np.roll(idx, -1, axis=m), 1, axis=k)
+        i_mp = np.roll(np.roll(idx, 1, axis=m), -1, axis=k)
+        i_mm = np.roll(np.roll(idx, 1, axis=m), 1, axis=k)
+        q = 1.0 / (4.0 * h2)
+        add(idx, i_pp, -q * cp)
+        add(idx, i_pm, q * cp)
+        add(idx, i_mp, q * cm)
+        add(idx, i_mm, -q * cm)
 
     if mass:
         add(idx, idx, np.full(shape, float(mass)))
 
-    mat = sp.coo_matrix(
+    # tocsr sums duplicate entries and leaves the indices sorted
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return mat
-
-
-def _sample_coefficient(field, grid, eps=None):
-    """Face and node samples of a(x, x/eps) (or a0(x) when eps is None)."""
-    d = grid.dim
-
-    def a_at(x):
-        if eps is None:
-            return field(x)
-        return field.eval(x, x / eps)
-
-    diag_faces = []
-    for m in range(d):
-        xf = grid.face_coords(m)
-        diag_faces.append(a_at(xf)[..., m, m])
-    cross = {}
-    if d > 1:
-        a_nodes = a_at(grid.coords())
-        for m in range(d):
-            for k in range(d):
-                if m != k:
-                    cross[(m, k)] = a_nodes[..., m, k]
-    return diag_faces, cross
 
 
 def assemble_fine(field, eps, grid):
@@ -110,25 +94,19 @@ def assemble_fine(field, eps, grid):
         raise ValueError(f"eps = 1/{k} incommensurate with n = {grid.n}")
     if grid.n // k < 8:
         raise ValueError(f"need >= 8 points per eps-cell, got {grid.n // k}")
-    diag_faces, cross = _sample_coefficient(field, grid, eps=eps)
-    mat = assemble_diffusion(grid, diag_faces, cross, mass=1.0)
+    faces, nodes = sample_coefficient(lambda x: field.eval(x, x / eps), grid)
+    mat = assemble_diffusion(grid, faces, nodes, mass=1.0)
     return matrix_op(mat, grid=grid, label=f"A_eps(1/{k})+1")
 
 
 def assemble_homogenized(hom, grid):
     """Discrete A0 + I with the slowly varying effective coefficient."""
     d = grid.dim
-    diag_faces = []
-    for m in range(d):
-        vals = hom.resample_entry(m, m, grid.n, face_axis=m)
-        diag_faces.append(vals)
-    cross = {}
-    if d > 1:
-        for m in range(d):
-            for k in range(d):
-                if m != k:
-                    cross[(m, k)] = hom.resample_entry(m, k, grid.n)
-    mat = assemble_diffusion(grid, diag_faces, cross, mass=1.0)
+    faces = [hom.resample_entry(m, m, grid.n, face_axis=m) for m in range(d)]
+    nodes = np.zeros(grid.shape + (d, d))
+    for m, k in permutations(range(d), 2):
+        nodes[..., m, k] = hom.resample_entry(m, k, grid.n)
+    mat = assemble_diffusion(grid, faces, nodes, mass=1.0)
     return matrix_op(mat, grid=grid, label="A0+1")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import assemble_diffusion
+from .assemble import assemble_diffusion, sample_coefficient
 from .errors import SolveError
 from .grids import TorusGrid, centered_diff, centered_gradient
 from .spectral import calculus
@@ -144,10 +144,13 @@ def flux_operator(calc, a):
 class FVCellSolver:
     """Conservative finite volumes for cells with discontinuous coefficients.
 
-    The singular periodic system is pinned at node 0 (the conservative
+    The coefficient is held as one sample pair (`assemble.sample_coefficient`):
+    `faces`, the a_mm at the face midpoints, and `a`, the node matrix.  The
+    singular periodic system is pinned at node 0 (the conservative
     right-hand side is exactly compatible, so pinning is exact) and solved
     directly.  The scheme satisfies A(a^T) = A(a)^T, so the adjoint cells
-    are solved with the transposed factor of the same matrix.  The
+    are solved with the transposed factor of the same matrix, and their
+    right-hand sides and columns read the transposed node matrix.  The
     effective column uses the face-flux quadrature, which is exact for
     laminates whose jumps align with grid nodes.
     """
@@ -155,18 +158,8 @@ class FVCellSolver:
     def __init__(self, a_eval, grid, tol):
         self.grid = grid
         self.tol = tol
-        d = grid.dim
-        self.diag_faces = []
-        for m in range(d):
-            xf = grid.face_coords(m)
-            self.diag_faces.append(a_eval(xf)[..., m, m])
-        self.a = a_eval(grid.coords())      # (*shape, d, d) at the nodes
-        self.cross = {}
-        for m in range(d):
-            for k in range(d):
-                if m != k:
-                    self.cross[(m, k)] = self.a[..., m, k]
-        self.mat = assemble_diffusion(grid, self.diag_faces, self.cross, mass=0.0)
+        self.faces, self.a = sample_coefficient(a_eval, grid)
+        self.mat = assemble_diffusion(grid, self.faces, self.a)
         self._lu = None
 
     @property
@@ -185,22 +178,19 @@ class FVCellSolver:
             self._lu = spla.splu(pinned)
         return self._lu
 
-    def _cross(self, adjoint):
-        # the adjoint scheme A(a^T) shares the faces; its cross term (m, k) is a_km
-        return {(k, m): c for (m, k), c in self.cross.items()} if adjoint else self.cross
-
     def _rhs(self, j, adjoint=False):
-        # div of the constant-direction flux a e^j, discretized like the matrix
+        # div of the constant-direction flux a e^j, discretized like the matrix;
+        # the adjoint scheme A(a^T) shares the faces and reads a^T at the nodes
         d = self.grid.dim
         h = self.grid.h
-        cross = self._cross(adjoint)
+        a = np.swapaxes(self.a, -1, -2) if adjoint else self.a
         out = np.zeros(self.grid.shape)
         for m in range(d):
             if m == j:
-                af = self.diag_faces[m]
+                af = self.faces[m]
                 out += (af - np.roll(af, 1, axis=m)) / h
             else:
-                out += centered_diff(cross[(m, j)], m, h)
+                out += centered_diff(a[..., m, j], m, h)
         return out
 
     def solve(self, j, adjoint=False):
@@ -235,16 +225,16 @@ class FVCellSolver:
         """Flux mean of a (e^j + grad chi^j): conservative faces plus node cross terms."""
         d = self.grid.dim
         h = self.grid.h
-        cross = self._cross(adjoint)
+        a = np.swapaxes(self.a, -1, -2) if adjoint else self.a
         col = np.zeros(d)
         for m in range(d):
-            face_flux = self.diag_faces[m] * (
+            face_flux = self.faces[m] * (
                 (np.roll(values, -1, axis=m) - values) / h + (1.0 if m == j else 0.0))
             col[m] = face_flux.mean()
             for k in range(d):
                 if k != m:
                     dk = centered_diff(values, k, h)
-                    col[m] += (cross[(m, k)] * (dk + (1.0 if k == j else 0.0))).mean()
+                    col[m] += (a[..., m, k] * (dk + (1.0 if k == j else 0.0))).mean()
         return col
 
 

@@ -194,7 +194,7 @@ def load_config(path):
         return tuple(sorted(ks))
 
     raw_eps = _get(parser, "sweep", "eps_denominators", None)
-    eps_denoms = parse_eps(raw_eps) if raw_eps else _EPS_DEFAULTS[dim]
+    eps_denoms = parse_eps(raw_eps) if raw_eps is not None else _EPS_DEFAULTS[dim]
 
     return ExperimentConfig(
         family=family,

@@ -146,13 +146,14 @@ class CorrectorCoeffs:
 def corrector_coeffs(cells, field) -> CorrectorCoeffs:
     """Coefficient tensors, built in one walk over the slow samples.
 
-    Each sample's primal and adjoint fluxes and deviations come from the
-    flux kernel (`effective._sample_flux`, which also checks the energy
-    bound and solenoidality); the slow gradients in c2 are centered
-    differences of the neighbouring samples' cell solutions, as in
-    `grids.centered_diff`.  The third-order tensor is also evaluated
-    through its reduced form < chi_adj^k (a (grad chi^j + e^j))_m > and the
-    worst relative disagreement of the two quadratures is recorded.
+    Each sample's primal and adjoint fluxes and deviations come from one
+    cell solver of the sample and the flux kernel (`effective._sample_flux`,
+    which also checks the energy bound and solenoidality); the slow
+    gradients in c2 are centered differences of the neighbouring samples'
+    cell solutions, as in `grids.centered_diff`.  The third-order tensor is
+    also evaluated through its reduced form < chi_adj^k (a (grad chi^j +
+    e^j))_m > and the worst relative disagreement of the two quadratures is
+    recorded.
     """
     d = cells.dim
     slow = cells.slow_grid
@@ -172,7 +173,7 @@ def corrector_coeffs(cells, field) -> CorrectorCoeffs:
     c3, c3_alt, c3_adj = (np.zeros((slow.size, d, d, d)) for _ in range(3))
     c2, c2_adj = np.zeros((slow.size, d, d)), np.zeros((slow.size, d, d))
     integrand_scale = 1e-30
-    walk = zip(_sample_fluxes(cells, field), _sample_fluxes(cells, field, adjoint=True))
+    walk = _sample_fluxes(cells, field, [False, True])
     for i, ((flux, dev, _), (_, dev_a, _)) in enumerate(walk):
         # index order [j, k, m] (c3, c2) and [k, j, m] (c3_adj, c2_adj)
         c3[i] = w_mean(dev[:, None] * chi_a[i][None, :, None])
@@ -357,10 +358,8 @@ def assemble_M(chat, hom_solver: LinearOperator, grid: TorusGrid) -> LinearOpera
     """
     d = grid.dim
     cmat = np.swapaxes(chat, -1, -2)
-    diag_faces = [0.5 * (cmat[..., m, m] + np.roll(cmat[..., m, m], -1, axis=m))
-                  for m in range(d)]
-    cross = {(m, k): cmat[..., m, k] for m in range(d) for k in range(d) if m != k}
-    mat = assemble_diffusion(grid, diag_faces, cross, mass=0.0)
+    faces = [0.5 * (cmat[..., m, m] + np.roll(cmat[..., m, m], -1, axis=m)) for m in range(d)]
+    mat = assemble_diffusion(grid, faces, cmat)
     op = hom_solver @ matrix_op(mat, grid=grid, label="M_eps") @ hom_solver
     op.label = "Mop"
     op.core = mat

@@ -144,13 +144,15 @@ class FluxCorrector:
         return out
 
 
-def _sample_flux(solver, chi, grad, lam, x):
+def _sample_flux(solver, chi, grad, lam, x, adjoint=False):
     """Node flux a (e^j + grad_y chi^j) of one slow sample, every direction j.
 
-    `solver` is the sample's `make_solver`: it holds `a` at the cell nodes
-    and, on finite volumes, the scheme matrix.  chi (d, *cell) and grad
-    (d, d, *cell) are the sample's cell solutions for that coefficient.
-    Each direction is held first to the gradient energy bound
+    `solver` is the sample's `make_solver` for the field: it holds `a` at
+    the cell nodes and, on finite volumes, the scheme matrix.  chi (d, *cell)
+    and grad (d, d, *cell) are the sample's cell solutions; with `adjoint`
+    they are the adjoint ones, and the flux reads the transposed node matrix
+    and the transposed scheme A(a^T) = A(a)^T, so one solver serves both
+    families.  Each direction is held first to the gradient energy bound
     |grad chi^j| <= sqrt(d) / lam^2, valid for any lam satisfying both
     ellipticity inequalities (the field's claimed constant), then to
     solenoidality: the spectral divergence of the deviation, or on finite
@@ -169,12 +171,14 @@ def _sample_flux(solver, chi, grad, lam, x):
         raise SolveError(f"slow sample x = {x}: cell gradient energy {gnorm:.3g} "
                          f"violates bound {bound:.3g}")
     epg = grad + np.eye(d).reshape((d, d) + (1,) * d)
+    a = np.swapaxes(solver.a, -1, -2) if adjoint else solver.a
     # C order: the default would follow a's (cell, p, q) layout, and the cell
     # means taken of the flux and its products reduce several times slower
-    flux = np.einsum("...pq,jq...->jp...", solver.a, epg, order="C")
+    flux = np.einsum("...pq,jq...->jp...", a, epg, order="C")
     dev = flux - flux.mean(axis=cell_axes, keepdims=True)
     if isinstance(solver, FVCellSolver):
-        res = np.stack([solver.mat @ chi[j].ravel() - solver._rhs(j).ravel() for j in range(d)])
+        mat = solver.mat.T if adjoint else solver.mat
+        res = np.stack([mat @ chi[j].ravel() - solver._rhs(j, adjoint).ravel() for j in range(d)])
     else:
         res = solver.calc.div(dev).reshape(d, -1)
     defect = float(np.sqrt(w * np.sum(res ** 2, axis=1)).max())
@@ -184,17 +188,17 @@ def _sample_flux(solver, chi, grad, lam, x):
     return flux, dev, defect
 
 
-def _sample_fluxes(cells: CellSolutions, field, adjoint=False):
-    """`_sample_flux` of every slow sample in turn, for the field or (with
-    `adjoint`) its transpose and the adjoint cell solutions."""
-    d = cells.dim
-    fld = field.transposed() if adjoint else field
-    chi, gy = (cells.chi_adj, cells.grad_y_chi_adj) if adjoint else (cells.chi, cells.grad_y_chi)
-    chi = chi.reshape((-1, d) + cells.cell_grid.shape)
-    gy = gy.reshape((-1, d, d) + cells.cell_grid.shape)
+def _sample_fluxes(cells: CellSolutions, field, adjoints):
+    """Per slow sample, one cell solver for the field and the list of its
+    `_sample_flux` for each family in `adjoints` (True: the adjoint one)."""
+    d, cshape = cells.dim, cells.cell_grid.shape
+    tables = [(adj, (cells.chi_adj if adj else cells.chi).reshape((-1, d) + cshape),
+               (cells.grad_y_chi_adj if adj else cells.grad_y_chi).reshape((-1, d, d) + cshape))
+              for adj in adjoints]
     for i, x in enumerate(cells.slow_grid.coords().reshape(-1, d)):
-        solver = make_solver(fld.frozen(x), cells.cell_grid, 1e-11, cells.method)
-        yield _sample_flux(solver, chi[i], gy[i], fld.ellipticity, x)
+        solver = make_solver(field.frozen(x), cells.cell_grid, 1e-11, cells.method)
+        yield [_sample_flux(solver, chi[i], gy[i], field.ellipticity, x, adj)
+               for adj, chi, gy in tables]
 
 
 def flux_corrector(cells: CellSolutions, field, adjoint=False) -> FluxCorrector:
@@ -210,7 +214,7 @@ def flux_corrector(cells: CellSolutions, field, adjoint=False) -> FluxCorrector:
     d = cells.dim
     dev = np.zeros((cells.slow_grid.size, d, d) + cells.cell_grid.shape)
     worst = 0.0
-    for i, (_, dev_i, defect) in enumerate(_sample_fluxes(cells, field, adjoint)):
+    for i, [(_, dev_i, defect)] in enumerate(_sample_fluxes(cells, field, [adjoint])):
         dev[i] = dev_i
         worst = max(worst, defect)
     return FluxCorrector(slow_grid=cells.slow_grid, cell_grid=cells.cell_grid,

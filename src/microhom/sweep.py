@@ -70,7 +70,10 @@ class ConvergenceReport:
                 lines.append(f"1/{round(1 / eps):<8d} " + " ".join(
                     f"{self.norm_applications[k][i]:>5d}" for k in ("E0", "E1", "E2")))
         for name, fit in self.slopes.items():
-            if fit is None:
+            if fit is None and len(self.eps_list) < 3:
+                lines.append(f"slope[{name}]: none ({len(self.eps_list)} eps points; "
+                             "a rate needs at least 3)")
+            elif fit is None:
                 lines.append(f"slope[{name}]: floor (errors at or below the "
                              "discretization floor; refine h or widen eps)")
             else:
@@ -275,7 +278,8 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
             report.slopes[key] = fit_rate(report.eps_list, report.errors[key])
         except ValueError as exc:
             report.slopes[key] = None
-            report.flags.append(f"{key}: floor ({exc})")
+            cause = "floor" if len(report.eps_list) >= 3 else "too few points"
+            report.flags.append(f"{key}: {cause} ({exc})")
     if report.eps_list:
         eps_min = report.eps_list[-1]
         for key, order in (("E0", 1.0), ("E1", 1.0), ("E2", 2.0)):

@@ -138,3 +138,9 @@ def test_eps_sorted_descending(tmp_path):
 def test_shipped_configs_load_and_roundtrip(path, tmp_path):
     cfg = load_config(path)
     assert load_config(write(tmp_path, cfg.normalized_text())) == cfg
+
+
+def test_empty_eps_denominators_rejected(tmp_path):
+    # an empty value is an error like every other empty key, not the defaults
+    with pytest.raises(ConfigError, match="eps_denominators is empty"):
+        load_config(write(tmp_path, MINIMAL + "\n[sweep]\neps_denominators =\n"))

@@ -1,9 +1,12 @@
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from microhom import (CoefficientField, GridFunction, SmoothingSpec, TorusGrid,
+import microhom.effective
+from microhom import (CoefficientField, GridFunction, SmoothingSpec, SolveError, TorusGrid,
                       assemble_fine, assemble_homogenized, assemble_L, assemble_M,
                       build_cell_table, builtin_family, corrector_K,
                       corrector_Ktilde, corrector_coeffs, corrector_op,
@@ -161,11 +164,17 @@ def whole_table_reference(cells, field):
     return ref
 
 
-@pytest.mark.parametrize("family,params", [("smooth_2d_nonsymmetric", {}),
-                                           ("laminate_2d", {"x_amplitude": 0.3})],
-                         ids=["spectral", "fv"])
-def test_sample_walk_matches_whole_table_formulas(family, params):
-    field, cells, hom, fc = pipeline(family, params, 4, 32)
+@pytest.mark.parametrize("family,params,method", [
+    ("smooth_2d_nonsymmetric", {}, "spectral"),
+    ("laminate_2d", {"x_amplitude": 0.3}, "fv"),
+    # the adjoint family reads A(a)^T and a^T at the nodes; the reference
+    # builds the transposed field's own scheme A(a^T) at every sample
+    ("smooth_2d_nonsymmetric", {}, "fv"),
+], ids=["spectral", "fv", "fv-nonsymmetric"])
+def test_sample_walk_matches_whole_table_formulas(family, params, method):
+    field = replace(builtin_family(family, params), cell_method=method)
+    cells = build_cell_table(field, TorusGrid(2, 4), TorusGrid(2, 32), tol=1e-12)
+    fc = flux_corrector(cells, field)
     fc_adj = flux_corrector(cells, field, adjoint=True)
     co = corrector_coeffs(cells, field)
     ref = whole_table_reference(cells, field)
@@ -180,6 +189,47 @@ def test_sample_walk_matches_whole_table_formulas(family, params):
         assert np.abs(arr - ref[name]).max() <= 1e-13 * scale, name
     for fcorr, tag in ((fc, ""), (fc_adj, "_adj")):
         assert fcorr.div_defect == pytest.approx(ref["div" + tag], rel=1e-6, abs=1e-13)
+
+
+def nonsymmetric_table(method):
+    """smooth_2d_nonsymmetric on a 4 x 4 slow grid, solved by `method`
+    (finite volumes as `matched_effective_matrix` builds them)."""
+    field = replace(builtin_family("smooth_2d_nonsymmetric", {}), cell_method=method)
+    n_y = 16 if method == "fv" else 32
+    return field, build_cell_table(field, TorusGrid(2, 4), TorusGrid(2, n_y), tol=1e-11)
+
+
+@pytest.mark.parametrize("method", ["spectral", "fv"])
+def test_coefficient_walk_builds_one_solver_per_sample(monkeypatch, method):
+    # the adjoint family reads the primal sample's solver transposed
+    field, cells = nonsymmetric_table(method)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return make_solver(*args, **kwargs)
+    monkeypatch.setattr(microhom.effective, "make_solver", counted)
+    corrector_coeffs(cells, field)
+    assert len(built) == cells.slow_grid.size
+    built.clear()
+    flux_corrector(cells, field, adjoint=True)
+    assert len(built) == cells.slow_grid.size
+
+
+@pytest.mark.parametrize("method", ["spectral", "fv"])
+def test_adjoint_family_of_primal_solutions_is_not_solenoidal(method):
+    # a table whose adjoint solutions are the primal ones: the transposed
+    # flux of a nonsymmetric field is not divergence-free, and the walk
+    # names the first sample where it fails (at x_0 = 0 and 1/2 the skew
+    # part is constant in y and leaves the divergence unchanged)
+    field, cells = nonsymmetric_table(method)
+    bad = replace(cells, chi_adj=cells.chi, grad_y_chi_adj=cells.grad_y_chi)
+    first = cells.slow_grid.coords().reshape(-1, 2)[4]
+    msg = rf"slow sample x = {re.escape(str(first))}: flux deviation not solenoidal"
+    for build in (corrector_coeffs, lambda c, f: flux_corrector(c, f, adjoint=True)):
+        with pytest.raises(SolveError, match=msg):
+            build(bad, field)
+    assert flux_corrector(bad, field).div_defect <= 1e-9
 
 
 def test_corrector_op_duality(smooth_2d):

@@ -206,6 +206,19 @@ def test_constant_family_flagged_floor():
     assert any("floor" in f for f in rep.flags)
 
 
+
+def test_two_point_sweep_names_too_few_points(tmp_path):
+    # two measured points cannot be fitted; that is not a discretization floor
+    rep = run_sweep(replace(QUICK_1D, eps_denominators=(4, 8)))
+    assert rep.eps_list == [1 / 4, 1 / 8] and all(e > 0 for e in rep.errors["E0"])
+    assert rep.slopes == {"E0": None, "E1": None, "E2": None}
+    for key in ("E0", "E1", "E2"):
+        assert f"{key}: too few points (need at least 3 points to fit a rate)" in rep.flags
+    summary = emit_report(rep, tmp_path)["summary"].read_text()
+    assert "slope[E0]: none (2 eps points; a rate needs at least 3)" in summary
+    assert "floor" not in summary
+
+
 CONFIG_TEXT = """
 [coefficient]
 family = separable_1d
