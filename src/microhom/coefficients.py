@@ -20,8 +20,11 @@ class CoefficientField:
     Attributes
     ----------
     dim : spatial dimension (1 or 2)
-    evaluator : (x, y) -> matrix, with x, y arrays of shape (..., dim) and
-        result (..., dim, dim); arguments already wrapped to [0, 1)
+    evaluator : (x, y) -> matrix, with x, y arrays of shapes (..., dim)
+        that broadcast against each other, already wrapped to [0, 1); the
+        result has shape broadcast(x, y).shape[:-1] + (dim, dim), so a
+        caller may pass x and y on factored axes (the drift passes the
+        slow points and the fast points on separate axes)
     ellipticity : claimed constant lam > 0 with
         a xi . xi >= lam |xi|^2  and  |a xi| <= (1/lam) |xi|
     lipschitz_x : claimed Lipschitz constant of x -> a(x, .)
@@ -92,7 +95,8 @@ def _constant(params):
     lam = min(lam_low, 1.0 / upper)
 
     def ev(x, y):
-        return np.broadcast_to(mat, x.shape[:-1] + (dim, dim)).copy()
+        return np.broadcast_to(mat, np.broadcast_shapes(x.shape, y.shape)[:-1]
+                               + (dim, dim)).copy()
 
     return CoefficientField(dim=dim, evaluator=ev, ellipticity=lam,
                             lipschitz_x=0.0, symmetric=bool(np.array_equal(mat, mat.T)),
@@ -172,17 +176,19 @@ def _smooth_2d_nonsymmetric(params):
     def parts(x, y):
         y1, y2 = y[..., 0], y[..., 1]
         x1, x2 = x[..., 0], x[..., 1]
-        p = 2.0 + 0.6 * np.sin(TWO_PI * y1) + 0.4 * np.cos(TWO_PI * y2)
+        sin_y1, sin_x1 = np.sin(TWO_PI * y1), np.sin(TWO_PI * x1)
+        p = 2.0 + 0.6 * sin_y1 + 0.4 * np.cos(TWO_PI * y2)
         q = off * np.sin(TWO_PI * y2)
-        sigma = 1.0 + sa * (0.6 * np.sin(TWO_PI * x1) + 0.4 * np.cos(TWO_PI * x2))
-        r = sk * (0.7 + 0.3 * np.sin(TWO_PI * y1) * np.sin(TWO_PI * x1))
+        sigma = 1.0 + sa * (0.6 * sin_x1 + 0.4 * np.cos(TWO_PI * x2))
+        r = sk * (0.7 + 0.3 * sin_y1 * sin_x1)
         return p, q, sigma, r
 
     def ev(x, y):
         p, q, sigma, r = parts(x, y)
         shape = np.broadcast(x[..., 0], y[..., 0]).shape
-        return _as_matrix({(0, 0): sigma * p, (1, 1): sigma * p,
-                           (0, 1): sigma * q + r, (1, 0): sigma * q - r}, shape, 2)
+        diag, sq = sigma * p, sigma * q
+        return _as_matrix({(0, 0): diag, (1, 1): diag, (0, 1): sq + r, (1, 0): sq - r},
+                          shape, 2)
 
     return CoefficientField(dim=2, evaluator=ev, ellipticity=lam, lipschitz_x=c_l,
                             symmetric=False, name="smooth_2d_nonsymmetric",
@@ -201,7 +207,8 @@ def _periodic_only(params):
         lam = min(2.0 - amp, 1.0 / (2.0 + amp))
 
         def ev(x, y):
-            return (2.0 + amp * np.sin(TWO_PI * y[..., 0]))[..., None, None]
+            return _as_matrix({(0, 0): 2.0 + amp * np.sin(TWO_PI * y[..., 0])},
+                              np.broadcast(x[..., 0], y[..., 0]).shape, 1)
 
         return CoefficientField(dim=1, evaluator=ev, ellipticity=lam, lipschitz_x=0.0,
                                 symmetric=True, name="periodic_only",

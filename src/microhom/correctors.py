@@ -224,15 +224,20 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
     c2_adj = _coeff_field(coeffs.c2_adj, coeffs.slow_grid, grid)
     D = [diff_matrix(grid, ax) for ax in range(d)]
     # primal family D_k D_m c3[j,k,m] D_j - D_k c2[j,k] D_j plus the transpose
-    # of the adjoint family D_j D_m c3_adj[k,j,m] D_k - D_j c2_adj[k,j] D_k
+    # of the adjoint family D_j D_m c3_adj[k,j,m] D_k - D_j c2_adj[k,j] D_k;
+    # a component that vanishes identically (all of them in 1D) adds nothing
     core = sp.csr_matrix((n, n))
     for j in range(d):
         for k in range(d):
             for m in range(d):
-                core = core + D[k] @ D[m] @ sp.diags(c3[..., j, k, m].ravel()) @ D[j]
-                core = core + (D[j] @ D[m] @ sp.diags(c3_adj[..., k, j, m].ravel()) @ D[k]).T
-            core = core - D[k] @ sp.diags(c2[..., j, k].ravel()) @ D[j]
-            core = core - (D[j] @ sp.diags(c2_adj[..., k, j].ravel()) @ D[k]).T
+                if c3[..., j, k, m].any():
+                    core = core + D[k] @ D[m] @ sp.diags(c3[..., j, k, m].ravel()) @ D[j]
+                if c3_adj[..., k, j, m].any():
+                    core = core + (D[j] @ D[m] @ sp.diags(c3_adj[..., k, j, m].ravel()) @ D[k]).T
+            if c2[..., j, k].any():
+                core = core - D[k] @ sp.diags(c2[..., j, k].ravel()) @ D[j]
+            if c2_adj[..., k, j].any():
+                core = core - (D[j] @ sp.diags(c2_adj[..., k, j].ravel()) @ D[k]).T
     op = hom_solver @ matrix_op(core, grid=grid, label="L-core") @ hom_solver
     op.label = "Lop"
     op.core = core
@@ -287,6 +292,17 @@ def _offset_rows(table, d, kern, imag):
         yield np.moveaxis(vals, 3, 0).reshape((per,) + table.shape[:-d] + (-1,))
 
 
+def _eval_broadcast(field, x, y):
+    """field.eval(x, y), held to the shape broadcast(x, y)[:-1] + (d, d)."""
+    a = field.eval(x, y)
+    shape = np.broadcast_shapes(x.shape, y.shape)[:-1] + (field.dim,) * 2
+    if a.shape != shape:
+        raise ValueError(f"coefficient field '{field.name}' evaluated to shape {a.shape}, "
+                         f"not {shape}: an evaluator must broadcast x against y and return "
+                         "broadcast(x, y).shape[:-1] + (d, d)")
+    return a
+
+
 def drift_matrix_field(field, cells, specs, grids):
     """Double-averaged matrices from the slow difference quotient, fine nodes.
 
@@ -300,8 +316,14 @@ def drift_matrix_field(field, cells, specs, grids):
     tensor Gauss rule (the integrand is analytic in the offset but not
     periodic), whose rows are walked once for every (spec, grid) pair: each
     row's table values are added into every pair's matrix, in batches of
-    at most 4096 (fine node, offset) pairs of its grid.  The specs must
-    share n_omega and drift_order.  Returns a list of (*fine, d, d).
+    at most 4096 (fine node, offset) pairs of its grid.  The fine node
+    x = eps (K + c/n_f) has the fast point c/n_f + w at offset w, so the
+    nodes are laid out as (1/eps, n_f) per axis and `field.eval` gets the
+    slow points (*layout, 1, d) against the fast points (1, n_f)*d +
+    (batch, d): the evaluator's y-only terms run once per (c, offset), not
+    per (fine node, offset), under the broadcast contract of
+    `CoefficientField.evaluator`, which is checked.  The specs must share
+    n_omega and drift_order.  Returns a list of (*fine, d, d).
     """
     if len({(spec.n_omega, spec.drift_order) for spec in specs}) != 1:
         raise ValueError("one drift walk needs specs with one offset rule "
@@ -310,11 +332,12 @@ def drift_matrix_field(field, cells, specs, grids):
     n_f = specs[0].n_omega
     eye = np.eye(d)
     runs = []
+    fast_base = (np.moveaxis(np.indices((n_f,) * d), 0, -1) / n_f).reshape((1, n_f) * d + (1, d))
     for spec, grid in zip(specs, grids, strict=True):
         spec.check_grid(grid)
-        runs.append((spec.eps, grid, grid.coords().reshape(-1, d),
+        layout = (grid.n // n_f, n_f) * d
+        runs.append((spec.eps, grid, grid.coords().reshape(layout + (1, d)),
                      _slow_interp(cells.slow_grid, grid, n_f),
-                     (np.indices(grid.shape).reshape(d, -1).T % n_f) / n_f,
                      max(1, 4096 // grid.size), np.zeros((grid.size, d, d))))
     nodes, node_w = specs[0].offset_rule(d)
     maps = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
@@ -325,7 +348,7 @@ def drift_matrix_field(field, cells, specs, grids):
         # (n_slow, n_f^d, per, d, d) gradient tables at the row's offsets
         row_vals = [np.moveaxis(v.reshape(len(nodes), -1, d, d, n_f ** d), (0, 4), (2, 1))
                     for v in row_vals]
-        for eps, grid, pts, interp, fast_base, batch, out in runs:
+        for eps, grid, pts, interp, batch, out in runs:
             for lo in range(0, len(nodes), batch):
                 sl = slice(lo, lo + batch)
                 om = nodes[sl, None]
@@ -337,9 +360,9 @@ def drift_matrix_field(field, cells, specs, grids):
                 P, Q = ((interp @ v[:, :, sl].reshape(interp.shape[1], -1))
                         .reshape(grid.size, -1, d, d) + eye for v in row_vals)
                 # line integral of grad_x a . omega along each offset, times its weight
-                fast_pts = fast_base[:, None] + om
-                slow_pts = np.broadcast_to(pts[:, None], fast_pts.shape)
-                mid = field.eval(slow_pts + eps * om, fast_pts) - field.eval(slow_pts, fast_pts)
+                fast_pts = fast_base + om
+                mid = (_eval_broadcast(field, pts + eps * om, fast_pts)
+                       - _eval_broadcast(field, pts, fast_pts)).reshape(grid.size, -1, d, d)
                 mid *= (w / eps)[:, None, None]
                 # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q]
                 out += np.matmul(P, np.matmul(Q, mid).swapaxes(-1, -2)).sum(axis=1)

@@ -190,13 +190,17 @@ def _sample_flux(solver, chi, grad, lam, x, adjoint=False):
 
 def _sample_fluxes(cells: CellSolutions, field, adjoints):
     """Per slow sample, one cell solver for the field and the list of its
-    `_sample_flux` for each family in `adjoints` (True: the adjoint one)."""
+    `_sample_flux` for each family in `adjoints` (True: the adjoint one).
+    A field without slow dependence (lipschitz_x == 0) has one solver,
+    built at the first sample and shared by all."""
     d, cshape = cells.dim, cells.cell_grid.shape
     tables = [(adj, (cells.chi_adj if adj else cells.chi).reshape((-1, d) + cshape),
                (cells.grad_y_chi_adj if adj else cells.grad_y_chi).reshape((-1, d, d) + cshape))
               for adj in adjoints]
+    solver = None
     for i, x in enumerate(cells.slow_grid.coords().reshape(-1, d)):
-        solver = make_solver(field.frozen(x), cells.cell_grid, 1e-11, cells.method)
+        if solver is None or field.lipschitz_x != 0.0:
+            solver = make_solver(field.frozen(x), cells.cell_grid, 1e-11, cells.method)
         yield [_sample_flux(solver, chi[i], gy[i], field.ellipticity, x, adj)
                for adj, chi, gy in tables]
 

@@ -114,3 +114,20 @@ def test_symmetric_flag_is_exact():
         y = rng.random((30, f.dim))
         a = f.eval(x, y)
         assert np.abs(a - np.swapaxes(a, -1, -2)).max() == 0.0
+
+
+@pytest.mark.parametrize("fam,params", FAMILIES)
+def test_evaluator_broadcasts_x_against_y(fam, params):
+    # the drift passes x and y on separate axes: factored and fully
+    # broadcast arguments give the same values, of the broadcast shape
+    f = builtin_family(fam, params)
+    d = f.dim
+    rng = np.random.default_rng(4)
+    x = rng.random((3, 1, d))
+    y = rng.random((1, 5, d))
+    a = f.eval(x, y)
+    assert a.shape == (3, 5, d, d)
+    full = f.eval(np.broadcast_to(x, (3, 5, d)), np.broadcast_to(y, (3, 5, d)))
+    assert np.array_equal(a, full)
+    assert np.array_equal(f.eval(y, x), f.eval(np.broadcast_to(y, (3, 5, d)),
+                                              np.broadcast_to(x, (3, 5, d))))

@@ -216,6 +216,26 @@ def test_coefficient_walk_builds_one_solver_per_sample(monkeypatch, method):
     assert len(built) == cells.slow_grid.size
 
 
+@pytest.mark.parametrize("family,params", [("laminate_2d", {}),
+                                           ("periodic_only", {"dim": 2, "symmetric": False})])
+def test_coefficient_walk_shares_one_solver_without_slow_dependence(monkeypatch, family, params):
+    # lipschitz_x == 0: every sample's solver would be the same; the tensors
+    # match the walk that builds one per sample (a claimed slow bound of 1)
+    field = builtin_family(family, params)
+    cells = build_cell_table(field, TorusGrid(2, 4), TorusGrid(2, 16), tol=1e-11)
+    per_sample = corrector_coeffs(cells, replace(field, lipschitz_x=1.0))
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return make_solver(*args, **kwargs)
+    monkeypatch.setattr(microhom.effective, "make_solver", counted)
+    shared = corrector_coeffs(cells, field)
+    assert len(built) == 1
+    for name in ("c3", "c3_adj", "c2", "c2_adj"):
+        assert np.array_equal(getattr(shared, name), getattr(per_sample, name))
+
+
 @pytest.mark.parametrize("method", ["spectral", "fv"])
 def test_adjoint_family_of_primal_solutions_is_not_solenoidal(method):
     # a table whose adjoint solutions are the primal ones: the transposed
@@ -532,6 +552,21 @@ def test_drift_matrix_of_field_without_slow_gradient():
     got = drift_matrix_field(field, cells, [spec], [grid])[0]
     ref = looped_drift("smooth_2d_nonsymmetric", builtin.params, cells, spec, grid)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_drift_rejects_evaluator_that_does_not_broadcast():
+    # an evaluator that ignores x is sized by y alone, which would reshape
+    # into wrong numbers whenever 1/eps divides the batch
+    builtin, cells, hom, fc = pipeline("smooth_2d_nonsymmetric", {}, 4, 16)
+
+    def ev(x, y):
+        return builtin.evaluator(np.zeros_like(y), y)
+    field = CoefficientField(dim=2, evaluator=ev, ellipticity=builtin.ellipticity,
+                             lipschitz_x=builtin.lipschitz_x, symmetric=False,
+                             name="y_sized")
+    spec = SmoothingSpec(eps=0.5, n_omega=8)
+    with pytest.raises(ValueError, match=r"'y_sized'.*broadcast\(x, y\)"):
+        drift_matrix_field(field, cells, [spec], [TorusGrid(2, 16)])
 
 
 def test_drift_matrix_zero_without_slow_dependence():
