@@ -12,10 +12,9 @@ transposed node matrix, so every adjoint reads the transpose.
 from itertools import permutations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import DiscreteOperator, matrix_op
+from .operators import DiscreteOperator, matrix_op, stencil_matrix
 
 
 def sample_coefficient(a_eval, grid):
@@ -25,7 +24,7 @@ def sample_coefficient(a_eval, grid):
 
 
 def assemble_diffusion(grid, faces, nodes=None, mass=0.0):
-    """Sparse matrix of -div(a grad .) + mass * I.
+    """CSR matrix of -div(a grad .) + mass * I, in canonical format.
 
     Parameters
     ----------
@@ -35,50 +34,38 @@ def assemble_diffusion(grid, faces, nodes=None, mass=0.0):
     nodes : (*shape, d, d) node matrix of a; only its entries a_mk with
         m != k are read (none in 1D), each as the band pair -D0_m(a_mk D0_k)
     mass : coefficient of the identity part
+
+    Row x holds the conservative flux bands 0, +e_m, -e_m per axis, then
+    the four diagonal neighbours of each cross term, then the mass;
+    `stencil_matrix` sums the bands that share an offset in that order, and
+    the columns come out sorted (sums of whole matrices depend on it).
     """
     d = grid.dim
-    shape = grid.shape
-    n = grid.size
     h2 = grid.h ** 2
-    idx = np.arange(n).reshape(shape)
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(v.ravel())
-
+    q = 1.0 / (4.0 * h2)
+    e = np.eye(d, dtype=int)
+    offsets, coeffs = [], []
     for m in range(d):
         af = np.asarray(faces[m], dtype=float)
-        ip = np.roll(idx, -1, axis=m)          # node i + e_m
         af_minus = np.roll(af, 1, axis=m)      # face between i - e_m and i
-        add(idx, idx, (af + af_minus) / h2)
-        add(idx, ip, -af / h2)
-        add(ip, idx, -af / h2)
+        offsets += [0 * e[m], e[m], -e[m]]
+        coeffs += [(af + af_minus) / h2, -af / h2, -af_minus / h2]
 
     for m, k in permutations(range(d), 2) if nodes is not None else ():
         c = np.asarray(nodes[..., m, k], dtype=float)
         cp = np.roll(c, -1, axis=m)            # c at i + e_m
         cm = np.roll(c, 1, axis=m)
         # -D0_m(c D0_k u): four shifted-diagonal bands
-        i_pp = np.roll(np.roll(idx, -1, axis=m), -1, axis=k)
-        i_pm = np.roll(np.roll(idx, -1, axis=m), 1, axis=k)
-        i_mp = np.roll(np.roll(idx, 1, axis=m), -1, axis=k)
-        i_mm = np.roll(np.roll(idx, 1, axis=m), 1, axis=k)
-        q = 1.0 / (4.0 * h2)
-        add(idx, i_pp, -q * cp)
-        add(idx, i_pm, q * cp)
-        add(idx, i_mp, q * cm)
-        add(idx, i_mm, -q * cm)
+        offsets += [e[m] + e[k], e[m] - e[k], e[k] - e[m], -e[m] - e[k]]
+        coeffs += [-q * cp, q * cp, q * cm, -q * cm]
 
     if mass:
-        add(idx, idx, np.full(shape, float(mass)))
+        offsets.append(0 * e[0])
+        coeffs.append(float(mass))
 
-    # tocsr sums duplicate entries and leaves the indices sorted
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+    mat = stencil_matrix(grid, offsets, (np.ravel(c) for c in coeffs))
+    mat.sort_indices()
+    return mat
 
 
 def assemble_fine(field, eps, grid):

@@ -168,14 +168,8 @@ class FVCellSolver:
         # is exactly compatible, so pinning is exact); factored on first use
         # since quadrature-only consumers never solve
         if self._lu is None:
-            coo = self.mat.tocoo()
-            keep = coo.row != 0
-            pinned = sp.coo_matrix(
-                (np.concatenate([coo.data[keep], [1.0]]),
-                 (np.concatenate([coo.row[keep], [0]]),
-                  np.concatenate([coo.col[keep], [0]]))),
-                shape=coo.shape).tocsc()
-            self._lu = spla.splu(pinned)
+            pinned = sp.vstack([sp.eye(1, self.grid.size, format="csr"), self.mat[1:]])
+            self._lu = spla.splu(pinned.tocsc())
         return self._lu
 
     def _rhs(self, j, adjoint=False):

@@ -44,10 +44,6 @@ from .errors import ConfigError
 _GRID_DEFAULTS = {1: {"n_x": 64, "n_y": 256, "n_f": 16},
                   2: {"n_x": 16, "n_y": 64, "n_f": 8}}
 _EPS_DEFAULTS = {1: (8, 16, 32, 64), 2: (8, 16, 32)}
-_KEYS = {"grids": {"n_x", "n_y", "n_f"},
-         "sweep": {"eps_denominators"},
-         "solver": {"cell_tol", "norm_tol", "norm_maxiter", "seed", "matched_effective"},
-         "output": {"out_dir"}}
 
 
 @dataclass(frozen=True)
@@ -133,14 +129,34 @@ def _param(raw):
         raise ValueError(f"not a number or a boolean word ({'/'.join(_BOOLEANS)})") from None
 
 
-def _get(parser, section, key, default=None, cast=str):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return default
+def _eps_denominators(raw):
+    """Distinct integer denominators k >= 2, ascending (so eps descending)."""
+    ks = tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
+    if not ks:
+        raise ValueError("eps_denominators is empty")
+    for i, k in enumerate(ks):
+        if k < 2:
+            raise ValueError(f"every eps must be 1/k with integer k >= 2, got 1/{k}")
+        if k in ks[:i]:
+            raise ValueError(f"duplicate eps denominator {k}")
+    return tuple(sorted(ks))
+
+
+# every key outside [coefficient] with its cast; ExperimentConfig holds the
+# defaults, except the dimension-dependent grids and eps denominators
+_KEYS = {"grids": {"n_x": int, "n_y": int, "n_f": int},
+         "sweep": {"eps_denominators": _eps_denominators},
+         "solver": {"cell_tol": float, "norm_tol": float, "norm_maxiter": int,
+                    "seed": int, "matched_effective": _boolean},
+         "output": {"out_dir": str}}
+
+
+def _get(parser, section, key, cast):
+    raw = parser.get(section, key)
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def load_config(path):
@@ -168,7 +184,7 @@ def load_config(path):
     if not parser.has_option("coefficient", "family"):
         raise ConfigError("missing [coefficient] family")
     family = parser.get("coefficient", "family").strip()
-    params = {key: _get(parser, "coefficient", key, cast=_param)
+    params = {key: _get(parser, "coefficient", key, _param)
               for key in parser.options("coefficient") if key != "family"}
 
     # instantiating validates the family id and its parameter ranges
@@ -176,37 +192,9 @@ def load_config(path):
         field = builtin_family(family, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    dim = field.dim
-    gd = _GRID_DEFAULTS[dim]
-
-    def parse_eps(raw):
-        try:
-            ks = tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
-        except ValueError as exc:
-            raise ConfigError(f"eps_denominators: {exc}") from exc
-        if not ks:
-            raise ConfigError("eps_denominators is empty")
-        for i, k in enumerate(ks):
-            if k < 2:
-                raise ConfigError(f"every eps must be 1/k with integer k >= 2, got 1/{k}")
-            if k in ks[:i]:
-                raise ConfigError(f"duplicate eps denominator {k}")
-        return tuple(sorted(ks))
-
-    raw_eps = _get(parser, "sweep", "eps_denominators", None)
-    eps_denoms = parse_eps(raw_eps) if raw_eps is not None else _EPS_DEFAULTS[dim]
-
-    return ExperimentConfig(
-        family=family,
-        params=tuple(sorted(params.items())),
-        n_x=_get(parser, "grids", "n_x", gd["n_x"], int),
-        n_y=_get(parser, "grids", "n_y", gd["n_y"], int),
-        n_f=_get(parser, "grids", "n_f", gd["n_f"], int),
-        eps_denominators=eps_denoms,
-        cell_tol=_get(parser, "solver", "cell_tol", 1e-11, float),
-        norm_tol=_get(parser, "solver", "norm_tol", 1e-6, float),
-        norm_maxiter=_get(parser, "solver", "norm_maxiter", 800, int),
-        seed=_get(parser, "solver", "seed", 0, int),
-        out_dir=_get(parser, "output", "out_dir", "results"),
-        matched_effective=_get(parser, "solver", "matched_effective", False, _boolean),
-    )
+    values = {**_GRID_DEFAULTS[field.dim], "eps_denominators": _EPS_DEFAULTS[field.dim]}
+    for section, casts in _KEYS.items():
+        for key, cast in casts.items():
+            if parser.has_option(section, key):
+                values[key] = _get(parser, section, key, cast)
+    return ExperimentConfig(family=family, params=tuple(sorted(params.items())), **values)

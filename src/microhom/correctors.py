@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from .assemble import assemble_diffusion
-from .effective import _sample_fluxes, multilinear
+from .effective import _sample_fluxes
 from .grids import GridFunction, TorusGrid, interp_matrix
 from .operators import DiscreteOperator, diff_matrix, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
@@ -199,13 +199,6 @@ def corrector_coeffs(cells, field) -> CorrectorCoeffs:
                            c2_adj=lift(c2_adj), equivalence_defect=defect)
 
 
-def _coeff_field(table, slow_grid, grid):
-    """Interpolate a slow-sample coefficient table to the fine nodes."""
-    pts = grid.coords().reshape(-1, slow_grid.dim)
-    vals = multilinear(table, slow_grid, pts)
-    return vals.reshape(grid.shape + table.shape[slow_grid.dim:])
-
-
 def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
                grid: TorusGrid) -> LinearOperator:
     """The eps-free composed operator.
@@ -218,10 +211,13 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
     """
     d = grid.dim
     n = grid.size
-    c3 = _coeff_field(coeffs.c3, coeffs.slow_grid, grid)
-    c3_adj = _coeff_field(coeffs.c3_adj, coeffs.slow_grid, grid)
-    c2 = _coeff_field(coeffs.c2, coeffs.slow_grid, grid)
-    c2_adj = _coeff_field(coeffs.c2_adj, coeffs.slow_grid, grid)
+    slow = coeffs.slow_grid
+    # the four tables, column-stacked, interpolated to the fine nodes by one product
+    tables = (coeffs.c3, coeffs.c3_adj, coeffs.c2, coeffs.c2_adj)
+    fine = interp_matrix(slow.n, grid.coords().reshape(-1, d)) @ np.hstack(
+        [t.reshape(slow.size, -1) for t in tables])
+    parts = np.split(fine, [d ** 3, 2 * d ** 3, 2 * d ** 3 + d ** 2], axis=1)
+    c3, c3_adj, c2, c2_adj = (p.reshape((n,) + t.shape[d:]) for p, t in zip(parts, tables))
     D = [diff_matrix(grid, ax) for ax in range(d)]
     # primal family D_k D_m c3[j,k,m] D_j - D_k c2[j,k] D_j plus the transpose
     # of the adjoint family D_j D_m c3_adj[k,j,m] D_k - D_j c2_adj[k,j] D_k;

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cell import CellSolutions, FVCellSolver, make_solver
 from .errors import SolveError
-from .grids import TorusGrid, interp_matrix
+from .grids import TorusGrid
 from .spectral import calculus, trig_resample
 
 _ENERGY_SLACK = 1.0 + 1e-6
@@ -30,9 +30,10 @@ _DIV_LIMIT = 1e-6   # largest divergence defect accepted (deviations, potentials
 class HomogenizedField:
     """Effective matrix a0 on the slow sample grid.
 
-    `matrices` has shape (*slow_shape, d, d).  Off-sample evaluation is
-    `multilinear(matrices, slow_grid, x)`; assembly onto fine grids uses
-    trigonometric resampling of the analytic-in-x samples (`resample_entry`).
+    `matrices` has shape (*slow_shape, d, d).  Off-sample evaluation is one
+    `grids.interp_matrix` product with the (slow_grid.size, d * d) table;
+    assembly onto fine grids uses trigonometric resampling of the
+    analytic-in-x samples (`resample_entry`).
     """
     slow_grid: TorusGrid
     matrices: np.ndarray
@@ -65,17 +66,6 @@ class HomogenizedField:
             row += [f"{m[p, q]:.12e}" for p in range(self.dim) for q in range(self.dim)]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
-
-
-def multilinear(table, slow_grid, x):
-    """Periodic multilinear interpolation over the leading slow axes.
-
-    table: (*slow_shape, *rest); x: (..., d).  Returns (..., *rest).
-    """
-    d = slow_grid.dim
-    x = np.asarray(x, dtype=float)
-    out = interp_matrix(slow_grid.n, x.reshape(-1, d)) @ table.reshape(slow_grid.size, -1)
-    return out.reshape(x.shape[:-1] + table.shape[d:])
 
 
 def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:

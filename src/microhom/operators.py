@@ -71,12 +71,16 @@ def stencil_matrix(grid, offsets, coeffs):
     data = np.zeros((n, width))
     for k, c in zip(slot.ravel(), coeffs):
         data[:, k] += c
-    nodes = np.indices(grid.shape).reshape(d, n, 1)
-    cols = np.ravel_multi_index(tuple(nodes + uniq.T[:, None, :]), grid.shape,
-                                mode="wrap")
+    # C-order flat columns, built in int32 one axis at a time
+    cols = np.zeros((n, width), dtype=np.int32)
+    step = np.empty((n, width), dtype=np.int32)
+    for ax, coord in enumerate(np.indices(grid.shape, dtype=np.int32).reshape(d, n, 1)):
+        np.add(coord, uniq[:, ax].astype(np.int32), out=step)
+        np.remainder(step, grid.n, out=step)
+        cols *= grid.n
+        cols += step
     indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
-    return sp.csr_matrix((data.ravel(), cols.astype(np.int32).ravel(), indptr),
-                         shape=(n, n))
+    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
 
 
 def diff_matrix(grid, axis):

@@ -4,7 +4,9 @@ The two convergence sweeps are shared session fixtures; their wall times
 are part of the runtime criteria.  Run with -s to see the PASS lines.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,24 +30,28 @@ def ok(n, msg):
     print(CHECKMARK.format(n=n, msg=msg))
 
 
+SWEEP_1D = ExperimentConfig(family="separable_1d", params=(), n_x=64, n_y=256,
+                            n_f=16, eps_denominators=(8, 16, 32, 64),
+                            cell_tol=1e-12, norm_tol=1e-7, norm_maxiter=800, seed=0)
+SWEEP_2D = ExperimentConfig(family="smooth_2d_nonsymmetric", params=(), n_x=16,
+                            n_y=64, n_f=8, eps_denominators=(8, 16, 32),
+                            cell_tol=1e-11, norm_tol=1e-6, norm_maxiter=800,
+                            seed=0, matched_effective=True)
+# E0/E1/E2 of both sweeps per eps denominator, for criterion 12
+PINNED = json.loads(Path(__file__).with_name("acceptance_errors.json").read_text())
+
+
 @pytest.fixture(scope="session")
 def sweep_1d():
-    cfg = ExperimentConfig(family="separable_1d", params=(), n_x=64, n_y=256,
-                           n_f=16, eps_denominators=(8, 16, 32, 64),
-                           cell_tol=1e-12, norm_tol=1e-7, norm_maxiter=800, seed=0)
     t0 = time.perf_counter()
-    rep = run_sweep(cfg)
+    rep = run_sweep(SWEEP_1D)
     return rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def sweep_2d():
-    cfg = ExperimentConfig(family="smooth_2d_nonsymmetric", params=(), n_x=16,
-                           n_y=64, n_f=8, eps_denominators=(8, 16, 32),
-                           cell_tol=1e-11, norm_tol=1e-6, norm_maxiter=800,
-                           seed=0, matched_effective=True)
     t0 = time.perf_counter()
-    rep = run_sweep(cfg)
+    rep = run_sweep(SWEEP_2D)
     return rep, time.perf_counter() - t0
 
 
@@ -276,3 +282,20 @@ def test_criterion_11_determinism(tmp_path):
     b = emit_report(run_sweep(cfg), tmp_path / "b")
     assert a["results"].read_bytes() == b["results"].read_bytes()
     ok(11, "repeated sweeps with a fixed seed give byte-identical results.csv")
+
+
+def test_criterion_12_error_values_are_pinned(sweep_1d, sweep_2d):
+    worst = 0.0
+    for name, (rep, _), cfg in (("sweep_1d", sweep_1d, SWEEP_1D),
+                                ("sweep_2d", sweep_2d, SWEEP_2D)):
+        pinned = PINNED[name]
+        assert [str(round(1 / eps)) for eps in rep.eps_list] == list(pinned), name
+        for i, k in enumerate(pinned):
+            for norm, ref in zip(("E0", "E1", "E2"), pinned[k]):
+                rel = abs(rep.errors[norm][i] - ref) / ref
+                assert rel <= cfg.norm_tol, (
+                    f"{name}: {norm} at eps = 1/{k} is {rep.errors[norm][i]!r}, "
+                    f"pinned {ref!r}: {rel:.2e} relative > norm_tol {cfg.norm_tol:g}")
+                worst = max(worst, rel)
+    ok(12, f"E0/E1/E2 of both sweeps within norm_tol of the pinned values "
+           f"(largest move {worst:.1e})")

@@ -1,8 +1,9 @@
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
-from microhom import ConfigError, load_config
+from microhom import ConfigError, ExperimentConfig, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("perfbench/workloads/*.cfg"))
@@ -48,6 +49,11 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.n_x == 64 and cfg.n_y == 256 and cfg.n_f == 16
     assert cfg.eps_denominators == (8, 16, 32, 64)
     assert cfg.eps_list[0] == 0.125
+    # the solver and output keys take the dataclass's own defaults
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+    assert set(defaults) == {"cell_tol", "norm_tol", "norm_maxiter", "seed", "out_dir",
+                             "matched_effective"}
+    assert {name: getattr(cfg, name) for name in defaults} == defaults
 
 
 def test_full_config(tmp_path):

@@ -7,7 +7,6 @@ import microhom.effective
 from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
                       effective_matrix, flux_corrector, vector_potential)
 from microhom.cell import make_solver
-from microhom.effective import multilinear
 from microhom.grids import centered_diff, interp_matrix
 from microhom.spectral import calculus
 from microhom.sweep import matched_effective_matrix
@@ -103,8 +102,8 @@ def test_effective_ellipticity_and_lipschitz_recorded(smooth_2d):
 def test_multilinear_interpolation_at_samples(smooth_2d):
     _, cells, hom = smooth_2d
     pts = cells.slow_grid.coords().reshape(-1, 2)
-    vals = multilinear(hom.matrices, hom.slow_grid, pts)
-    assert np.allclose(vals, hom.matrices.reshape(-1, 2, 2), atol=1e-14)
+    vals = interp_matrix(hom.slow_grid.n, pts) @ hom.matrices.reshape(-1, 4)
+    assert np.allclose(vals, hom.matrices.reshape(-1, 4), atol=1e-14)
 
 
 def test_multilinear_midpoints_average_neighbours():
@@ -117,16 +116,17 @@ def test_multilinear_midpoints_average_neighbours():
         axes = tuple(range(d))
         neighbours = [np.roll(table, tuple(-np.array(s)), axis=axes)
                       for s in np.ndindex((2,) * d)]
-        expect = np.mean(neighbours, axis=0).reshape((-1, 2, 3))
-        vals = multilinear(table, grid, mids)
+        expect = np.mean(neighbours, axis=0).reshape((-1, 6))
+        flat = table.reshape(grid.size, 6)
         # every row holds 2^d int32 corner entries that sum to 1
         mat = interp_matrix(grid.n, mids)
         assert mat.indices.dtype == np.int32 and np.all(np.diff(mat.indptr) == 2 ** d)
         assert np.abs(np.asarray(mat.sum(axis=1)) - 1.0).max() <= 1e-15
+        vals = mat @ flat
         assert vals.shape == expect.shape
         assert np.allclose(vals, expect, rtol=0, atol=1e-15)
         # the last midpoint averages the final sample with the first one
-        assert np.allclose(multilinear(table, grid, mids[-1:] + 1.0), expect[-1:],
+        assert np.allclose(interp_matrix(grid.n, mids[-1:] + 1.0) @ flat, expect[-1:],
                            rtol=0, atol=1e-15)
 
 

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from microhom import GridFunction, SolveError, TorusGrid, norms
 from microhom.grids import centered_diff, centered_gradient
 from microhom.operators import (diff_matrix, h1_gram_op, matrix_op, operator_norm,
-                                transpose_defect)
+                                stencil_matrix, transpose_defect)
 from microhom.spectral import calculus, trig_resample
 
 
@@ -145,6 +145,14 @@ def test_gradient_op_matches_dense_transpose():
         ref = v - sum(centered_diff(centered_diff(v, ax, g.h), ax, g.h) for ax in range(2))
         gram = h1_gram_op(g).matvec(x)
         assert np.abs(gram - ref.ravel()).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_stencil_merges_offsets_equal_modulo_the_grid():
+    # +2 and -2 are one neighbour on 4 points: one stored entry per row
+    mat = stencil_matrix(TorusGrid(1, 4), [[2], [-2]], [1.0, 2.0])
+    assert np.array_equal(mat.indptr, np.arange(5))
+    assert np.array_equal(mat.indices, (np.arange(4) + 2) % 4)
+    assert np.array_equal(mat.data, np.full(4, 3.0))
 
 
 def test_trig_resample_exact_on_modes():
