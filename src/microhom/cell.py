@@ -64,6 +64,10 @@ class SpectralCellSolver:
             blocks += [np.swapaxes(self.a, -1, -2)] * d
         return self._solve_blocks(np.stack(blocks), list(range(d)) * (2 if adjoint else 1))
 
+    def div_residual(self, chi, dev, adjoint=False):
+        """(d, size): the spectral divergence of each flux deviation dev[j]."""
+        return self.calc.div(dev).reshape(len(dev), -1)
+
     def _solve_blocks(self, a, dirs):
         """Solve block b with coefficient a[b] (*shape, d, d) in direction dirs[b].
 
@@ -171,6 +175,13 @@ class FVCellSolver:
             pinned = sp.vstack([sp.eye(1, self.grid.size, format="csr"), self.mat[1:]])
             self._lu = spla.splu(pinned.tocsc())
         return self._lu
+
+    def div_residual(self, chi, dev, adjoint=False):
+        """(d, size): the residual of the scheme that defined each chi[j] (the
+        fluxes carry kinks, so their spectral divergence is no test)."""
+        mat = self.mat.T if adjoint else self.mat
+        return np.stack([mat @ chi[j].ravel() - self._rhs(j, adjoint).ravel()
+                         for j in range(self.grid.dim)])
 
     def _rhs(self, j, adjoint=False):
         # div of the constant-direction flux a e^j, discretized like the matrix;
@@ -369,7 +380,11 @@ def save_cell_table(path, cells):
 
 
 def load_cell_table(path):
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ValueError(f"cannot read cell table {path}: {exc}") from exc
+    with fh:
         if fh.read(8) != _MAGIC:
             raise ValueError(f"{path}: not a cell table container ({_MAGIC.decode()})")
         family = fh.read(64).rstrip(b"\0").decode()

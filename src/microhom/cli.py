@@ -9,7 +9,6 @@ convergence experiment).  Exit codes: 0 success, 2 validation failure,
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .cell import build_cell_table, load_cell_table, save_cell_table
 from .coefficients import validate_coefficient
@@ -17,7 +16,7 @@ from .config import load_config
 from .effective import effective_matrix
 from .errors import ConfigError, SolveError
 from .grids import TorusGrid
-from .sweep import emit_report, run_sweep
+from .sweep import emit_report, output_dir, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,12 +58,10 @@ def cmd_cells(args):
               f"lipschitz_quotient={cells.lipschitz_quotient:.6g}")
         return EXIT_OK
     cfg = _load(args)
+    out = output_dir(cfg.out_dir)
     field = cfg.make_field()
     cells = build_cell_table(field, TorusGrid(field.dim, cfg.n_x),
-                             TorusGrid(field.dim, cfg.n_y),
-                             tol=cfg.cell_tol)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+                             TorusGrid(field.dim, cfg.n_y), tol=cfg.cell_tol)
     path = out / "cells.bin"
     save_cell_table(path, cells)
     print(f"cell table written to {path} "
@@ -75,13 +72,11 @@ def cmd_cells(args):
 
 def cmd_effective(args):
     cfg = _load(args)
+    out = output_dir(cfg.out_dir)
     field = cfg.make_field()
     cells = build_cell_table(field, TorusGrid(field.dim, cfg.n_x),
-                             TorusGrid(field.dim, cfg.n_y),
-                             tol=cfg.cell_tol)
+                             TorusGrid(field.dim, cfg.n_y), tol=cfg.cell_tol)
     hom = effective_matrix(cells, field)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "effective.csv"
     path.write_text(hom.to_csv())
     print(f"effective matrix written to {path} "
@@ -92,7 +87,8 @@ def cmd_effective(args):
 
 def cmd_sweep(args):
     cfg = _load(args)
-    report = run_sweep(cfg, jobs=args.jobs, progress=lambda m: print(f"  {m}"))
+    output_dir(cfg.out_dir)  # a bad --out fails before the sweep, not after it
+    report = run_sweep(cfg, progress=lambda m: print(f"  {m}"))
     paths = emit_report(report, cfg.out_dir)
     print(report.summary())
     print("files: " + ", ".join(str(p) for p in paths.values()))
@@ -121,8 +117,6 @@ def main(argv=None):
 
     p = subs.add_parser("sweep", help="run the convergence experiment")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="eps points run in parallel (threads)")
     p.set_defaults(fn=cmd_sweep)
 
     args = parser.parse_args(argv)

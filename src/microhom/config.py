@@ -94,18 +94,19 @@ class ExperimentConfig:
         """Canonical INI rendering; load(dump(cfg)) == cfg."""
         lines = ["[coefficient]", f"family = {self.family}"]
         lines += [f"{k} = {v!r}" for k, v in self.params]
-        lines += ["", "[grids]",
-                  f"n_x = {self.n_x}", f"n_y = {self.n_y}", f"n_f = {self.n_f}",
-                  "", "[sweep]",
-                  "eps_denominators = " + ",".join(str(k) for k in self.eps_denominators),
-                  "", "[solver]",
-                  f"cell_tol = {self.cell_tol!r}",
-                  f"norm_tol = {self.norm_tol!r}",
-                  f"norm_maxiter = {self.norm_maxiter}",
-                  f"seed = {self.seed}",
-                  f"matched_effective = {str(self.matched_effective).lower()}",
-                  "", "[output]", f"out_dir = {self.out_dir}", ""]
-        return "\n".join(lines)
+        for section, keys in _KEYS.items():
+            lines += ["", f"[{section}]"] + [f"{key} = {_render(getattr(self, key))}"
+                                            for key in keys]
+        return "\n".join(lines + [""])
+
+
+def _render(value):
+    """A config value as its key's cast reads it back."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cell import CellSolutions, FVCellSolver, make_solver
+from .cell import CellSolutions, make_solver
 from .errors import SolveError
 from .grids import TorusGrid
 from .spectral import calculus, trig_resample
@@ -138,18 +138,16 @@ def _sample_flux(solver, chi, grad, lam, x, adjoint=False):
     """Node flux a (e^j + grad_y chi^j) of one slow sample, every direction j.
 
     `solver` is the sample's `make_solver` for the field: it holds `a` at
-    the cell nodes and, on finite volumes, the scheme matrix.  chi (d, *cell)
-    and grad (d, d, *cell) are the sample's cell solutions; with `adjoint`
-    they are the adjoint ones, and the flux reads the transposed node matrix
-    and the transposed scheme A(a^T) = A(a)^T, so one solver serves both
-    families.  Each direction is held first to the gradient energy bound
-    |grad chi^j| <= sqrt(d) / lam^2, valid for any lam satisfying both
-    ellipticity inequalities (the field's claimed constant), then to
-    solenoidality: the spectral divergence of the deviation, or on finite
-    volumes (whose fluxes carry kinks) the residual of the scheme that
-    defined the solve.  Returns the flux (j, m, *cell), its deviation from
-    the node-quadrature cell mean and the worst divergence defect; raises
-    SolveError naming the sample.
+    the cell nodes.  chi (d, *cell) and grad (d, d, *cell) are the sample's
+    cell solutions; with `adjoint` they are the adjoint ones, and the flux
+    reads the transposed node matrix and the transposed scheme
+    A(a^T) = A(a)^T, so one solver serves both families.  Each direction is
+    held first to the gradient energy bound |grad chi^j| <= sqrt(d) / lam^2,
+    valid for any lam satisfying both ellipticity inequalities (the field's
+    claimed constant), then to solenoidality (the solver's `div_residual`).
+    Returns the flux (j, m, *cell), its deviation from the node-quadrature
+    cell mean and the worst divergence defect; raises SolveError naming the
+    sample.
     """
     grid = solver.grid
     d = grid.dim
@@ -166,11 +164,7 @@ def _sample_flux(solver, chi, grad, lam, x, adjoint=False):
     # means taken of the flux and its products reduce several times slower
     flux = np.einsum("...pq,jq...->jp...", a, epg, order="C")
     dev = flux - flux.mean(axis=cell_axes, keepdims=True)
-    if isinstance(solver, FVCellSolver):
-        mat = solver.mat.T if adjoint else solver.mat
-        res = np.stack([mat @ chi[j].ravel() - solver._rhs(j, adjoint).ravel() for j in range(d)])
-    else:
-        res = solver.calc.div(dev).reshape(d, -1)
+    res = solver.div_residual(chi, dev, adjoint)
     defect = float(np.sqrt(w * np.sum(res ** 2, axis=1)).max())
     if defect > _DIV_LIMIT:
         raise SolveError(f"slow sample x = {x}: flux deviation not solenoidal: defect "

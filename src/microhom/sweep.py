@@ -19,7 +19,6 @@ every eps before the per-eps loop, which reads no cell gradient table.
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
@@ -143,10 +142,12 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     roundoff floor) is flagged.  A per-eps failure aborts the sweep but
     keeps the points already measured, with the failing eps and stage
     (assemble, correctors, pairing, norm_E0, norm_E1 or norm_E2) recorded in
-    the `aborted:` flag.  `jobs` > 1 runs the eps points in a thread pool.
+    the `aborted:` flag.  The eps points run in turn; `jobs` accepts only 1.
     The cell table is checked sample by sample (gradient energy bound and
     solenoidal flux deviations) when the coefficient tensors are built.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs = {jobs!r}: the eps points run in turn, so jobs must be 1")
     say = progress or (lambda msg: None)
     field = config.make_field()
     d = field.dim
@@ -190,8 +191,12 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         say("building double-averaged matrices")
         # through the module, where perfbench/run.py wraps it
         chats = correctors.drift_matrix_field(field, cells, specs, grids)
-    # the per-eps stages read only chi and chi_adj
-    cells = replace(cells, grad_y_chi=None, grad_y_chi_adj=None)
+    # the per-eps stages read only chi and chi_adj, and those only on the
+    # n_f-point fast sublattice
+    chi, chi_adj = (np.ascontiguousarray(correctors._restrict_cell_axes(table, d, config.n_f))
+                    for table in (cells.chi, cells.chi_adj))
+    cells = replace(cells, cell_grid=TorusGrid(d, config.n_f), chi=chi, chi_adj=chi_adj,
+                    grad_y_chi=None, grad_y_chi_adj=None)
 
     stage_names = ("assemble_ms", "correctors_ms", "pairing_ms", "norm_E0_ms",
                    "norm_E1_ms", "norm_E2_ms")
@@ -199,7 +204,6 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         report.timings[name] = []
 
     def one_eps(k, grid, spec, chat):
-        eps = spec.eps
         times = {}
 
         @contextmanager
@@ -212,7 +216,7 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
             times[name + "_ms"] = 1000.0 * (time.perf_counter() - t)
 
         with stage("assemble"):
-            a_eps = assemble_fine(field, eps, grid)
+            a_eps = assemble_fine(field, spec.eps, grid)
             a_hom = assemble_homogenized(hom_for_r0, grid)
             r_eps = resolvent_op(a_eps, label="R_eps")
             r_hom = resolvent_op(a_hom, label="R0")
@@ -222,7 +226,7 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
             cor_adj = corrector_op(cells, spec, grid, r_hom.T, adjoint=True)
             l_op = assemble_L(coeffs, r_hom, grid)
             m_op = assemble_M(chat, r_hom, grid)
-            diffs = error_operators(r_eps, r_hom, cor, cor_adj, l_op, m_op, eps)
+            diffs = error_operators(r_eps, r_hom, cor, cor_adj, l_op, m_op, spec.eps)
 
         # the fused E1/E2 transposes are derived by hand: check them too.  E0's
         # is the difference of the two resolvents' own (pinned in the tests),
@@ -240,32 +244,17 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
                     diff, tol=config.norm_tol, maxiter=config.norm_maxiter,
                     seed=_norm_seed(config.seed, f"{name}/{k}"), gram=gram, info=info))
             applications.append(info["applications"])
-        return eps, values, applications, times, tdef
+        return values, applications, times, tdef
 
-    points = list(zip(ks, grids, specs, chats))
-    results, failures = [], []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one_eps, *point) for point in points]
-        # every point has run by now: keep each one that completed
-        for fut in futures:
-            try:
-                results.append(fut.result())
-            except SolveError as exc:
-                failures.append(exc)
-    else:
-        for k, grid, spec, chat in points:
-            say(f"eps = 1/{k}")
-            try:
-                results.append(one_eps(k, grid, spec, chat))
-            except SolveError as exc:
-                failures.append(exc)
-                break
-    if failures:
-        report.flags.append(f"aborted: {failures[0]}")
-
-    for eps, values, applications, times, tdef in results:
-        report.eps_list.append(eps)
+    # an eps enters the report only after all six of its stages succeed
+    for k, grid, spec, chat in zip(ks, grids, specs, chats):
+        say(f"eps = 1/{k}")
+        try:
+            values, applications, times, tdef = one_eps(k, grid, spec, chat)
+        except SolveError as exc:
+            report.flags.append(f"aborted: {exc}")
+            break
+        report.eps_list.append(spec.eps)
         for key, e, n_app in zip(("E0", "E1", "E2"), values, applications):
             report.errors[key].append(e)
             report.norm_applications[key].append(n_app)
@@ -289,18 +278,23 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     return report
 
 
+def output_dir(out_dir):
+    """The output directory as a Path, created if missing, else ValueError."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def emit_report(report: ConvergenceReport, out_dir):
     """Write results.csv, timings.csv, summary.txt, and loglog.dat.
 
     results.csv and loglog.dat are deterministic for a fixed config and
     seed; wall-clock timings live in their own file.
     """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
-
+    out = output_dir(out_dir)
     results = out / "results.csv"
     lines = ["eps,E0,E1,E2"]
     for i, eps in enumerate(report.eps_list):

@@ -113,12 +113,14 @@ def test_per_eps_stages_run_without_gradient_tables(monkeypatch):
     corrector_op = microhom.sweep.corrector_op
 
     def watched(cells, *args, **kwargs):
-        seen.append((cells.grad_y_chi, cells.grad_y_chi_adj))
+        seen.append((cells.grad_y_chi, cells.grad_y_chi_adj, cells.cell_grid))
         return corrector_op(cells, *args, **kwargs)
     monkeypatch.setattr(microhom.sweep, "corrector_op", watched)
     run_sweep(QUICK_1D)
     assert len(seen) == 2 * len(QUICK_1D.eps_denominators)
-    assert all(gy is None and gy_adj is None for gy, gy_adj in seen)
+    assert all(gy is None and gy_adj is None for gy, gy_adj, _ in seen)
+    # chi and chi_adj are kept on the n_f-point fast sublattice only
+    assert all(cell_grid.n == QUICK_1D.n_f for _, _, cell_grid in seen)
 
 
 def test_norm_applications_recorded(quick_report, tmp_path):
@@ -151,15 +153,16 @@ def test_determinism_byte_identical(tmp_path):
     assert p1["loglog"].read_bytes() == p2["loglog"].read_bytes()
 
 
-def test_parallel_sweep_matches_serial(quick_report, tmp_path):
-    rep = run_sweep(QUICK_1D, jobs=3)
-    p1 = emit_report(quick_report, tmp_path / "serial")
-    p2 = emit_report(rep, tmp_path / "parallel")
-    assert p1["results"].read_bytes() == p2["results"].read_bytes()
+def test_sweep_rejects_jobs_other_than_one_before_any_stage(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(microhom.sweep, "build_cell_table", never)
+    for jobs in (0, 2):
+        with pytest.raises(ValueError, match=f"jobs = {jobs}"):
+            run_sweep(QUICK_1D, jobs=jobs)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_failed_eps_keeps_measured_points(quick_report, monkeypatch, jobs):
+def test_failed_eps_keeps_measured_points(quick_report, monkeypatch):
     assemble = microhom.sweep.assemble_fine
 
     def fail_at_finest(field, eps, grid):
@@ -167,7 +170,7 @@ def test_failed_eps_keeps_measured_points(quick_report, monkeypatch, jobs):
             raise SolveError("injected failure")
         return assemble(field, eps, grid)
     monkeypatch.setattr(microhom.sweep, "assemble_fine", fail_at_finest)
-    rep = run_sweep(QUICK_1D, jobs=jobs)
+    rep = run_sweep(QUICK_1D)
     assert rep.eps_list == [1 / 4, 1 / 8]
     for key in ("E0", "E1", "E2"):
         assert rep.errors[key] == quick_report.errors[key][:2]
@@ -266,6 +269,35 @@ def test_cli_cells_effective_sweep(tmp_path, capsys):
     assert (tmp_path / "sw" / "results.csv").exists()
     out = capsys.readouterr().out
     assert "slope[E2]" in out
+
+
+def test_cli_sweep_has_no_jobs_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--jobs", "2", "--config", str(tmp_path / "exp.cfg")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.bin", "."], ids=["missing", "directory"])
+def test_cli_inspect_bad_path_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    assert main(["cells", "--inspect", str(path)]) == 2
+    assert f"cannot read cell table {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cells", "effective", "sweep"])
+def test_cli_out_on_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
+    # refused before any cell table or sweep is built
+    def never(*args, **kwargs):
+        raise AssertionError("built before the path was checked")
+    for name in ("build_cell_table", "run_sweep"):
+        monkeypatch.setattr(microhom.cli, name, never)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG_TEXT)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--config", str(cfg), "--out", str(taken)]) == 2
+    assert f"cannot create output directory {taken}" in capsys.readouterr().err
 
 
 def test_public_names_resolve():
