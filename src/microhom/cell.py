@@ -11,6 +11,7 @@ discontinuous laminates use conservative finite volumes with a direct
 sparse solve whose factor also serves the adjoint.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import scipy.sparse.linalg as spla
 from .assemble import assemble_diffusion, sample_coefficient
 from .errors import SolveError
 from .grids import TorusGrid, centered_diff, centered_gradient
-from .spectral import calculus
+from .spectral import calculus, refine_half
 
 _LGMRES_CALLS = 300  # outer lgmres iterations allowed per spectral block solve
 
@@ -74,18 +75,13 @@ class SpectralCellSolver:
         Each right-hand side is scaled to unit norm and the global relative
         tolerance is tol/sqrt(B), so every block's relative residual is
         bounded by tol; each block's true residual is still checked alone.
+        When n % 4 == 0 the stack is first solved on the half grid, whose
+        nodes are every other node of this one, and that solution starts
+        the full-grid iteration (`_spectra`).
         """
         d, calc = self.grid.dim, self.calc
         a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))   # (B, d, d, *shape)
-        rhs = np.sum(calc.deriv * calc.forward(a[np.arange(len(dirs)), :, dirs]), axis=1)
-        scale = np.linalg.norm(calc.pack(rhs), axis=-1)               # grid l2 norm of div(a e^j)
-        live = scale > 0.0
-        spec = np.zeros_like(rhs)
-        residuals = np.zeros(len(dirs))
-        if live.any():
-            norms = scale[live].reshape((-1,) + (1,) * d)
-            spec[live], residuals[live] = self._krylov(a[live], rhs[live] / norms)
-            spec[live] *= norms
+        spec, residuals = self._spectra(a, np.asarray(dirs), nested=self.grid.n % 4 == 0)
         for b, res in enumerate(residuals):
             if res > 10 * self.tol:
                 raise SolveError(f"cell solve (spectral, j={dirs[b]}) residual {res:.2e}")
@@ -100,7 +96,38 @@ class SpectralCellSolver:
         return [CellField(values[b], grads[b], float(residuals[b]), columns[b])
                 for b in range(len(dirs))]
 
-    def _krylov(self, a, rhs):
+    def _spectra(self, a, dirs, nested):
+        """(half spectra of chi, residuals) of a (B, d, d, *shape) block stack.
+
+        With `nested`, the same stack is solved on the half grid first (from
+        zero, not nested further, its residual unchecked: it is only a start).
+        Its half spectrum, zero-padded, is turned into the packed,
+        right-preconditioned unknown of each block (`_krylov`).
+        """
+        d, calc = self.grid.dim, self.calc
+        rhs = np.sum(calc.deriv * calc.forward(a[np.arange(len(dirs)), :, dirs]), axis=1)
+        scale = np.linalg.norm(calc.pack(rhs), axis=-1)               # grid l2 norm of div(a e^j)
+        live = scale > 0.0
+        spec = np.zeros_like(rhs)
+        residuals = np.zeros(len(dirs))
+        if live.any():
+            norms = scale[live].reshape((-1,) + (1,) * d)
+            start = None
+            if nested:
+                every_other = (slice(None, None, 2),) * d
+                coarse = SpectralCellSolver(self.a[every_other], TorusGrid(d, self.grid.n // 2),
+                                            self.tol)
+                chi, _ = coarse._spectra(np.ascontiguousarray(a[live][(...,) + every_other]),
+                                         dirs[live], nested=False)
+                chi = refine_half(chi, self.grid.shape)
+                mult = calc.poisson_mult
+                start = calc.pack(np.divide(chi, mult, out=np.zeros_like(chi), where=mult > 0))
+                start = (start / scale[live, None]).ravel()
+            spec[live], residuals[live] = self._krylov(a[live], rhs[live] / norms, start)
+            spec[live] *= norms
+        return spec, residuals
+
+    def _krylov(self, a, rhs, start):
         """Block solve for unit-norm half-spectrum right-hand sides: (solution
         half spectra, residuals).
 
@@ -109,7 +136,10 @@ class SpectralCellSolver:
         block (the grid l2 one: the packing is an isometry) is checked after
         each call.  It cannot push the residual below the FFT roundoff floor,
         so the solve stops as soon as every block reaches tol or a chunk
-        fails to halve the best residual, and keeps the best iterate.
+        fails to halve the best residual, and keeps the best iterate.  A
+        packed `start` is kept for the blocks where its true residual is
+        below 1, that of a zero start; lgmres does not run when it already
+        meets tol.
         """
         calc = self.calc
         nblk = rhs.shape[0]
@@ -121,9 +151,17 @@ class SpectralCellSolver:
 
         lin = spla.LinearOperator((b.size, b.size), matvec=apply, dtype=float)
         y = np.zeros(b.size)
+        best_res = np.ones(nblk)
+        if start is not None:
+            res = np.linalg.norm(apply(start).reshape(b.shape) - b, axis=1)
+            keep = res < 1.0
+            y = (start.reshape(b.shape) * keep[:, None]).ravel()
+            best_res = np.where(keep, res, 1.0)
         outer_v = []
-        best_y, best_res = y, np.ones(nblk)
+        best_y = y
         for _ in range(_LGMRES_CALLS):
+            if best_res.max() <= self.tol:
+                break
             # looked up at call time so that callers may wrap scipy's lgmres
             y, _ = spla.lgmres(lin, b.ravel(), x0=y, rtol=self.tol / np.sqrt(nblk), atol=0.0,
                                maxiter=1, outer_v=outer_v)
@@ -131,7 +169,7 @@ class SpectralCellSolver:
             halved = res.max() <= 0.5 * best_res.max()
             if res.max() < best_res.max():
                 best_y, best_res = y, res
-            if best_res.max() <= self.tol or not halved:
+            if not halved:
                 break
         return calc.poisson_mult * calc.unpack(best_y.reshape(b.shape)), best_res
 
@@ -357,6 +395,7 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
 # -- binary container --------------------------------------------------------
 
 _MAGIC = b"CELLTBL4"
+_HEADER = 8 + 64 + 8 + 24 + 16   # magic, family, method, (dim, n_x, n_y), two floats
 
 
 def save_cell_table(path, cells):
@@ -387,25 +426,25 @@ def load_cell_table(path):
     with fh:
         if fh.read(8) != _MAGIC:
             raise ValueError(f"{path}: not a cell table container ({_MAGIC.decode()})")
-        family = fh.read(64).rstrip(b"\0").decode()
-        method = fh.read(8).rstrip(b"\0").decode()
-        dim, n_x, n_y = struct.unpack("<3q", fh.read(24))
-        residual_max, lip = struct.unpack("<2d", fh.read(16))
+        header = fh.read(_HEADER - 8)
+        actual = os.fstat(fh.fileno()).st_size
+        if len(header) < _HEADER - 8:
+            raise ValueError(f"{path}: expected at least {_HEADER} bytes, found {actual}")
+        family = header[:64].rstrip(b"\0").decode()
+        method = header[64:72].rstrip(b"\0").decode()
+        dim, n_x, n_y = struct.unpack_from("<3q", header, 72)
+        residual_max, lip = struct.unpack_from("<2d", header, 96)
         slow = TorusGrid(dim, n_x)
         cell = TorusGrid(dim, n_y)
         sshape, cshape = slow.shape, cell.shape
-
-        def read(shape):
-            count = int(np.prod(shape))
-            arr = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-            return arr.reshape(shape).copy()
-
-        chi = read(sshape + (dim,) + cshape)
-        gy = read(sshape + (dim, dim) + cshape)
-        chi_a = read(sshape + (dim,) + cshape)
-        gy_a = read(sshape + (dim, dim) + cshape)
-        a0 = read(sshape + (dim, dim))
-        a0_a = read(sshape + (dim, dim))
+        shapes = [sshape + (dim,) + cshape, sshape + (dim, dim) + cshape] * 2
+        shapes += [sshape + (dim, dim)] * 2
+        expected = _HEADER + 8 * sum(int(np.prod(shape)) for shape in shapes)
+        if actual != expected:
+            raise ValueError(f"{path}: expected {expected} bytes, found {actual}")
+        chi, gy, chi_a, gy_a, a0, a0_a = (
+            np.fromfile(fh, dtype="<f8", count=int(np.prod(shape))).reshape(shape)
+            for shape in shapes)
     return CellSolutions(family=family, slow_grid=slow, cell_grid=cell,
                          chi=chi, grad_y_chi=gy, chi_adj=chi_a, grad_y_chi_adj=gy_a,
                          a0=a0, a0_adj=a0_a, residual_max=residual_max,

@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
                       effective_matrix, load_cell_table, save_cell_table)
-from microhom.cell import flux_operator, make_solver
+from microhom.cell import _LGMRES_CALLS, SpectralCellSolver, flux_operator, make_solver
 from microhom.spectral import calculus
 
 
@@ -131,38 +133,76 @@ def test_lipschitz_quotient_stable_across_slow_resolutions():
 
 
 def count_operator_applications(monkeypatch):
-    # every application of the operator handed to lgmres (the cell solver
-    # looks lgmres up at call time)
-    calls = [0]
+    # (applications, lgmres calls) per shape of the operator handed to lgmres
+    # (the cell solver looks lgmres up at call time)
+    applications, calls = Counter(), Counter()
     lgmres = spla.lgmres
 
     def counted(A, b, **kwargs):
         A = spla.aslinearoperator(A)
+        calls[A.shape] += 1
 
         def matvec(x):
-            calls[0] += 1
+            applications[A.shape] += 1
             return A.matvec(x)
         return lgmres(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), b, **kwargs)
     monkeypatch.setattr(spla, "lgmres", counted)
-    return calls
+    return applications, calls
+
+
+def packed_system_shape(shape, blocks):
+    calc = calculus(shape)
+    size = blocks * calc.pack(np.zeros(calc.poisson_mult.shape, dtype=complex)).shape[-1]
+    return (size, size)
 
 
 def test_spectral_solve_stops_at_roundoff_floor(monkeypatch):
     # at n_y = 256, tol = 1e-12 lies near the FFT roundoff floor; the solve
     # must stop there instead of restarting lgmres until maxiter
     f = builtin_family("separable_1d", {})
-    calls = count_operator_applications(monkeypatch)
+    applications, _ = count_operator_applications(monkeypatch)
     cf = make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-12, "spectral").solve(0)
-    assert 0 < calls[0] <= 100
+    assert 0 < sum(applications.values()) <= 100
     assert cf.residual <= 10 * 1e-12
 
 
 def test_unreachable_tolerance_raises(monkeypatch):
     f = builtin_family("separable_1d", {})
-    calls = count_operator_applications(monkeypatch)
+    applications, _ = count_operator_applications(monkeypatch)
     with pytest.raises(SolveError, match="residual"):
         make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-15, "spectral").solve(0)
-    assert 0 < calls[0] <= 100
+    assert 0 < sum(applications.values()) <= 100
+
+
+def test_half_grid_start_leaves_few_full_grid_applications(monkeypatch):
+    # the primal and adjoint directions of a 64^2 sample, started from their
+    # solve on the 32^2 grid: 24 applications of the 64^2 system from zero
+    f = builtin_family("smooth_2d_nonsymmetric", {})
+    applications, _ = count_operator_applications(monkeypatch)
+    fields = make_solver(f.frozen([0.3, 0.6]), TorusGrid(2, 64), 1e-11,
+                         "spectral").solve_all(adjoint=True)
+    assert applications[packed_system_shape((64, 64), 4)] <= 6
+    assert applications[packed_system_shape((32, 32), 4)] > 0
+    assert max(cf.residual for cf in fields) <= 1e-11
+
+
+@pytest.mark.parametrize("alias", [0.02, 0.6])
+def test_half_grid_start_is_only_a_start(monkeypatch, alias):
+    # the y1-mode 20 is resolved on 64 points but aliases to mode -12 on the
+    # 32-point half grid, so the half grid solves another cell problem; its
+    # start is kept at alias 0.02 (true residuals 0.03-0.9) and dropped at
+    # 0.6 (above 1), and either way the full-grid iteration must reach tol
+    g = TorusGrid(2, 64)
+    y1, y2 = np.moveaxis(g.coords(), -1, 0)
+    s = 2.0 + 0.3 * np.sin(2 * np.pi * (y1 + 2 * y2)) + alias * np.cos(2 * np.pi * 20 * y1)
+    skew = 0.2 * np.cos(2 * np.pi * y2)[..., None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    a = s[..., None, None] * np.eye(2) + skew
+    applications, calls = count_operator_applications(monkeypatch)
+    fields = SpectralCellSolver(a, g, 1e-11).solve_all(adjoint=True)
+    fine = packed_system_shape(g.shape, 4)
+    assert applications[fine] > 0
+    assert calls[fine] < _LGMRES_CALLS
+    assert max(cf.residual for cf in fields) <= 1e-11
 
 
 def test_1d_acceptance_cells_reach_tol():
@@ -253,4 +293,27 @@ def test_load_rejects_previous_container(tmp_path):
     save_cell_table(path, build_cell_table(f, TorusGrid(1, 4), TorusGrid(1, 16)))
     path.write_bytes(b"CELLTBL3" + path.read_bytes()[8:])
     with pytest.raises(ValueError, match="CELLTBL4"):
+        load_cell_table(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    f = builtin_family("separable_1d", {})
+    path = tmp_path / "cells.bin"
+    save_cell_table(path, build_cell_table(f, TorusGrid(1, 4), TorusGrid(1, 16)))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match=f"cells.bin: expected {size} bytes, found {size + 8}"):
+        load_cell_table(path)
+
+
+def test_load_rejects_truncated_container(tmp_path):
+    f = builtin_family("separable_1d", {})
+    path = tmp_path / "cells.bin"
+    save_cell_table(path, build_cell_table(f, TorusGrid(1, 4), TorusGrid(1, 16)))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=f"cells.bin: expected {size} bytes, found {size - 8}"):
+        load_cell_table(path)
+    path.write_bytes(path.read_bytes()[:50])
+    with pytest.raises(ValueError, match="cells.bin: expected at least 120 bytes, found 50"):
         load_cell_table(path)
