@@ -430,12 +430,16 @@ def load_cell_table(path):
         actual = os.fstat(fh.fileno()).st_size
         if len(header) < _HEADER - 8:
             raise ValueError(f"{path}: expected at least {_HEADER} bytes, found {actual}")
-        family = header[:64].rstrip(b"\0").decode()
-        method = header[64:72].rstrip(b"\0").decode()
         dim, n_x, n_y = struct.unpack_from("<3q", header, 72)
         residual_max, lip = struct.unpack_from("<2d", header, 96)
-        slow = TorusGrid(dim, n_x)
-        cell = TorusGrid(dim, n_y)
+        try:
+            family = header[:64].rstrip(b"\0").decode()
+            method = header[64:72].rstrip(b"\0").decode()
+            if method not in ("spectral", "fv"):
+                raise ValueError(f"unknown cell method {method!r}")
+            slow, cell = TorusGrid(dim, n_x), TorusGrid(dim, n_y)
+        except ValueError as exc:   # UnicodeDecodeError included
+            raise ValueError(f"{path}: bad header: {exc}") from exc
         sshape, cshape = slow.shape, cell.shape
         shapes = [sshape + (dim,) + cshape, sshape + (dim, dim) + cshape] * 2
         shapes += [sshape + (dim, dim)] * 2

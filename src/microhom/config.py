@@ -27,8 +27,9 @@ Example::
 Epsilon values are given as integer denominators (eps = 1/k).  Missing keys
 take documented defaults; the grid defaults depend on the family dimension
 (1D: n_x=64, n_y=256, n_f=16; 2D: n_x=16, n_y=64, n_f=8).  n_f must
-divide n_y; every ExperimentConfig checks its grids and solver settings
-when it is built, and load_config checks the eps denominators.
+divide n_y, and no fine grid n_f * k may be coarser than n_x; every
+ExperimentConfig checks its grids and solver settings when it is built,
+and load_config checks the eps denominators.
 [coefficient] holds the family's parameters, each a number or a boolean
 word (1/true/yes/on, 0/false/no/off, any case); any other value, an
 unknown section, or an unknown key in any other section, raises
@@ -74,6 +75,11 @@ class ExperimentConfig:
             raise ConfigError(f"n_f = {self.n_f} must divide n_y = {self.n_y}")
         if self.n_x < 4:
             raise ConfigError(f"n_x must be >= 4, got {self.n_x}")
+        for k in self.eps_denominators:
+            if self.n_f * k < self.n_x:
+                # the homogenized operator resamples the slow grid onto the fine one
+                raise ConfigError(f"eps = 1/{k}: the fine grid n_f * k = {self.n_f * k} "
+                                  f"is coarser than the slow grid n_x = {self.n_x}")
         if self.cell_tol <= 0 or self.norm_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if self.norm_maxiter < 1:
@@ -82,10 +88,6 @@ class ExperimentConfig:
     @property
     def params_dict(self):
         return dict(self.params)
-
-    @property
-    def eps_list(self):
-        return tuple(1.0 / k for k in self.eps_denominators)
 
     def make_field(self):
         return builtin_family(self.family, self.params_dict)

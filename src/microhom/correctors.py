@@ -14,10 +14,11 @@ the homogenized resolvent:
     Gauss rule of offsets, read off the cell tables by one map per cell axis.
 
 The smoothed corrector's fast-variable evaluations land on the n_f-point
-sublattice of the cell by construction (its offsets are grid multiples).
-Both it and the double-averaged matrix read their tables at the fine nodes
-through one CSR slow-interpolation matrix whose columns also carry the fast
-index (`grids.interp_matrix`).
+sublattice of the cell by construction (its offsets are grid multiples),
+which `fast_sublattice` cuts out of the table.  Both it and the
+double-averaged matrix read their tables at the fine nodes through one CSR
+slow-interpolation matrix whose columns also carry the fast index
+(`grids.interp_matrix`).
 
 Every factor that does not solve (the kernel quadrature of the centered
 gradient for K and for K-tilde, and the differential core of the composed
@@ -26,7 +27,7 @@ sparse product and its transpose is exact by construction; only the
 homogenized resolvents stay LU solves.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,18 +35,27 @@ from scipy.sparse.linalg import LinearOperator
 
 from .assemble import assemble_diffusion
 from .effective import _sample_fluxes
-from .grids import GridFunction, TorusGrid, interp_matrix
+from .grids import TorusGrid, interp_matrix
 from .operators import DiscreteOperator, diff_matrix, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
 from .spectral import integer_freqs
 
 
-def _restrict_cell_axes(table, d, n_f):
-    """The trailing d cell axes restricted to the n_f-point fast sublattice."""
-    n_y = table.shape[-1]
+def fast_sublattice(cells, n_f):
+    """The cell solutions on the n_f-point fast sublattice of the cell.
+
+    The smoothed correctors read chi and chi_adj only there (their offsets
+    are grid multiples).  Returns the table with contiguous copies of both,
+    cell_grid the n_f-point grid and no gradient tables; a table already on
+    that grid comes back without copies.
+    """
+    d, n_y = cells.dim, cells.cell_grid.n
     if n_y % n_f:
         raise ValueError(f"n_f = {n_f} does not divide n_y = {n_y}")
-    return table[(Ellipsis,) + (slice(None, None, n_y // n_f),) * d]
+    step = (Ellipsis,) + (slice(None, None, n_y // n_f),) * d
+    chi, chi_adj = (np.ascontiguousarray(table[step]) for table in (cells.chi, cells.chi_adj))
+    return replace(cells, cell_grid=TorusGrid(d, n_f), chi=chi, chi_adj=chi_adj,
+                   grad_y_chi=None, grad_y_chi_adj=None)
 
 
 def _slow_interp(slow_grid, grid, n_f):
@@ -56,18 +66,24 @@ def _slow_interp(slow_grid, grid, n_f):
     return interp_matrix(slow_grid.n, grid.coords().reshape(-1, d), fast, n_f ** d)
 
 
-def _quad_grad_matrix(cells, spec, grid, adjoint):
-    """CSR matrix of u -> sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l).
+def corrector_matrix(cells, spec, grid, adjoint=False):
+    """The smoothed corrector K, a CSR matrix on the fine grid:
 
-    Row x reads u at x - s_l +- e_j with weight +-w_l chi^j(x - s_l, x/eps) / 2h,
-    where s_l is the grid shift of eps w_l.  That field is the slow
-    interpolation of the fast table rolled by -s_l, rolled back by s_l.
+        K u(x) = sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l),
+
+    with the slow argument interpolated multilinearly from the sample grid
+    and the fast one on the cell's n_f-point sublattice; with adjoint=True
+    the cell solutions are the adjoint ones (K-tilde).  Row x reads u at
+    x - s_l +- e_j with weight +-w_l chi^j(x - s_l, x/eps) / 2h, where s_l
+    is the grid shift of eps w_l.  That field is the slow interpolation of
+    the fast table rolled by -s_l, rolled back by s_l.
     """
     spec.check_grid(grid)
     d, n_f = grid.dim, spec.n_omega
     interp = _slow_interp(cells.slow_grid, grid, n_f)
+    cells = fast_sublattice(cells, n_f)
     table = cells.chi_adj if adjoint else cells.chi
-    fast = np.moveaxis(_restrict_cell_axes(table, d, n_f).reshape((-1, d) + (n_f,) * d), 1, -1)
+    fast = np.moveaxis(table.reshape((-1, d) + (n_f,) * d), 1, -1)
     axes = tuple(range(1, d + 1))  # the fast axes of `fast`, the grid axes of a field
     shifts, _, weights = spec.lattice(d)
     eye = np.eye(d, dtype=int)
@@ -85,37 +101,17 @@ def _quad_grad_matrix(cells, spec, grid, adjoint):
     return stencil_matrix(grid, offsets, coeffs())
 
 
-def _smoothed_corrector(u, cells, spec, adjoint):
-    mat = _quad_grad_matrix(cells, spec, u.grid, adjoint)
-    return GridFunction(u.grid, (mat @ u.values.ravel()).reshape(u.grid.shape))
-
-
-def corrector_K(u_hom: GridFunction, cells, spec: SmoothingSpec) -> GridFunction:
-    """Smoothed corrector of a homogenized solution.
-
-    K(x) = sum_l w_l chi(x - eps w_l, x/eps) . grad u_hom(x - eps w_l),
-    with the slow argument interpolated multilinearly from the sample grid
-    and the fast argument landing on the cell sublattice.
-    """
-    return _smoothed_corrector(u_hom, cells, spec, adjoint=False)
-
-
-def corrector_Ktilde(v_hom: GridFunction, cells, spec: SmoothingSpec) -> GridFunction:
-    """Smoothed corrector of the adjoint problem's homogenized solution."""
-    return _smoothed_corrector(v_hom, cells, spec, adjoint=True)
-
-
 def corrector_op(cells, spec: SmoothingSpec, grid, resolvent: LinearOperator,
                  adjoint=False) -> LinearOperator:
     """The corrector as an operator on right-hand sides.
 
     Composition: resolve, then apply the kernel quadrature of the centered
-    gradient, one CSR matrix per eps.  For the adjoint corrector pass the
-    transposed homogenized resolvent.  The true adjoint of the returned
-    operator (via .T) realizes the divergence-form identity
+    gradient (`corrector_matrix`, one CSR matrix per eps).  For the adjoint
+    corrector pass the transposed homogenized resolvent.  The true adjoint
+    of the returned operator (via .T) realizes the divergence-form identity
     resolvent^T . (-div) . kernel-quadrature^T without further derivation.
     """
-    quad = matrix_op(_quad_grad_matrix(cells, spec, grid, adjoint), grid=grid,
+    quad = matrix_op(corrector_matrix(cells, spec, grid, adjoint), grid=grid,
                      label="kernel-quad")
     op = quad @ resolvent
     op.label = "Ktilde" if adjoint else "K"

@@ -13,7 +13,6 @@ component-wise Poisson solves on the cell.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -98,42 +97,6 @@ def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
                             symmetric=field.symmetric, adjoint_defect=adjoint_defect)
 
 
-@dataclass
-class FluxCorrector:
-    """Zero-mean solenoidal flux deviations and their skew potentials.
-
-    deviation[..., j, m, cell...] holds component m of g^j at the slow
-    samples; potential stores only the strictly-upper-triangle components
-    of the skew matrix G^j (empty in 1D).
-    """
-    slow_grid: TorusGrid
-    cell_grid: TorusGrid
-    deviation: np.ndarray                     # (*slow, d, d, *cell)
-    adjoint: bool = False
-    potential_upper: Optional[np.ndarray] = None   # (*slow, d, n_upper, *cell)
-    potential_bound_ratio: float = 0.0
-    div_defect: float = 0.0
-
-    @property
-    def dim(self):
-        return self.cell_grid.dim
-
-    def potential_matrix(self, slow_index, j):
-        """Full skew matrix G^j at one slow sample, shape (d, d, *cell)."""
-        if self.potential_upper is None:
-            raise ValueError("potential not built; call vector_potential first")
-        d = self.dim
-        out = np.zeros((d, d) + self.cell_grid.shape)
-        t = 0
-        for i in range(d):
-            for k in range(i + 1, d):
-                comp = self.potential_upper[slow_index + (j, t)]
-                out[i, k] = comp
-                out[k, i] = -comp
-                t += 1
-        return out
-
-
 def _sample_flux(solver, chi, grad, lam, x, adjoint=False):
     """Node flux a (e^j + grad_y chi^j) of one slow sample, every direction j.
 
@@ -189,15 +152,17 @@ def _sample_fluxes(cells: CellSolutions, field, adjoints):
                for adj, chi, gy in tables]
 
 
-def flux_corrector(cells: CellSolutions, field, adjoint=False) -> FluxCorrector:
-    """Pointwise flux deviation g^j per slow sample.
+def flux_corrector(cells: CellSolutions, field, adjoint=False):
+    """Pointwise flux deviations g^j at the slow samples.
 
-    With adjoint=True, builds the deviation of the transposed field from
-    the adjoint cell solutions.  Every sample goes through the flux kernel
-    of the coefficient tensors (`_sample_flux`): the mean is removed with
-    the same node quadrature that defines it, so the zero-mean identity
-    holds at machine precision, and the energy bound and solenoidality are
-    checked sample by sample.
+    Returns (deviation, div_defect): deviation[..., j, m, *cell] holds
+    component m of g^j at the slow samples, div_defect the worst
+    divergence defect.  With adjoint=True, builds the deviation of the
+    transposed field from the adjoint cell solutions.  Every sample goes
+    through the flux kernel of the coefficient tensors (`_sample_flux`):
+    the mean is removed with the same node quadrature that defines it, so
+    the zero-mean identity holds at machine precision, and the energy
+    bound and solenoidality are checked sample by sample.
     """
     d = cells.dim
     dev = np.zeros((cells.slow_grid.size, d, d) + cells.cell_grid.shape)
@@ -205,61 +170,41 @@ def flux_corrector(cells: CellSolutions, field, adjoint=False) -> FluxCorrector:
     for i, [(_, dev_i, defect)] in enumerate(_sample_fluxes(cells, field, [adjoint])):
         dev[i] = dev_i
         worst = max(worst, defect)
-    return FluxCorrector(slow_grid=cells.slow_grid, cell_grid=cells.cell_grid,
-                         deviation=dev.reshape(cells.slow_grid.shape + dev.shape[1:]),
-                         adjoint=adjoint, div_defect=worst)
+    return dev.reshape(cells.slow_grid.shape + dev.shape[1:]), worst
 
 
-def vector_potential(fc: FluxCorrector, grid: TorusGrid) -> FluxCorrector:
-    """Fill the skew potentials G^j with div_y G^j = g^j.
+def vector_potential(deviation, cell_grid: TorusGrid):
+    """The skew potentials G^j with div_y G^j = g^j, all samples at once.
 
-    Construction: solve -Laplace(phi^j_k) = g^j_k componentwise with zero
-    mean on the cell, then G^j_ik = d_i phi^j_k - d_k phi^j_i.  Skew
+    deviation: (*lead, j, m, *cell), as `flux_corrector` returns it.
+    Construction: solve -Laplace(phi^j_q) = g^j_q componentwise with zero
+    mean on the cell, then G^j_pq = d_p phi^j_q - d_q phi^j_p.  Skew
     symmetry is exact by construction; the divergence identity holds
-    because div phi is harmonic with zero mean, hence zero.  Records the
-    worst ratio ||G||_H1 / ||g||_L2 and the divergence defect.
+    because div phi is harmonic with zero mean, hence zero.  Returns
+    (potential, bound_ratio, div_defect): the full skew matrices
+    potential[..., j, p, q, *cell], the worst ratio ||G^j||_H1 / ||g^j||_L2
+    and the worst divergence defect ||div G^j - g^j||_L2.  In 1D the
+    potential is 0 and no defect is measured.
     """
-    if grid != fc.cell_grid:
-        raise ValueError("potential grid must match the corrector's cell grid")
-    d = fc.dim
-    n_upper = d * (d - 1) // 2
-    sshape = fc.slow_grid.shape
-    cshape = grid.shape
-    fc.potential_upper = np.zeros(sshape + (d, n_upper) + cshape)
+    d, cshape = cell_grid.dim, cell_grid.shape
+    if deviation.shape[-d:] != cshape:
+        raise ValueError(f"deviation cell axes {deviation.shape[-d:]} do not match "
+                         f"the potential grid {cshape}")
     if d == 1:
-        fc.potential_bound_ratio = 0.0
-        return fc
+        return np.zeros(deviation.shape[:-d] + (d,) + cshape), 0.0, 0.0
     calc = calculus(cshape)
-    w = grid.h ** d
-    dev = fc.deviation.reshape((-1, d, d) + cshape)
-    pot = fc.potential_upper.reshape((-1, d, n_upper) + cshape)
-    worst_ratio = 0.0
-    worst_div = 0.0
-    for i in range(dev.shape[0]):
-        for j in range(d):
-            g = dev[i, j]
-            phi = np.stack([calc.poisson(g[k]) for k in range(d)])
-            dphi = np.stack([calc.grad(phi[k]) for k in range(d)])  # (k, i, cell)
-            t = 0
-            gmat = np.zeros((d, d) + cshape)
-            for p in range(d):
-                for q in range(p + 1, d):
-                    comp = dphi[q][p] - dphi[p][q]   # d_p phi_q - d_q phi_p
-                    pot[i, j, t] = comp
-                    gmat[p, q] = comp
-                    gmat[q, p] = -comp
-                    t += 1
-            div_g = np.stack([calc.div(gmat[p]) for p in range(d)])
-            defect = np.sqrt(w * float(np.sum((div_g - g) ** 2)))
-            worst_div = max(worst_div, defect)
-            g_l2 = np.sqrt(w * float(np.sum(g ** 2)))
-            if g_l2 > 0:
-                h1_sq = w * (float(np.sum(gmat ** 2))
-                             + sum(float(np.sum(calc.grad(gmat[p][q_]) ** 2))
-                                   for p in range(d) for q_ in range(d)))
-                worst_ratio = max(worst_ratio, np.sqrt(h1_sq) / g_l2)
-    fc.potential_bound_ratio = worst_ratio
-    fc.div_defect = max(fc.div_defect, worst_div)
-    if worst_div > _DIV_LIMIT:
-        raise SolveError(f"potential divergence defect {worst_div:.2e} too large")
-    return fc
+    w = cell_grid.h ** d
+    cell_axes = tuple(range(-d, 0))
+    dphi = calc.grad(calc.poisson(deviation))            # [..., q, p] = d_p phi_q
+    potential = np.swapaxes(dphi, -d - 2, -d - 1) - dphi
+    defect = np.sqrt(w * np.sum((calc.div(potential) - deviation) ** 2,
+                                axis=(-d - 1,) + cell_axes))
+    g_l2 = np.sqrt(w * np.sum(deviation ** 2, axis=(-d - 1,) + cell_axes))
+    h1 = np.sqrt(w * (np.sum(potential ** 2, axis=(-d - 2, -d - 1) + cell_axes)
+                      + np.sum(calc.grad(potential) ** 2,
+                               axis=(-d - 3, -d - 2, -d - 1) + cell_axes)))
+    ratio = float(np.max(h1[g_l2 > 0] / g_l2[g_l2 > 0], initial=0.0))
+    div_defect = float(defect.max(initial=0.0))
+    if div_defect > _DIV_LIMIT:
+        raise SolveError(f"potential divergence defect {div_defect:.2e} too large")
+    return potential, ratio, div_defect

@@ -1,4 +1,4 @@
-"""Uniform periodic grids and grid functions on the unit torus."""
+"""Uniform periodic grids on the unit torus, their differences and interpolation."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,24 +47,6 @@ class TorusGrid:
 
     def __repr__(self):
         return f"TorusGrid(dim={self.dim}, n={self.n})"
-
-
-class GridFunction:
-    """Scalar field sampled at the nodes of a TorusGrid."""
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
-
-    def __repr__(self):
-        return f"GridFunction(grid={self.grid!r})"
 
 
 def centered_diff(values, axis, h):
@@ -116,20 +98,3 @@ def interp_matrix(n, pts, fast=None, n_fast=1):
 def centered_gradient(values, h):
     """Stack of centered differences, shape (d, *values.shape)."""
     return np.stack([centered_diff(values, ax, h) for ax in range(values.ndim)])
-
-
-def norms(u):
-    """L2 and H1 norms of a grid function.
-
-    The L2 norm uses the uniform node quadrature (the periodic trapezoid
-    rule, exact on the grid); the H1 norm adds the centered-difference
-    gradient energy.
-    """
-    g = u.grid
-    w = g.h ** g.dim
-    l2_sq = w * float(np.sum(u.values ** 2))
-    grad_sq = 0.0
-    for ax in range(g.dim):
-        d = centered_diff(u.values, ax, g.h)
-        grad_sq += w * float(np.sum(d ** 2))
-    return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction
 from .operators import DiscreteOperator, matrix_op, stencil_matrix
 
 
@@ -77,36 +76,27 @@ class SmoothingSpec:
                 f"{self.n_omega} panels per eps-cell")
 
 
-def _offset_to_shift(u, offset):
-    grid = u.grid
-    offset = np.atleast_1d(np.asarray(offset, dtype=float))
-    if offset.size != grid.dim:
-        raise ValueError(f"offset has {offset.size} components, grid dim {grid.dim}")
-    steps = offset / grid.h
-    rounded = np.round(steps)
-    if np.max(np.abs(steps - rounded)) > 1e-9:
-        raise ValueError(f"offset {offset} is not on the grid (spacing {grid.h})")
-    return rounded.astype(int)
-
-
-def shift(u: GridFunction, offset) -> GridFunction:
+def shift(values, offset):
     """Exact torus translation: (shift u)(x) = u(x + offset).
 
-    The offset must be a grid vector; the rotation is an exact L2 isometry.
+    `values` holds u at the nodes of a (n,)*d TorusGrid, whose spacing 1/n
+    it fixes; the offset must be a grid vector, so the result is an exact
+    index rotation and an L2 isometry.
     """
-    steps = _offset_to_shift(u, offset)
-    vals = np.roll(u.values, tuple(-steps), axis=tuple(range(u.grid.dim)))
-    return GridFunction(u.grid, vals)
-
-
-def steklov(u: GridFunction, spec: SmoothingSpec) -> GridFunction:
-    """Symmetric eps-cell average: sum_l w_l u(x - eps*omega_l)."""
-    out = steklov_op(u.grid, spec).matvec(u.values.ravel())
-    return GridFunction(u.grid, out.reshape(u.grid.shape))
+    values = np.asarray(values, dtype=float)
+    d, n = values.ndim, values.shape[0]
+    offset = np.atleast_1d(np.asarray(offset, dtype=float))
+    if offset.size != d:
+        raise ValueError(f"offset has {offset.size} components, grid dim {d}")
+    steps = offset * n
+    rounded = np.round(steps)
+    if np.max(np.abs(steps - rounded)) > 1e-9:
+        raise ValueError(f"offset {offset} is not on the grid (spacing {1.0 / n})")
+    return np.roll(values, tuple(-rounded.astype(int)), axis=tuple(range(d)))
 
 
 def steklov_op(grid, spec: SmoothingSpec) -> DiscreteOperator:
-    """CSR matrix of u -> sum_l w_l u(x - eps*omega_l)."""
+    """The Steklov average u -> sum_l w_l u(x - eps*omega_l), one CSR matrix."""
     spec.check_grid(grid)
     shifts, _, weights = spec.lattice(grid.dim)
     # the lattice is symmetric, so the operator is self-adjoint

@@ -31,7 +31,8 @@ from .cell import build_cell_table
 from .config import ExperimentConfig
 # full_corrector and flux_corrector are not called here (the norms apply
 # the fused error_operators, and corrector_coeffs builds its own flux
-# deviations), but perfbench/run.py wraps both by this module's name
+# deviations); they stay importable from this module because
+# perfbench/run.py wraps both by this module's name
 from .correctors import (assemble_L, assemble_M, corrector_coeffs, corrector_op,  # noqa: F401
                          error_operators, full_corrector)
 from .effective import effective_matrix, flux_corrector  # noqa: F401
@@ -191,12 +192,9 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         say("building double-averaged matrices")
         # through the module, where perfbench/run.py wraps it
         chats = correctors.drift_matrix_field(field, cells, specs, grids)
-    # the per-eps stages read only chi and chi_adj, and those only on the
-    # n_f-point fast sublattice
-    chi, chi_adj = (np.ascontiguousarray(correctors._restrict_cell_axes(table, d, config.n_f))
-                    for table in (cells.chi, cells.chi_adj))
-    cells = replace(cells, cell_grid=TorusGrid(d, config.n_f), chi=chi, chi_adj=chi_adj,
-                    grad_y_chi=None, grad_y_chi_adj=None)
+    # the per-eps stages read only chi and chi_adj on the fast sublattice:
+    # the full tables are released here
+    cells = correctors.fast_sublattice(cells, config.n_f)
 
     stage_names = ("assemble_ms", "correctors_ms", "pairing_ms", "norm_E0_ms",
                    "norm_E1_ms", "norm_E2_ms")

@@ -1,3 +1,5 @@
+import re
+import struct
 from collections import Counter
 
 import numpy as np
@@ -316,4 +318,22 @@ def test_load_rejects_truncated_container(tmp_path):
         load_cell_table(path)
     path.write_bytes(path.read_bytes()[:50])
     with pytest.raises(ValueError, match="cells.bin: expected at least 120 bytes, found 50"):
+        load_cell_table(path)
+
+
+@pytest.mark.parametrize("offset,patch,msg", [
+    (72, b"krylov\0\0", "unknown cell method 'krylov'"),
+    (72, b"\xff" * 8, "can't decode"),
+    (8, b"\xfe\xff", "can't decode"),
+    (80, struct.pack("<q", 3), "dimension must be 1 or 2, got 3"),
+    (88, struct.pack("<q", 1), "need at least 2 points per axis, got 1"),
+], ids=["method", "method-bytes", "family-bytes", "dim", "n_x"])
+def test_load_rejects_bad_header_fields(tmp_path, offset, patch, msg):
+    # header: magic (8), family (64), method (8), then dim, n_x, n_y
+    f = builtin_family("separable_1d", {})
+    path = tmp_path / "cells.bin"
+    save_cell_table(path, build_cell_table(f, TorusGrid(1, 4), TorusGrid(1, 16)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:offset] + patch + raw[offset + len(patch):])
+    with pytest.raises(ValueError, match=f"cells.bin: bad header: .*{re.escape(msg)}"):
         load_cell_table(path)

@@ -48,7 +48,6 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.family == "separable_1d"
     assert cfg.n_x == 64 and cfg.n_y == 256 and cfg.n_f == 16
     assert cfg.eps_denominators == (8, 16, 32, 64)
-    assert cfg.eps_list[0] == 0.125
     # the solver and output keys take the dataclass's own defaults
     defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
     assert set(defaults) == {"cell_tol", "norm_tol", "norm_maxiter", "seed", "out_dir",
@@ -83,6 +82,19 @@ def test_n_f_must_divide_n_y(tmp_path):
     text = FULL.replace("n_y = 32", "n_y = 60")
     with pytest.raises(ConfigError, match="n_f = 8 must divide n_y = 60"):
         load_config(write(tmp_path, text))
+
+
+def test_fine_grid_coarser_than_slow_grid_rejected(tmp_path):
+    # n_f * k = 32 < n_x = 64 at k = 4: caught when the config is built,
+    # not when eps = 1/4 resamples the slow grid onto its fine one
+    with pytest.raises(ConfigError, match=r"eps = 1/4: .* n_f \* k = 32 .* n_x = 64"):
+        load_config(write(tmp_path, MINIMAL + "\n[grids]\nn_f = 8\nn_y = 256\n"
+                          "\n[sweep]\neps_denominators = 4, 8, 16\n"))
+    cfg = dict(family="smooth_2d_nonsymmetric", params=(), n_x=64, n_y=64, n_f=8)
+    with pytest.raises(ConfigError, match=r"eps = 1/4: .* 32 .* n_x = 64"):
+        ExperimentConfig(**cfg, eps_denominators=(4, 8, 16))
+    # n_f * k = n_x is the smallest fine grid allowed
+    assert ExperimentConfig(**cfg, eps_denominators=(8, 16)).eps_denominators == (8, 16)
 
 
 def test_norm_maxiter_must_be_positive(tmp_path):
@@ -136,8 +148,8 @@ def test_roundtrip_is_idempotent(tmp_path):
 
 def test_eps_sorted_descending(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL + "\n[sweep]\neps_denominators = 64,8,32,16\n"))
+    # ascending denominators: eps = 1/k descending
     assert cfg.eps_denominators == (8, 16, 32, 64)
-    assert list(cfg.eps_list) == sorted(cfg.eps_list, reverse=True)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(ROOT)))

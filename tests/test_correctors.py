@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import microhom.effective
-from microhom import (CoefficientField, GridFunction, SmoothingSpec, SolveError, TorusGrid,
+from microhom import (CoefficientField, SmoothingSpec, SolveError, TorusGrid,
                       assemble_fine, assemble_homogenized, assemble_L, assemble_M,
-                      build_cell_table, builtin_family, corrector_K,
-                      corrector_Ktilde, corrector_coeffs, corrector_op,
-                      drift_matrix_field, effective_matrix, error_operators,
-                      flux_corrector, full_corrector, h1_gram_op, resolvent_op)
+                      build_cell_table, builtin_family, corrector_coeffs,
+                      corrector_matrix, corrector_op, drift_matrix_field,
+                      effective_matrix, error_operators, flux_corrector,
+                      full_corrector, h1_gram_op, resolvent_op)
 from microhom.cell import make_solver
-from microhom.correctors import _cell_kernels, _offset_rows, _restrict_cell_axes
+from microhom.correctors import _cell_kernels, _offset_rows, fast_sublattice
 from microhom.grids import centered_diff, corners, interp_matrix
 from microhom.operators import matrix_op, operator_norm, transpose_defect
 from microhom.spectral import calculus
@@ -44,18 +44,16 @@ def test_corrector_zero_for_constant_family():
     grid = TorusGrid(2, 32)
     spec = SmoothingSpec(eps=0.25, n_omega=8)
     x = grid.coords()
-    u = GridFunction(grid, np.sin(2 * np.pi * x[..., 0]))
-    k = corrector_K(u, cells, spec)
-    assert np.abs(k.values).max() == 0.0
+    k = corrector_matrix(cells, spec, grid) @ np.sin(2 * np.pi * x[..., 0]).ravel()
+    assert np.abs(k).max() == 0.0
 
 
 def test_corrector_zero_for_constant_input(smooth_2d):
     field, cells, hom, fc = smooth_2d
     grid = TorusGrid(2, 32)
     spec = SmoothingSpec(eps=0.25, n_omega=8)
-    u = GridFunction(grid, np.full(grid.shape, 3.0))
-    k = corrector_K(u, cells, spec)
-    assert np.abs(k.values).max() < 1e-12
+    k = corrector_matrix(cells, spec, grid) @ np.full(grid.size, 3.0)
+    assert np.abs(k).max() < 1e-12
 
 
 def test_corrector_bounded_across_eps(separable):
@@ -65,12 +63,12 @@ def test_corrector_bounded_across_eps(separable):
         spec = SmoothingSpec(eps=1.0 / k_denom, n_omega=16)
         a0 = assemble_homogenized(hom, grid)
         x = grid.axis_coords()
-        rhs = GridFunction(grid, np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x))
-        u = resolvent_op(a0).matvec(rhs.values)
-        assert np.linalg.norm(a0.matvec(u) - rhs.values) <= 1e-10 * np.linalg.norm(rhs.values)
-        kf = corrector_K(GridFunction(grid, u), cells, spec)
-        from microhom import norms
-        assert norms(kf)[0] <= 2.0 * norms(rhs)[0]
+        rhs = np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
+        u = resolvent_op(a0).matvec(rhs)
+        assert np.linalg.norm(a0.matvec(u) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        kf = corrector_matrix(cells, spec, grid) @ u
+        # both L2 norms carry the same quadrature weight h
+        assert np.linalg.norm(kf) <= 2.0 * np.linalg.norm(rhs)
 
 
 def test_ktilde_equals_k_for_symmetric(separable):
@@ -78,10 +76,10 @@ def test_ktilde_equals_k_for_symmetric(separable):
     grid = TorusGrid(1, 128)
     spec = SmoothingSpec(eps=1.0 / 8, n_omega=16)
     x = grid.axis_coords()
-    u = GridFunction(grid, np.sin(2 * np.pi * x))
-    k = corrector_K(u, cells, spec)
-    kt = corrector_Ktilde(u, cells, spec)
-    assert np.array_equal(k.values, kt.values)
+    k = corrector_matrix(cells, spec, grid)
+    kt = corrector_matrix(cells, spec, grid, adjoint=True)
+    assert (k != kt).nnz == 0
+    assert np.array_equal(k @ np.sin(2 * np.pi * x), kt @ np.sin(2 * np.pi * x))
 
 
 def test_ktilde_differs_for_nonsymmetric(smooth_2d):
@@ -89,10 +87,10 @@ def test_ktilde_differs_for_nonsymmetric(smooth_2d):
     grid = TorusGrid(2, 32)
     spec = SmoothingSpec(eps=0.25, n_omega=8)
     x = grid.coords()
-    u = GridFunction(grid, np.sin(2 * np.pi * x[..., 0]) * np.cos(2 * np.pi * x[..., 1]))
-    k = corrector_K(u, cells, spec)
-    kt = corrector_Ktilde(u, cells, spec)
-    assert np.abs(k.values - kt.values).max() > 1e-6
+    u = (np.sin(2 * np.pi * x[..., 0]) * np.cos(2 * np.pi * x[..., 1])).ravel()
+    k = corrector_matrix(cells, spec, grid) @ u
+    kt = corrector_matrix(cells, spec, grid, adjoint=True) @ u
+    assert np.abs(k - kt).max() > 1e-6
 
 
 def test_corrector_coeffs_zero_cases():
@@ -174,12 +172,12 @@ def whole_table_reference(cells, field):
 def test_sample_walk_matches_whole_table_formulas(family, params, method):
     field = replace(builtin_family(family, params), cell_method=method)
     cells = build_cell_table(field, TorusGrid(2, 4), TorusGrid(2, 32), tol=1e-12)
-    fc = flux_corrector(cells, field)
-    fc_adj = flux_corrector(cells, field, adjoint=True)
+    dev, div = flux_corrector(cells, field)
+    dev_adj, div_adj = flux_corrector(cells, field, adjoint=True)
     co = corrector_coeffs(cells, field)
     ref = whole_table_reference(cells, field)
     got = {"c3": co.c3, "c3_adj": co.c3_adj, "c2": co.c2, "c2_adj": co.c2_adj,
-           "dev": fc.deviation, "dev_adj": fc_adj.deviation}
+           "dev": dev, "dev_adj": dev_adj}
     # the four moments share one scale: a laminate's c2 vanishes, as its
     # cells do not vary with x
     moments = max(np.abs(ref[name]).max() for name in ("c3", "c3_adj", "c2", "c2_adj"))
@@ -187,8 +185,8 @@ def test_sample_walk_matches_whole_table_formulas(family, params, method):
         scale = moments if name.startswith("c") else np.abs(ref[name]).max()
         assert scale > 1e-3, name
         assert np.abs(arr - ref[name]).max() <= 1e-13 * scale, name
-    for fcorr, tag in ((fc, ""), (fc_adj, "_adj")):
-        assert fcorr.div_defect == pytest.approx(ref["div" + tag], rel=1e-6, abs=1e-13)
+    for defect, tag in ((div, ""), (div_adj, "_adj")):
+        assert defect == pytest.approx(ref["div" + tag], rel=1e-6, abs=1e-13)
 
 
 def nonsymmetric_table(method):
@@ -249,7 +247,7 @@ def test_adjoint_family_of_primal_solutions_is_not_solenoidal(method):
     for build in (corrector_coeffs, lambda c, f: flux_corrector(c, f, adjoint=True)):
         with pytest.raises(SolveError, match=msg):
             build(bad, field)
-    assert flux_corrector(bad, field).div_defect <= 1e-9
+    assert flux_corrector(bad, field)[1] <= 1e-9
 
 
 def test_corrector_op_duality(smooth_2d):
@@ -280,8 +278,27 @@ def test_corrector_op_matches_function_form(separable):
     f = rng.standard_normal(grid.size)
     u = r0.matvec(f)
     assert np.linalg.norm(a0.matvec(u) - f) <= 1e-10 * np.linalg.norm(f)
-    direct = corrector_K(GridFunction(grid, u.reshape(grid.shape)), cells, spec)
-    assert np.allclose(op.matvec(f), direct.values.ravel(), atol=1e-12)
+    direct = corrector_matrix(cells, spec, grid) @ u
+    assert np.allclose(op.matvec(f), direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_corrector_matrix_of_the_fast_sublattice_is_bitwise_the_same(smooth_2d, adjoint):
+    # run_sweep keeps only the sublattice table for its per-eps stages
+    field, cells, hom, fc = smooth_2d
+    grid = TorusGrid(2, 32)
+    spec = SmoothingSpec(eps=0.25, n_omega=8)
+    fast = fast_sublattice(cells, 8)
+    assert fast.cell_grid == TorusGrid(2, 8) and fast.grad_y_chi_adj is None
+    assert np.array_equal(fast.chi_adj, cells.chi_adj[..., ::4, ::4])
+    assert fast.chi.flags.c_contiguous and not np.shares_memory(fast.chi, cells.chi)
+    # a table already on the sublattice is not copied again
+    assert np.shares_memory(fast_sublattice(fast, 8).chi, fast.chi)
+    full, cut = (corrector_matrix(c, spec, grid, adjoint) for c in (cells, fast))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(full, name), getattr(cut, name))
+    with pytest.raises(ValueError, match="does not divide"):
+        fast_sublattice(cells, 6)
 
 
 def periodic_interp(n, n_x):
@@ -416,7 +433,7 @@ def test_offset_tables_on_cell_nodes_match_rolled_restriction(method, tol):
         for a, row in zip(steps, rows):
             for b, got in zip(steps, row):
                 rolled = np.roll(table, (-a, -b), axis=cell_axes)
-                expect = _restrict_cell_axes(rolled, d, n_f).reshape(table.shape[:-d] + (-1,))
+                expect = rolled[..., ::n_y // n_f, ::n_y // n_f].reshape(table.shape[:-d] + (-1,))
                 assert np.abs(got - expect).max() <= tol, (a, b)
     # one off-node Gauss offset
     nodes = SmoothingSpec(eps=0.25, n_omega=n_f).offset_rule(d)[0][[2, 9]]

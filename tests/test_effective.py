@@ -235,8 +235,8 @@ def test_matched_effective_matrix_is_checked():
 def test_flux_deviation_zero_for_constant():
     f = builtin_family("constant", {"matrix": [[1.7, 0.0], [0.0, 1.1]]})
     cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16))
-    fc = flux_corrector(cells, f)
-    assert np.abs(fc.deviation).max() < 1e-13
+    dev, _ = flux_corrector(cells, f)
+    assert np.abs(dev).max() < 1e-13
 
 
 def test_flux_deviation_1d_vanishes():
@@ -244,58 +244,84 @@ def test_flux_deviation_1d_vanishes():
     # is identically zero up to solver tolerance
     f = builtin_family("separable_1d", {})
     cells = build_cell_table(f, TorusGrid(1, 8), TorusGrid(1, 128), tol=1e-12)
-    fc = flux_corrector(cells, f)
-    assert np.abs(fc.deviation).max() < 1e-9
+    dev, _ = flux_corrector(cells, f)
+    assert np.abs(dev).max() < 1e-9
 
 
 def test_flux_mean_zero_at_machine_precision(smooth_2d):
     field, cells, hom = smooth_2d
-    fc = flux_corrector(cells, field)
-    means = fc.deviation.mean(axis=(-1, -2))
-    assert np.abs(means).max() < 1e-13
+    dev, _ = flux_corrector(cells, field)
+    assert dev.shape == (4, 4, 2, 2, 64, 64)
+    assert np.abs(dev.mean(axis=(-1, -2))).max() < 1e-13
 
 
 def test_flux_divergence_free(smooth_2d):
     field, cells, hom = smooth_2d
-    fc = flux_corrector(cells, field)
-    assert fc.div_defect < 1e-9
+    _, div_defect = flux_corrector(cells, field)
+    assert div_defect < 1e-9
+
+
+def check_potential(cells, dev):
+    """The skew potential of one deviation table: exactly skew, div G = g."""
+    kept = dev.copy()
+    pot, ratio, div_defect = vector_potential(dev, cells.cell_grid)
+    assert np.array_equal(dev, kept)
+    assert pot.shape == (4, 4, 2, 2, 2, 64, 64)
+    # skew symmetry holds bitwise by construction, for every sample and j
+    assert np.array_equal(pot, -np.swapaxes(pot, -4, -3))
+    assert div_defect < 1e-8
+    # div_y G^j = g^j, recomputed here one sample and direction at a time
+    calc = calculus(cells.cell_grid.shape)
+    w = cells.cell_grid.h ** 2
+    for i in np.ndindex(4, 4):
+        for j in range(2):
+            div = np.stack([calc.div(pot[i + (j, p)]) for p in range(2)])
+            assert np.sqrt(w * np.sum((div - dev[i + (j,)]) ** 2)) < 1e-8
+    assert ratio > 0
 
 
 def test_potential_identities(smooth_2d):
     field, cells, hom = smooth_2d
-    fc = flux_corrector(cells, field)
-    fc = vector_potential(fc, cells.cell_grid)
-    assert fc.div_defect < 1e-8
-    g = fc.potential_matrix((0, 0), 0)
-    # skew symmetry holds bitwise by construction
-    assert np.array_equal(g[0, 1], -g[1, 0])
-    assert np.abs(g[0, 0]).max() == 0.0
-    assert fc.potential_bound_ratio > 0
+    check_potential(cells, flux_corrector(cells, field)[0])
+
+
+def test_adjoint_potential_identities(smooth_2d):
+    field, cells, hom = smooth_2d
+    check_potential(cells, flux_corrector(cells, field, adjoint=True)[0])
 
 
 def test_potential_zero_for_zero_deviation():
     f = builtin_family("constant", {"matrix": np.eye(2)})
     cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16))
-    fc = vector_potential(flux_corrector(cells, f), cells.cell_grid)
-    assert np.abs(fc.potential_upper).max() == 0.0
+    pot, ratio, _ = vector_potential(flux_corrector(cells, f)[0], cells.cell_grid)
+    assert np.abs(pot).max() == 0.0
+    assert ratio == 0.0
 
 
 def test_potential_1d_is_empty_skew():
+    # a 1 x 1 skew matrix is 0, and no divergence is measured
     f = builtin_family("separable_1d", {})
     cells = build_cell_table(f, TorusGrid(1, 4), TorusGrid(1, 64))
-    fc = vector_potential(flux_corrector(cells, f), cells.cell_grid)
-    assert fc.potential_upper.shape[-3] == 0 or fc.potential_upper.size == 0
-    g = fc.potential_matrix((0,), 0)
-    assert g.shape[:2] == (1, 1)
-    assert np.abs(g).max() == 0.0
+    dev, _ = flux_corrector(cells, f)
+    pot, ratio, div_defect = vector_potential(dev, cells.cell_grid)
+    assert pot.shape == (4, 1, 1, 1, 64)
+    assert not pot.any()
+    assert ratio == 0.0 and div_defect == 0.0
+
+
+def test_potential_grid_must_match_the_deviation(smooth_2d):
+    field, cells, hom = smooth_2d
+    dev, _ = flux_corrector(cells, field)
+    with pytest.raises(ValueError, match="do not match"):
+        vector_potential(dev, TorusGrid(2, 32))
 
 
 def test_adjoint_flux_uses_transposed_field(smooth_2d):
     field, cells, hom = smooth_2d
-    fc_adj = flux_corrector(cells, field, adjoint=True)
+    dev_adj, div_defect = flux_corrector(cells, field, adjoint=True)
     # solenoidal and zero mean like the primal one
-    assert np.abs(fc_adj.deviation.mean(axis=(-1, -2))).max() < 1e-13
-    assert fc_adj.div_defect < 1e-9
+    assert np.abs(dev_adj.mean(axis=(-1, -2))).max() < 1e-13
+    assert div_defect < 1e-9
 
 
 def test_csv_export_shape(smooth_2d):
