@@ -10,13 +10,12 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .cell import build_cell_table, load_cell_table, save_cell_table
+from .cell import load_cell_table, save_cell_table
 from .coefficients import validate_coefficient
 from .config import load_config
 from .effective import effective_matrix
 from .errors import ConfigError, SolveError
-from .grids import TorusGrid
-from .sweep import emit_report, output_dir, run_sweep
+from .sweep import config_cell_table, emit_report, output_dir, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,9 +58,7 @@ def cmd_cells(args):
         return EXIT_OK
     cfg = _load(args)
     out = output_dir(cfg.out_dir)
-    field = cfg.make_field()
-    cells = build_cell_table(field, TorusGrid(field.dim, cfg.n_x),
-                             TorusGrid(field.dim, cfg.n_y), tol=cfg.cell_tol)
+    _, cells = config_cell_table(cfg)
     path = out / "cells.bin"
     save_cell_table(path, cells)
     print(f"cell table written to {path} "
@@ -73,9 +70,7 @@ def cmd_cells(args):
 def cmd_effective(args):
     cfg = _load(args)
     out = output_dir(cfg.out_dir)
-    field = cfg.make_field()
-    cells = build_cell_table(field, TorusGrid(field.dim, cfg.n_x),
-                             TorusGrid(field.dim, cfg.n_y), tol=cfg.cell_tol)
+    field, cells = config_cell_table(cfg)
     hom = effective_matrix(cells, field)
     path = out / "effective.csv"
     path.write_text(hom.to_csv())

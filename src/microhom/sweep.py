@@ -15,6 +15,7 @@ Lanczos estimate of `operators.operator_norm`, whose number of
 normal-operator applications the report keeps per eps.  One offset walk
 (`correctors.drift_matrix_field`) builds the double-averaged matrices of
 every eps before the per-eps loop, which reads no cell gradient table.
+A sweep reads every cell object from one table (`config_cell_table`).
 """
 
 import time
@@ -25,14 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cell, correctors, effective
+from . import correctors
 from .assemble import assemble_fine, assemble_homogenized, resolvent_op
 from .cell import build_cell_table
 from .config import ExperimentConfig
-# full_corrector and flux_corrector are not called here (the norms apply
+# run_sweep calls neither full_corrector nor flux_corrector (the norms apply
 # the fused error_operators, and corrector_coeffs builds its own flux
-# deviations); they stay importable from this module because
-# perfbench/run.py wraps both by this module's name
+# deviations), nor matched_effective_matrix below (a matched sweep reads a0
+# off its one table); perfbench/run.py wraps all three by this module's name
 from .correctors import (assemble_L, assemble_M, corrector_coeffs, corrector_op,  # noqa: F401
                          error_operators, full_corrector)
 from .effective import effective_matrix, flux_corrector  # noqa: F401
@@ -109,25 +110,32 @@ def fit_rate(eps, errors):
     return float(coef[0]), float(coef[1]), resid
 
 
-def matched_effective_matrix(field, slow_grid, n_f, tol):
-    """Effective matrix of the fine scheme's own implicit cell problem.
+def config_cell_table(config, field=None):
+    """(field, cells): the one cell table of a sweep of `config` (field:
+    `config.make_field()` by default).  With `matched_effective` it is the
+    finite-volume table on the n_f-point grid, the fine scheme's own
+    implicit cell limit, and the field comes back with cell_method "fv";
+    otherwise the field's own method on the n_y-point grid."""
+    field = config.make_field() if field is None else field
+    if config.matched_effective:
+        field = replace(field, cell_method="fv")
+    n_cell = config.n_f if config.matched_effective else config.n_y
+    return field, build_cell_table(field, TorusGrid(field.dim, config.n_x),
+                                   TorusGrid(field.dim, n_cell), tol=config.cell_tol)
 
-    Re-solves the cell problems with the conservative finite-volume
-    discretization at resolution n_f (the per-cell resolution of the fine
-    grid), so the homogenized operator matches the discrete two-scale limit
-    of the fine scheme instead of the continuum one.  Used only by sweeps
-    on eps^2 scaling, where the continuum-vs-discrete effective offset would
-    otherwise floor the curve.  It is checked like the continuum one.
-    """
-    fv = replace(field, cell_method="fv")
-    # through their modules: perfbench/run.py wraps this module's names, and
-    # the matched stage keeps its own span apart from the spectral table's
-    cells = cell.build_cell_table(fv, slow_grid, TorusGrid(field.dim, n_f), tol)
-    return effective.effective_matrix(cells, fv)
+
+def matched_effective_matrix(field, slow_grid, n_f, tol):
+    """Effective matrix of the fine scheme's own implicit cell problem: the
+    a0 of the matched table of `config_cell_table` (finite volumes at the
+    fine grid's per-cell resolution n_f), checked like the continuum one."""
+    fv, cells = config_cell_table(ExperimentConfig(
+        family=field.name, params=(), n_x=slow_grid.n, n_y=n_f, n_f=n_f, eps_denominators=(),
+        cell_tol=tol, matched_effective=True), field)
+    return effective_matrix(cells, fv)
 
 
 # the eps-independent stages, timed once per sweep
-SETUP_STAGES = ("cell_table_ms", "moments_ms", "matched_effective_ms", "drift_ms")
+SETUP_STAGES = ("cell_table_ms", "moments_ms", "drift_ms")
 
 
 def _norm_seed(seed, tag):
@@ -138,9 +146,9 @@ def _norm_seed(seed, tag):
 def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceReport:
     """Full convergence experiment for one configuration.
 
-    Cell problems are solved once on the configured sample grid and reused
-    for every eps; a cell residual accepted above cell_tol (the FFT
-    roundoff floor) is flagged.  A per-eps failure aborts the sweep but
+    Cell problems are solved once, in the one table of `config_cell_table`,
+    and reused for every eps; a cell residual accepted above cell_tol (the
+    FFT roundoff floor) is flagged.  A per-eps failure aborts the sweep but
     keeps the points already measured, with the failing eps and stage
     (assemble, correctors, pairing, norm_E0, norm_E1 or norm_E2) recorded in
     the `aborted:` flag.  The eps points run in turn; `jobs` accepts only 1.
@@ -152,8 +160,6 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     say = progress or (lambda msg: None)
     field = config.make_field()
     d = field.dim
-    slow_grid = TorusGrid(d, config.n_x)
-    cell_grid = TorusGrid(d, config.n_y)
 
     report = ConvergenceReport(family=field.name, eps_list=[],
                                errors={"E0": [], "E1": [], "E2": []},
@@ -167,23 +173,18 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
 
     with setup_stage("cell_table"):
         say("building cell table")
-        cells = build_cell_table(field, slow_grid, cell_grid, tol=config.cell_tol)
+        field, cells = config_cell_table(config, field)
     if cells.residual_max > config.cell_tol:
         report.flags.append(f"cell residual_max {cells.residual_max:.2e} above "
                             f"cell_tol {config.cell_tol:g} (roundoff floor)")
+    if config.matched_effective:
+        report.flags.append("matched_effective: R0 and the correctors come from the "
+                            f"finite-volume cell problems at n_f = {config.n_f}")
     with setup_stage("moments"):
         # the tensors first: their walk checks every sample's energy bound
         # and solenoidality before anything else is read off the table
         coeffs = corrector_coeffs(cells, field)
         hom = effective_matrix(cells, field)
-
-    hom_for_r0 = hom
-    with setup_stage("matched_effective"):
-        if config.matched_effective:
-            say("building matched effective matrix")
-            hom_for_r0 = matched_effective_matrix(field, slow_grid, config.n_f, config.cell_tol)
-            report.flags.append("matched_effective: homogenized operator uses the "
-                                "fine scheme's implicit cell limit")
 
     ks = sorted(config.eps_denominators)  # the report keeps this order: eps descending
     grids = [TorusGrid(d, config.n_f * k) for k in ks]
@@ -215,7 +216,7 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
 
         with stage("assemble"):
             a_eps = assemble_fine(field, spec.eps, grid)
-            a_hom = assemble_homogenized(hom_for_r0, grid)
+            a_hom = assemble_homogenized(hom, grid)
             r_eps = resolvent_op(a_eps, label="R_eps")
             r_hom = resolvent_op(a_hom, label="R0")
 

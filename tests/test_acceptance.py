@@ -198,10 +198,10 @@ def test_criterion_8_second_order_rate(sweep_1d, sweep_2d):
 
     rep2, t2 = sweep_2d
     slope2 = rep2.slopes["E2"][0]
-    assert slope2 >= 1.7
+    assert slope2 >= 1.95
     assert t1 + t2 < 900.0
     ok(8, f"E2 slopes: 1D {slope1:.3f} >= 1.8 with E2(1/64) < E0(1/64)/10, "
-          f"2D {slope2:.3f} >= 1.7; total {t1 + t2:.0f} s < 15 min")
+          f"2D {slope2:.3f} >= 1.95; total {t1 + t2:.0f} s < 15 min")
 
 
 def test_criterion_9_steklov_properties():

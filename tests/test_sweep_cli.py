@@ -5,14 +5,23 @@ import pytest
 
 import microhom
 import microhom.sweep
-from microhom import (ConfigError, ConvergenceReport, SolveError, emit_report, fit_rate,
-                      run_sweep)
+from microhom import (ConfigError, ConvergenceReport, SolveError, TorusGrid, emit_report,
+                      fit_rate, run_sweep)
 from microhom.cli import main
 from microhom.config import ExperimentConfig
+from microhom.sweep import matched_effective_matrix
 
 QUICK_1D = ExperimentConfig(family="separable_1d", params=(), n_x=16, n_y=64,
                             n_f=8, eps_denominators=(4, 8, 16),
                             cell_tol=1e-11, norm_tol=1e-5, norm_maxiter=500, seed=0)
+QUICK_2D = ExperimentConfig(family="smooth_2d_nonsymmetric", params=(), n_x=4, n_y=16,
+                            n_f=8, eps_denominators=(2, 3, 4), cell_tol=1e-11,
+                            norm_tol=1e-5, norm_maxiter=500, seed=0, matched_effective=True)
+
+
+def quick_2d_matched():
+    return matched_effective_matrix(QUICK_2D.make_field(), TorusGrid(2, QUICK_2D.n_x),
+                                    QUICK_2D.n_f, QUICK_2D.cell_tol)
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +83,9 @@ def test_timings_split_per_eps_and_setup_stages(quick_report, tmp_path):
     lines = emit_report(quick_report, tmp_path)["timings"].read_text().splitlines()
     assert lines[0] == ("eps,assemble_ms,correctors_ms,pairing_ms,"
                         "norm_E0_ms,norm_E1_ms,norm_E2_ms")
-    assert len(lines) == 1 + len(quick_report.eps_list) + 4
-    setup = [line.split(",")[0] for line in lines[-4:]]
-    assert setup == ["# cell_table_ms", "# moments_ms", "# matched_effective_ms",
-                     "# drift_ms"]
+    assert len(lines) == 1 + len(quick_report.eps_list) + 3
+    setup = [line.split(",")[0] for line in lines[-3:]]
+    assert setup == ["# cell_table_ms", "# moments_ms", "# drift_ms"]
 
 
 def test_cell_table_breaking_energy_bound_aborts_sweep(monkeypatch):
@@ -106,6 +114,41 @@ def test_sweep_walks_offset_rows_once_per_gradient_table(monkeypatch):
     rep = run_sweep(QUICK_1D)
     assert len(rep.eps_list) == len(QUICK_1D.eps_denominators)
     assert len(walked) == 2
+
+
+@pytest.mark.parametrize("matched,method,n_cell", [(True, "fv", 8), (False, "spectral", 16)],
+                         ids=["matched", "unmatched"])
+def test_sweep_reads_every_cell_object_from_one_table(monkeypatch, matched, method, n_cell):
+    # matched: one finite-volume table on the n_f grid, whose a0 is the
+    # matched effective matrix bit for bit and gives R0; unmatched: the
+    # field's spectral table on the n_y grid
+    built, r0_a0 = [], []
+    build = microhom.sweep.build_cell_table
+    assemble_homogenized = microhom.sweep.assemble_homogenized
+
+    def recorded_build(field, slow_grid, cell_grid, **kwargs):
+        built.append((field.cell_method, cell_grid.n, build(field, slow_grid, cell_grid,
+                                                            **kwargs)))
+        return built[-1][-1]
+
+    def recorded_hom(hom, grid):
+        r0_a0.append(hom.matrices)
+        return assemble_homogenized(hom, grid)
+    monkeypatch.setattr(microhom.sweep, "build_cell_table", recorded_build)
+    monkeypatch.setattr(microhom.sweep, "assemble_homogenized", recorded_hom)
+    rep = run_sweep(replace(QUICK_2D, matched_effective=matched))
+    assert len(rep.eps_list) == len(QUICK_2D.eps_denominators)
+    [(cell_method, n, cells)] = built
+    assert (cell_method, cells.method, n) == (method, method, n_cell)
+    assert len(r0_a0) == len(rep.eps_list)
+    assert all(np.array_equal(a0, cells.a0) for a0 in r0_a0)
+    flagged = [f for f in rep.flags if f.startswith("matched_effective")]
+    if matched:
+        assert np.array_equal(cells.a0, quick_2d_matched().matrices)
+        assert flagged == ["matched_effective: R0 and the correctors come from the "
+                           "finite-volume cell problems at n_f = 8"]
+    else:
+        assert flagged == []
 
 
 def test_per_eps_stages_run_without_gradient_tables(monkeypatch):
@@ -271,6 +314,15 @@ def test_cli_cells_effective_sweep(tmp_path, capsys):
     assert "slope[E2]" in out
 
 
+def test_cli_effective_writes_the_matched_matrix(tmp_path, capsys):
+    # the a0 whose R0 a matched sweep measures, not the continuum one
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUICK_2D.normalized_text())
+    assert main(["effective", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "effective.csv").read_text() == quick_2d_matched().to_csv()
+    assert "effective matrix written to" in capsys.readouterr().out
+
+
 def test_cli_sweep_has_no_jobs_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["sweep", "--jobs", "2", "--config", str(tmp_path / "exp.cfg")])
@@ -290,7 +342,7 @@ def test_cli_out_on_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
     # refused before any cell table or sweep is built
     def never(*args, **kwargs):
         raise AssertionError("built before the path was checked")
-    for name in ("build_cell_table", "run_sweep"):
+    for name in ("config_cell_table", "run_sweep"):
         monkeypatch.setattr(microhom.cli, name, never)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG_TEXT)
