@@ -5,10 +5,10 @@ For each slow sample x and direction j this solves
     div_y[ a(x, y) (e^j + grad_y chi^j(x, y)) ] = 0,   <chi^j(x, .)> = 0,
 
 periodically in y, together with the adjoint problems (coefficient a^T).
-Smooth coefficients use Fourier collocation, iterated on the half spectrum
-with the Green operator of the Laplacian as right preconditioner;
-discontinuous laminates use conservative finite volumes with a direct
-sparse solve whose factor also serves the adjoint.
+Smooth coefficients use Fourier collocation, iterated by lgmres from zero
+on the half spectrum with the Green operator of the Laplacian as right
+preconditioner; discontinuous laminates use conservative finite volumes
+with a direct sparse solve whose factor also serves the adjoint.
 """
 
 import os
@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from .assemble import assemble_diffusion, sample_coefficient
 from .errors import SolveError
 from .grids import TorusGrid, centered_diff, centered_gradient
-from .spectral import calculus, refine_half
+from .spectral import calculus
 
 _LGMRES_CALLS = 300  # outer lgmres iterations allowed per spectral block solve
 
@@ -45,7 +45,8 @@ class SpectralCellSolver:
     |2 pi k|^-2 y, so the operator's spectrum is controlled by the ellipticity
     bounds alone and one application costs d inverse and d forward
     transforms.  The directions (and adjoint directions) of one cell are
-    solved together as one block-diagonal system over a (B, *cell) stack.
+    solved together as one block-diagonal system over a (B, *cell) stack,
+    by lgmres from zero (`_krylov`).
     """
 
     def __init__(self, a_nodes, grid, tol):
@@ -75,13 +76,18 @@ class SpectralCellSolver:
         Each right-hand side is scaled to unit norm and the global relative
         tolerance is tol/sqrt(B), so every block's relative residual is
         bounded by tol; each block's true residual is still checked alone.
-        When n % 4 == 0 the stack is first solved on the half grid, whose
-        nodes are every other node of this one, and that solution starts
-        the full-grid iteration (`_spectra`).
         """
         d, calc = self.grid.dim, self.calc
         a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))   # (B, d, d, *shape)
-        spec, residuals = self._spectra(a, np.asarray(dirs), nested=self.grid.n % 4 == 0)
+        rhs = np.sum(calc.deriv * calc.forward(a[np.arange(len(dirs)), :, dirs]), axis=1)
+        scale = np.linalg.norm(calc.pack(rhs), axis=-1)               # grid l2 norm of div(a e^j)
+        live = scale > 0.0
+        spec = np.zeros_like(rhs)
+        residuals = np.zeros(len(dirs))
+        if live.any():
+            norms = scale[live].reshape((-1,) + (1,) * d)
+            spec[live], residuals[live] = self._krylov(a[live], rhs[live] / norms)
+            spec[live] *= norms
         for b, res in enumerate(residuals):
             if res > 10 * self.tol:
                 raise SolveError(f"cell solve (spectral, j={dirs[b]}) residual {res:.2e}")
@@ -96,53 +102,19 @@ class SpectralCellSolver:
         return [CellField(values[b], grads[b], float(residuals[b]), columns[b])
                 for b in range(len(dirs))]
 
-    def _spectra(self, a, dirs, nested):
-        """(half spectra of chi, residuals) of a (B, d, d, *shape) block stack.
-
-        With `nested`, the same stack is solved on the half grid first (from
-        zero, not nested further, its residual unchecked: it is only a start).
-        Its half spectrum, zero-padded, is turned into the packed,
-        right-preconditioned unknown of each block (`_krylov`).
-        """
-        d, calc = self.grid.dim, self.calc
-        rhs = np.sum(calc.deriv * calc.forward(a[np.arange(len(dirs)), :, dirs]), axis=1)
-        scale = np.linalg.norm(calc.pack(rhs), axis=-1)               # grid l2 norm of div(a e^j)
-        live = scale > 0.0
-        spec = np.zeros_like(rhs)
-        residuals = np.zeros(len(dirs))
-        if live.any():
-            norms = scale[live].reshape((-1,) + (1,) * d)
-            start = None
-            if nested:
-                every_other = (slice(None, None, 2),) * d
-                coarse = SpectralCellSolver(self.a[every_other], TorusGrid(d, self.grid.n // 2),
-                                            self.tol)
-                chi, _ = coarse._spectra(np.ascontiguousarray(a[live][(...,) + every_other]),
-                                         dirs[live], nested=False)
-                chi = refine_half(chi, self.grid.shape)
-                mult = calc.poisson_mult
-                start = calc.pack(np.divide(chi, mult, out=np.zeros_like(chi), where=mult > 0))
-                start = (start / scale[live, None]).ravel()
-            spec[live], residuals[live] = self._krylov(a[live], rhs[live] / norms, start)
-            spec[live] *= norms
-        return spec, residuals
-
-    def _krylov(self, a, rhs, start):
+    def _krylov(self, a, rhs):
         """Block solve for unit-norm half-spectrum right-hand sides: (solution
         half spectra, residuals).
 
-        lgmres runs one outer iteration per call, warm-started from the last
-        iterate and its augmentation vectors, and the true residual of every
-        block (the grid l2 one: the packing is an isometry) is checked after
-        each call.  It cannot push the residual below the FFT roundoff floor,
-        so the solve stops as soon as every block reaches tol or a chunk
-        fails to halve the best residual, and keeps the best iterate.  A
-        packed `start` is kept for the blocks where its true residual is
-        below 1, that of a zero start; lgmres does not run when it already
-        meets tol.
+        lgmres starts from zero and runs one outer iteration per call,
+        warm-started from the last iterate and its augmentation vectors, and
+        the true residual of every block (the grid l2 one: the packing is an
+        isometry) is checked after each call.  It cannot push the residual
+        below the FFT roundoff floor, so the solve stops as soon as every
+        block reaches tol or a call fails to halve the best residual, and
+        keeps the best iterate.
         """
         calc = self.calc
-        nblk = rhs.shape[0]
         b = calc.pack(rhs)                                            # (B, m)
         op = flux_operator(calc, a)
 
@@ -150,26 +122,18 @@ class SpectralCellSolver:
             return calc.pack(op(calc.poisson_mult * calc.unpack(y.reshape(b.shape)))).ravel()
 
         lin = spla.LinearOperator((b.size, b.size), matvec=apply, dtype=float)
-        y = np.zeros(b.size)
-        best_res = np.ones(nblk)
-        if start is not None:
-            res = np.linalg.norm(apply(start).reshape(b.shape) - b, axis=1)
-            keep = res < 1.0
-            y = (start.reshape(b.shape) * keep[:, None]).ravel()
-            best_res = np.where(keep, res, 1.0)
+        y = best_y = np.zeros(b.size)
+        best_res = np.ones(len(b))
         outer_v = []
-        best_y = y
         for _ in range(_LGMRES_CALLS):
-            if best_res.max() <= self.tol:
-                break
             # looked up at call time so that callers may wrap scipy's lgmres
-            y, _ = spla.lgmres(lin, b.ravel(), x0=y, rtol=self.tol / np.sqrt(nblk), atol=0.0,
+            y, _ = spla.lgmres(lin, b.ravel(), x0=y, rtol=self.tol / np.sqrt(len(b)), atol=0.0,
                                maxiter=1, outer_v=outer_v)
             res = np.linalg.norm(apply(y).reshape(b.shape) - b, axis=1)
             halved = res.max() <= 0.5 * best_res.max()
             if res.max() < best_res.max():
                 best_y, best_res = y, res
-            if not halved:
+            if best_res.max() <= self.tol or not halved:
                 break
         return calc.poisson_mult * calc.unpack(best_y.reshape(b.shape)), best_res
 

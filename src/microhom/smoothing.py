@@ -9,8 +9,9 @@ exact index rotation (no interpolation).
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .operators import DiscreteOperator, matrix_op, stencil_matrix
+from .operators import stencil_matrix
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,9 @@ def shift(values, offset):
     return np.roll(values, tuple(-rounded.astype(int)), axis=tuple(range(d)))
 
 
-def steklov_op(grid, spec: SmoothingSpec) -> DiscreteOperator:
+def steklov_op(grid, spec: SmoothingSpec) -> sp.csr_matrix:
     """The Steklov average u -> sum_l w_l u(x - eps*omega_l), one CSR matrix."""
     spec.check_grid(grid)
     shifts, _, weights = spec.lattice(grid.dim)
-    # the lattice is symmetric, so the operator is self-adjoint
-    return matrix_op(stencil_matrix(grid, -shifts, weights), grid=grid, label="steklov")
+    # the lattice is symmetric, so the matrix is symmetric
+    return stencil_matrix(grid, -shifts, weights)

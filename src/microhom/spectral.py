@@ -127,18 +127,6 @@ def calculus(shape):
     return _CALC_CACHE[shape]
 
 
-def refine_half(spec, shape):
-    """Half spectra (`rfftn`) of Nyquist-masked fields on a grid of half
-    `shape`, zero-padded to `shape`: the same trigonometric fields sampled
-    twice as densely.  The coarse Nyquist modes are masked, so none is split."""
-    last = np.arange(shape[-1] // 4)
-    src = [np.r_[0:n // 4, n // 4 + 1:n // 2] for n in shape[:-1]] + [last]
-    dst = [np.r_[0:n // 4, n - n // 4 + 1:n] for n in shape[:-1]] + [last]
-    out = np.zeros(spec.shape[:-len(shape)] + calculus(shape).poisson_mult.shape, dtype=complex)
-    out[(...,) + np.ix_(*dst)] = spec[(...,) + np.ix_(*src)] * 2.0 ** len(shape)
-    return out
-
-
 def _pad_axis(spec, axis, n_to):
     """Zero-pad one axis of a full FFT spectrum, splitting the Nyquist mode."""
     n_from = spec.shape[axis]

@@ -53,6 +53,10 @@ class ConvergenceReport:
     config_text: str = ""
     timings: dict = dc_field(default_factory=dict)      # stage -> [ms per eps], or [ms]
     transpose_defect_max: float = 0.0
+    # the table's identity defects: the two quadratures of c3 (criterion 5)
+    # and the adjoint duality of a0 (criterion 10)
+    equivalence_defect: float = 0.0
+    adjoint_defect: float = 0.0
     prefactors: dict = dc_field(default_factory=dict)   # name -> E / eps^order at finest eps
     # {"E0": [...], ...}: applications of the normal operator per norm, per eps
     norm_applications: dict = dc_field(
@@ -84,6 +88,8 @@ class ConvergenceReport:
             lines.append(f"measured prefactor {name}: {c:.4e}")
         lines.append(f"max transpose defect over assembled operators: "
                      f"{self.transpose_defect_max:.3e}")
+        lines.append(f"identity defects of the cell table: equivalence "
+                     f"{self.equivalence_defect:.3e}, adjoint duality {self.adjoint_defect:.3e}")
         for f in self.flags:
             lines.append(f"flag: {f}")
         return "\n".join(lines)
@@ -134,6 +140,9 @@ def matched_effective_matrix(field, slow_grid, n_f, tol):
     return effective_matrix(cells, fv)
 
 
+# the bound the tests hold both identity defects to; a sweep above it is flagged
+IDENTITY_DEFECT_BOUND = 1e-10
+
 # the eps-independent stages, timed once per sweep
 SETUP_STAGES = ("cell_table_ms", "moments_ms", "drift_ms")
 
@@ -153,7 +162,9 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     (assemble, correctors, pairing, norm_E0, norm_E1 or norm_E2) recorded in
     the `aborted:` flag.  The eps points run in turn; `jobs` accepts only 1.
     The cell table is checked sample by sample (gradient energy bound and
-    solenoidal flux deviations) when the coefficient tensors are built.
+    solenoidal flux deviations) when the coefficient tensors are built, and
+    its two identity defects (c3 quadrature equivalence, a0 adjoint
+    duality) are kept and flagged above IDENTITY_DEFECT_BOUND.
     """
     if jobs != 1:
         raise ValueError(f"jobs = {jobs!r}: the eps points run in turn, so jobs must be 1")
@@ -185,6 +196,12 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         # and solenoidality before anything else is read off the table
         coeffs = corrector_coeffs(cells, field)
         hom = effective_matrix(cells, field)
+    report.equivalence_defect = coeffs.equivalence_defect
+    report.adjoint_defect = hom.adjoint_defect
+    for name, value in (("equivalence", coeffs.equivalence_defect),
+                        ("adjoint duality", hom.adjoint_defect)):
+        if value > IDENTITY_DEFECT_BOUND:
+            report.flags.append(f"{name} defect {value:.2e} above {IDENTITY_DEFECT_BOUND:g}")
 
     ks = sorted(config.eps_denominators)  # the report keeps this order: eps descending
     grids = [TorusGrid(d, config.n_f * k) for k in ks]

@@ -6,7 +6,7 @@ from microhom import SolveError, TorusGrid
 from microhom.grids import centered_diff, centered_gradient
 from microhom.operators import (diff_matrix, h1_gram_op, matrix_op, operator_norm,
                                 stencil_matrix, transpose_defect)
-from microhom.spectral import calculus, refine_half, trig_resample
+from microhom.spectral import calculus, trig_resample
 
 
 def test_grid_nodes():
@@ -194,22 +194,6 @@ def test_spectral_calculus_derivative():
     # poisson inverts -laplace on zero-mean data
     u = calc.poisson(4 * np.pi ** 2 * v)
     assert np.allclose(u, v, atol=1e-10)
-
-
-@pytest.mark.parametrize("shape", [(64,), (32, 32)], ids=["1d", "2d"])
-def test_refine_half_samples_the_coarse_interpolant_twice_as_densely(shape):
-    # a masked field on the half grid and its zero-padded half spectrum: the
-    # same trigonometric polynomial, so equal to trig_resample's, and equal
-    # to the coarse values at every other fine node
-    coarse = calculus(tuple(n // 2 for n in shape))
-    rng = np.random.default_rng(4)
-    noise = rng.standard_normal((2,) + coarse.shape)
-    u = coarse.inverse((coarse.poisson_mult > 0) * coarse.forward(noise))
-    fine = calculus(shape).inverse(refine_half(coarse.forward(u), shape))
-    for b in range(2):
-        assert np.abs(fine[b] - trig_resample(u[b], shape[0])).max() <= 1e-14 * np.abs(u).max()
-    every_other = (slice(None),) + (slice(None, None, 2),) * len(shape)
-    assert np.abs(fine[every_other] - u).max() <= 1e-14 * np.abs(u).max()
 
 
 @pytest.mark.parametrize("shape", [(256,), (64, 64)], ids=["1d", "2d"])

@@ -241,6 +241,30 @@ def test_cell_residual_above_tol_flagged(monkeypatch, tmp_path):
     assert floor[0] in paths["summary"].read_text()
 
 
+def test_identity_defects_kept_and_flagged(quick_report, monkeypatch, tmp_path):
+    # a0_adj moved off a0^T by 1e-6: the duality defect is kept and flagged,
+    # and the measured errors, which never read a0_adj, do not move
+    assert quick_report.equivalence_defect <= 1e-10
+    assert quick_report.adjoint_defect <= 1e-10
+    assert not any("defect" in f for f in quick_report.flags)
+    build = microhom.sweep.build_cell_table
+
+    def perturbed(*args, **kwargs):
+        cells = build(*args, **kwargs)
+        cells.a0_adj[..., 0, 0] += 1e-6
+        return cells
+    monkeypatch.setattr(microhom.sweep, "build_cell_table", perturbed)
+    rep = run_sweep(QUICK_1D)
+    assert rep.adjoint_defect == pytest.approx(1e-6, rel=1e-6)
+    assert rep.equivalence_defect == quick_report.equivalence_defect
+    assert [f for f in rep.flags if "defect" in f] == ["adjoint duality defect 1.00e-06 "
+                                                       "above 1e-10"]
+    assert rep.errors == quick_report.errors
+    summary = emit_report(rep, tmp_path)["summary"].read_text()
+    assert "identity defects of the cell table: equivalence " in summary
+    assert "adjoint duality 1.000e-06" in summary
+
+
 def test_constant_family_flagged_floor():
     cfg = ExperimentConfig(family="constant", params=(("dim", 1),), n_x=8, n_y=32,
                            n_f=8, eps_denominators=(4, 8, 16),
@@ -321,6 +345,19 @@ def test_cli_effective_writes_the_matched_matrix(tmp_path, capsys):
     assert main(["effective", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "effective.csv").read_text() == quick_2d_matched().to_csv()
     assert "effective matrix written to" in capsys.readouterr().out
+
+
+def test_cli_cells_writes_the_matched_table(tmp_path, capsys):
+    # a matched config's table is the finite-volume one on the n_f grid,
+    # whose a0 is the matched effective matrix bit for bit
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(QUICK_2D.normalized_text())
+    assert main(["cells", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert main(["cells", "--inspect", str(tmp_path / "cells.bin")]) == 0
+    header = capsys.readouterr().out.splitlines()[-2]
+    assert "method=fv" in header and "n_y=8" in header
+    cells = microhom.load_cell_table(tmp_path / "cells.bin")
+    assert np.array_equal(cells.a0, quick_2d_matched().matrices)
 
 
 def test_cli_sweep_has_no_jobs_option(tmp_path, capsys):
