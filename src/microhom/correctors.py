@@ -28,15 +28,15 @@ homogenized resolvents stay LU solves.
 """
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from .assemble import assemble_diffusion
 from .effective import _sample_fluxes
 from .grids import TorusGrid, interp_matrix
-from .operators import DiscreteOperator, diff_matrix, matrix_op, stencil_matrix
+from .operators import DiscreteOperator, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
 from .spectral import integer_freqs
 
@@ -115,7 +115,7 @@ def corrector_op(cells, spec: SmoothingSpec, grid, resolvent: LinearOperator,
                      label="kernel-quad")
     op = quad @ resolvent
     op.label = "Ktilde" if adjoint else "K"
-    op.quad = quad.matrix
+    op.quad = quad
     return op
 
 
@@ -206,31 +206,37 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
     this composition.
     """
     d = grid.dim
-    n = grid.size
     slow = coeffs.slow_grid
     # the four tables, column-stacked, interpolated to the fine nodes by one product
     tables = (coeffs.c3, coeffs.c3_adj, coeffs.c2, coeffs.c2_adj)
     fine = interp_matrix(slow.n, grid.coords().reshape(-1, d)) @ np.hstack(
         [t.reshape(slow.size, -1) for t in tables])
     parts = np.split(fine, [d ** 3, 2 * d ** 3, 2 * d ** 3 + d ** 2], axis=1)
-    c3, c3_adj, c2, c2_adj = (p.reshape((n,) + t.shape[d:]) for p, t in zip(parts, tables))
-    D = [diff_matrix(grid, ax) for ax in range(d)]
-    # primal family D_k D_m c3[j,k,m] D_j - D_k c2[j,k] D_j plus the transpose
-    # of the adjoint family D_j D_m c3_adj[k,j,m] D_k - D_j c2_adj[k,j] D_k;
-    # a component that vanishes identically (all of them in 1D) adds nothing
-    core = sp.csr_matrix((n, n))
-    for j in range(d):
-        for k in range(d):
-            for m in range(d):
-                if c3[..., j, k, m].any():
-                    core = core + D[k] @ D[m] @ sp.diags(c3[..., j, k, m].ravel()) @ D[j]
-                if c3_adj[..., k, j, m].any():
-                    core = core + (D[j] @ D[m] @ sp.diags(c3_adj[..., k, j, m].ravel()) @ D[k]).T
-            if c2[..., j, k].any():
-                core = core - D[k] @ sp.diags(c2[..., j, k].ravel()) @ D[j]
-            if c2_adj[..., k, j].any():
-                core = core - (D[j] @ sp.diags(c2_adj[..., k, j].ravel()) @ D[k]).T
-    op = hom_solver @ matrix_op(core, grid=grid, label="L-core") @ hom_solver
+    c3, c3_adj, c2, c2_adj = (p.reshape(grid.shape + t.shape[d:]) for p, t in zip(parts, tables))
+    # the primal family D_k D_m c3[j,k,m] D_j - D_k c2[j,k] D_j and, as D^T = -D, the
+    # transposed adjoint family -D_k c3_adj[k,j,m] D_m D_j - D_k c2_adj[k,j] D_j as one
+    # stencil of terms (offset, C, where C is read, factor): over signs s, t, r = +-1,
+    # D_k D_m C D_j reads u at x + s e_k + t e_m + r e_j with weight s t r C(x + s e_k
+    # + t e_m) / (2h)^3.  A component that vanishes (all of them in 1D) adds no term
+    step = 1.0 / (2.0 * grid.h)
+    e = np.eye(d, dtype=int)
+    terms = []
+    for j, k, m in product(range(d), repeat=3):
+        for c, adj in ((c3[..., j, k, m], False), (c3_adj[..., k, j, m], True)):
+            if c.any():
+                terms += [(s * e[k] + t * e[m] + r * e[j], c, s * e[k] + (0 if adj else t * e[m]),
+                           (-1 if adj else 1) * s * t * r * step ** 3)
+                          for s, t, r in product((1, -1), repeat=3)]
+    for j, k in product(range(d), repeat=2):
+        for c in (c2[..., j, k], c2_adj[..., k, j]):
+            if c.any():
+                terms += [(s * e[k] + r * e[j], c, s * e[k], -s * r * step ** 2)
+                          for s, r in product((1, -1), repeat=2)]
+    axes = tuple(range(d))
+    core = matrix_op(stencil_matrix(grid, [o for o, *_ in terms], (
+        f * np.roll(c, tuple(-at), axis=axes).ravel() for _, c, at, f in terms)),
+        grid=grid, label="L-core")
+    op = hom_solver @ core @ hom_solver
     op.label = "Lop"
     op.core = core
     return op
@@ -356,8 +362,12 @@ def drift_matrix_field(field, cells, specs, grids):
                 mid = (_eval_broadcast(field, pts + eps * om, fast_pts)
                        - _eval_broadcast(field, pts, fast_pts)).reshape(grid.size, -1, d, d)
                 mid *= (w / eps)[:, None, None]
-                # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q]
-                out += np.matmul(P, np.matmul(Q, mid).swapaxes(-1, -2)).sum(axis=1)
+                # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q], as
+                # elementwise sums (np.matmul on (N, batch, d, d) stacks is 3-4x slower)
+                for k in range(d):
+                    r = [sum(Q[..., k, p] * mid[..., p, q] for p in range(d)) for q in range(d)]
+                    for j in range(d):
+                        out[:, j, k] += sum(r[q] * P[..., j, q] for q in range(d)).sum(axis=1)
         del row_vals  # one row of offset values alive at a time
     return [out.reshape(grid.shape + (d, d)) for _, grid, *_, out in runs]
 
@@ -374,10 +384,10 @@ def assemble_M(chat, hom_solver: LinearOperator, grid: TorusGrid) -> LinearOpera
     d = grid.dim
     cmat = np.swapaxes(chat, -1, -2)
     faces = [0.5 * (cmat[..., m, m] + np.roll(cmat[..., m, m], -1, axis=m)) for m in range(d)]
-    mat = assemble_diffusion(grid, faces, cmat)
-    op = hom_solver @ matrix_op(mat, grid=grid, label="M_eps") @ hom_solver
+    core = matrix_op(assemble_diffusion(grid, faces, cmat), grid=grid, label="M_eps")
+    op = hom_solver @ core @ hom_solver
     op.label = "Mop"
-    op.core = mat
+    op.core = core
     return op
 
 
@@ -393,7 +403,8 @@ def error_operators(r_eps, r_hom, cor, cor_adj, l_op, m_op, eps):
     """The three error operators R_eps - R0, R_eps - R0 - eps K, R_eps - R0 - eps C.
 
     All three are fused: with u = R0 x, w = R0^T y, Q_K = cor.quad,
-    Q~ = cor_adj.quad and S = L-core + M_eps (summed once),
+    Q~ = cor_adj.quad and S = L-core + M_eps (summed once, if the L-core
+    has entries),
 
       diff0 x   = R_eps x - R0 x,  diff0^T y = R_eps^T y - R0^T y
       diff1 x   = R_eps x - u - eps Q_K u
@@ -403,12 +414,11 @@ def error_operators(r_eps, r_hom, cor, cor_adj, l_op, m_op, eps):
 
     so an application of diff0 or diff1 costs 2 LU solves and one of diff2
     3, either side (the composed forms of the last two cost 3 and 8).
-    Solves go through the resolvents' _mv/_rmv, looked up at each call.
+    Solves go through the resolvents' _mv/_rmv, looked up at each call, and
+    the factors through the `matrix_op`s of the corrector operators.
     """
     q_k, q_t = cor.quad, cor_adj.quad
-    q_k_t, q_t_t = q_k.T, q_t.T
-    s = (l_op.core + m_op.core).tocsr()
-    s_t = s.T
+    s = matrix_op(l_op.core.matrix + m_op.core.matrix) if l_op.core.matrix.nnz else m_op.core
 
     def mv0(x):
         return r_eps._mv(x) - r_hom._mv(x)
@@ -418,18 +428,18 @@ def error_operators(r_eps, r_hom, cor, cor_adj, l_op, m_op, eps):
 
     def mv1(x):
         u = r_hom._mv(x)
-        return r_eps._mv(x) - u - eps * (q_k @ u)
+        return r_eps._mv(x) - u - eps * q_k._mv(u)
 
     def rmv1(y):
-        return r_eps._rmv(y) - r_hom._rmv(y + eps * (q_k_t @ y))
+        return r_eps._rmv(y) - r_hom._rmv(y + eps * q_k._rmv(y))
 
     def mv2(x):
         u = r_hom._mv(x)
-        return r_eps._mv(x) - u - eps * (q_k @ u + r_hom._mv(q_t_t @ x - s @ u))
+        return r_eps._mv(x) - u - eps * (q_k._mv(u) + r_hom._mv(q_t._rmv(x) - s._mv(u)))
 
     def rmv2(y):
         w = r_hom._rmv(y)
-        return r_eps._rmv(y) - w - eps * (r_hom._rmv(q_k_t @ y - s_t @ w) + q_t @ w)
+        return r_eps._rmv(y) - w - eps * (r_hom._rmv(q_k._rmv(y) - s._rmv(w)) + q_t._mv(w))
 
     grid = r_eps.grid
     diff0 = DiscreteOperator(r_eps.shape, mv0, rmv0, grid=grid, label="R_eps-R0")

@@ -6,8 +6,9 @@ to machine precision however scipy composes them (`@`, `+`, `-`, scalar
 `*`, `.T`).  Fixed stencils (centered differences, lattice averages,
 corrector quadratures) are CSR matrices whose transposes are exact by
 construction.  Resolvents are backed by sparse LU factorizations whose
-transposed solves reuse the same factors.  Norms are Lanczos estimates on
-the normal operator M^T G M, applied one vector at a time.
+transposed solves reuse the same factors.  Norms are thick-restart Lanczos
+estimates on the normal operator M^T G M, applied one vector at a time and
+tested for convergence after every application.
 """
 
 import numpy as np
@@ -79,7 +80,7 @@ def stencil_matrix(grid, offsets, coeffs):
         np.remainder(step, grid.n, out=step)
         cols *= grid.n
         cols += step
-    indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
+    indptr = np.arange(n + 1, dtype=np.int32) * np.int32(width)  # width 0: an empty stencil
     return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
 
 
@@ -105,13 +106,13 @@ def h1_gram_op(grid):
 
 # -- norms ------------------------------------------------------------------
 
-# ARPACK's default number of Lanczos vectors for one eigenvalue; operators
-# with at most this many columns are cheaper to assemble than to iterate on
+# Lanczos vectors kept between thick restarts (ARPACK's default for one
+# eigenvalue); operators with at most this many columns are assembled instead
 _NCV = 20
 
 
 def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, atol=0.0, info=None):
-    """Largest singular value by Lanczos (ARPACK eigsh) on the normal operator.
+    """Largest singular value by thick-restart Lanczos on the normal operator.
 
     With `gram` given (a symmetric positive operator G), estimates the
     operator norm measured in the G-inner product on the output side, i.e.
@@ -120,21 +121,28 @@ def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, atol=0.0, info=N
     matvec and rmatvec, and `maxiter` bounds the number of applications of
     N.  The start vector is one application of N to a `seed`-drawn Gaussian
     vector, and N is scaled by the size of that application so its top
-    eigenvalue is at least 1.
-    ARPACK stops once the top Ritz pair's residual ||N v - theta v|| is at
-    most tol * theta, which bounds the distance from theta to an eigenvalue
-    of N.  `atol` adds an absolute tolerance on the norm, for operators that
-    cancel to the roundoff floor and so never converge in the relative sense.
+    eigenvalue is at least 1.  Thick-restart Lanczos from there (Wu & Simon,
+    SIAM J. Matrix Anal. Appl. 22, 2000), with full reorthogonalization,
+    tests its top Ritz pair (theta, s) after every application as ARPACK
+    does: it stops once beta |s_m| <= tol * theta, beta the norm of the new
+    residual vector and s_m the last entry of s.  beta |s_m| is the Ritz
+    residual ||N v - theta v||, which bounds the distance from theta to an
+    eigenvalue of N.  A full basis of _NCV vectors restarts from its top
+    _NCV // 2 Ritz vectors.  `atol` adds an absolute tolerance on the norm,
+    for operators that cancel to the roundoff floor and so never converge
+    in the relative sense.
 
-    Raises SolveError when the budget runs out, when ARPACK fails, and on
-    non-finite values.  An operator whose first application is exactly zero
-    has norm 0.0.  Operators with at most _NCV columns are assembled and
-    solved densely.  `info`, when a dict, receives the number of
-    applications of N under "applications".
+    Raises SolveError when the budget runs out and on non-finite values.
+    An operator whose first application is exactly zero has norm 0.0.
+    Operators with at most _NCV columns are assembled and solved densely.
+    `info`, when a dict, receives the number of applications of N under
+    "applications" and beta |s_m| / theta at the stop under "residual"
+    (0.0 when nothing was iterated, nan when the stop never passed).
     """
     n = op.shape[1]
     label = getattr(op, "label", op)
     count = [0]
+    resid = float("nan")
 
     def normal(x):
         if count[0] >= maxiter:
@@ -153,26 +161,43 @@ def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, atol=0.0, info=N
     try:
         if n <= _NCV:
             mat = np.stack([normal(e) for e in np.eye(n)], axis=1)
-            lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[-1])
+            lam, resid = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[-1]), 0.0
         else:
             x0 = np.random.default_rng(seed).standard_normal(n)
-            y0 = normal(x0 / np.linalg.norm(x0))
-            scale = float(np.linalg.norm(y0))
+            basis, t = np.empty((_NCV, n)), np.zeros((_NCV, _NCV))
+            basis[0] = normal(x0 / np.linalg.norm(x0))
+            scale = float(np.linalg.norm(basis[0]))
             if scale == 0.0:
+                resid = 0.0
                 return 0.0
-            rel = tol + atol / np.sqrt(scale)
-            n_op = spla.LinearOperator((n, n), matvec=lambda x: normal(x) / scale,
-                                       dtype=float)
-            theta = spla.eigsh(n_op, k=1, which="LA", v0=y0, ncv=_NCV, tol=rel,
-                               maxiter=maxiter, return_eigenvectors=False,
-                               rng=np.random.default_rng(seed))
-            lam = float(theta[0]) * scale
-    except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
-        raise SolveError(f"operator_norm: ARPACK failed for {label} "
-                         f"after {count[0]} applications: {exc}") from exc
+            basis[0] /= scale
+            rel, j = tol + atol / np.sqrt(scale), 0
+            while True:
+                w = normal(basis[j]) / scale
+                for _ in range(2):  # Gram-Schmidt twice against lost orthogonality
+                    c = basis[:j + 1] @ w
+                    w -= c @ basis[:j + 1]
+                    t[j, j] += c[j]
+                beta = float(np.linalg.norm(w))
+                theta, s = np.linalg.eigh(t[:j + 1, :j + 1])
+                if beta * abs(s[j, -1]) <= rel * theta[-1]:
+                    break
+                if j + 1 < _NCV:
+                    t[j, j + 1] = t[j + 1, j] = beta
+                    j += 1
+                else:  # thick restart: T holds the kept Ritz values, coupled to w
+                    keep = s[:, -(_NCV // 2):]
+                    j = keep.shape[1]
+                    basis[:j] = keep.T @ basis
+                    t[:] = 0.0
+                    t[range(j), range(j)] = theta[-j:]
+                    t[j, :j] = t[:j, j] = beta * keep[-1]
+                basis[j] = w / beta
+            lam, resid = float(theta[-1]) * scale, float(beta * abs(s[j, -1]) / theta[-1])
     finally:
         if info is not None:
             info["applications"] = count[0]
+            info["residual"] = resid
     return float(np.sqrt(max(lam, 0.0)))
 
 

@@ -12,9 +12,10 @@ with C = K + Ktilde^T - Lop - Mop, then fits log-log slopes.  The three
 error operators are applied in fused form (`correctors.error_operators`:
 2, 2 and 3 LU solves per application on either side) and each norm is the
 Lanczos estimate of `operators.operator_norm`, whose number of
-normal-operator applications the report keeps per eps.  One offset walk
-(`correctors.drift_matrix_field`) builds the double-averaged matrices of
-every eps before the per-eps loop, which reads no cell gradient table.
+normal-operator applications and final Ritz residual the report keeps per
+eps.  One offset walk (`correctors.drift_matrix_field`) builds the
+double-averaged matrices of every eps before the per-eps loop, which reads
+no cell gradient table.
 A sweep reads every cell object from one table (`config_cell_table`).
 """
 
@@ -61,6 +62,9 @@ class ConvergenceReport:
     # {"E0": [...], ...}: applications of the normal operator per norm, per eps
     norm_applications: dict = dc_field(
         default_factory=lambda: {"E0": [], "E1": [], "E2": []})
+    # {"E0": [...], ...}: the relative Ritz residual each norm stopped at, per eps
+    norm_residuals: dict = dc_field(
+        default_factory=lambda: {"E0": [], "E1": [], "E2": []})
 
     def summary(self):
         lines = [f"family: {self.family}", "eps        E0            E1            E2"]
@@ -70,10 +74,13 @@ class ConvergenceReport:
         if not self.eps_list:
             lines.append("no data")
         else:
-            lines.append("eps        normal-operator applications (E0 E1 E2)")
-            for i, eps in enumerate(self.eps_list):
-                lines.append(f"1/{round(1 / eps):<8d} " + " ".join(
-                    f"{self.norm_applications[k][i]:>5d}" for k in ("E0", "E1", "E2")))
+            for title, per_norm, fmt in (
+                    ("normal-operator applications", self.norm_applications, ">5d"),
+                    ("final relative Ritz residuals", self.norm_residuals, ".2e")):
+                lines.append(f"eps        {title} (E0 E1 E2)")
+                for i, eps in enumerate(self.eps_list):
+                    lines.append(f"1/{round(1 / eps):<8d} " + " ".join(
+                        f"{per_norm[k][i]:{fmt}}" for k in ("E0", "E1", "E2")))
         for name, fit in self.slopes.items():
             if fit is None and len(self.eps_list) < 3:
                 lines.append(f"slope[{name}]: none ({len(self.eps_list)} eps points; "
@@ -252,28 +259,29 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
                        for op in (r_eps, r_hom, cor, cor_adj, l_op, m_op) + diffs[1:])
 
         grams = (None, h1_gram_op(grid), None)
-        values, applications = [], []
+        values, infos = [], []
         for name, diff, gram in zip(("E0", "E1", "E2"), diffs, grams):
             info = {}
             with stage("norm_" + name):
                 values.append(operator_norm(
                     diff, tol=config.norm_tol, maxiter=config.norm_maxiter,
                     seed=_norm_seed(config.seed, f"{name}/{k}"), gram=gram, info=info))
-            applications.append(info["applications"])
-        return values, applications, times, tdef
+            infos.append(info)
+        return values, infos, times, tdef
 
     # an eps enters the report only after all six of its stages succeed
     for k, grid, spec, chat in zip(ks, grids, specs, chats):
         say(f"eps = 1/{k}")
         try:
-            values, applications, times, tdef = one_eps(k, grid, spec, chat)
+            values, infos, times, tdef = one_eps(k, grid, spec, chat)
         except SolveError as exc:
             report.flags.append(f"aborted: {exc}")
             break
         report.eps_list.append(spec.eps)
-        for key, e, n_app in zip(("E0", "E1", "E2"), values, applications):
+        for key, e, info in zip(("E0", "E1", "E2"), values, infos):
             report.errors[key].append(e)
-            report.norm_applications[key].append(n_app)
+            report.norm_applications[key].append(info["applications"])
+            report.norm_residuals[key].append(info["residual"])
         for name in stage_names:
             report.timings[name].append(times[name])
         report.transpose_defect_max = max(report.transpose_defect_max, tdef)

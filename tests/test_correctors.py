@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import microhom.effective
 from microhom import (CoefficientField, SmoothingSpec, SolveError, TorusGrid,
@@ -15,7 +16,7 @@ from microhom import (CoefficientField, SmoothingSpec, SolveError, TorusGrid,
 from microhom.cell import make_solver
 from microhom.correctors import _cell_kernels, _offset_rows, fast_sublattice
 from microhom.grids import centered_diff, corners, interp_matrix
-from microhom.operators import matrix_op, operator_norm, transpose_defect
+from microhom.operators import diff_matrix, matrix_op, operator_norm, transpose_defect
 from microhom.spectral import calculus
 from microhom.sweep import _norm_seed
 
@@ -401,6 +402,51 @@ def test_composed_operator_transpose_structure(smooth_2d):
     assert np.allclose(l_op.rmatvec(x), l_swapped.matvec(x), atol=1e-13)
 
 
+def product_chain_core(coeffs, grid):
+    """The L-core as the chain of sparse products D_k D_m diag(c3) D_j,
+    transposes of the adjoint family and -D_k diag(c2) D_j (the reference
+    for the one-stencil assembly of `assemble_L`)."""
+    d, n, slow = grid.dim, grid.size, coeffs.slow_grid
+    tables = (coeffs.c3, coeffs.c3_adj, coeffs.c2, coeffs.c2_adj)
+    fine = interp_matrix(slow.n, grid.coords().reshape(-1, d)) @ np.hstack(
+        [t.reshape(slow.size, -1) for t in tables])
+    parts = np.split(fine, [d ** 3, 2 * d ** 3, 2 * d ** 3 + d ** 2], axis=1)
+    c3, c3_adj, c2, c2_adj = (p.reshape((n,) + t.shape[d:]) for p, t in zip(parts, tables))
+    D = [diff_matrix(grid, ax) for ax in range(d)]
+    core = sp.csr_matrix((n, n))
+    for j, k in itertools.product(range(d), repeat=2):
+        for m in range(d):
+            if c3[..., j, k, m].any():
+                core = core + D[k] @ D[m] @ sp.diags(c3[..., j, k, m]) @ D[j]
+            if c3_adj[..., k, j, m].any():
+                core = core + (D[j] @ D[m] @ sp.diags(c3_adj[..., k, j, m]) @ D[k]).T
+        if c2[..., j, k].any():
+            core = core - D[k] @ sp.diags(c2[..., j, k]) @ D[j]
+        if c2_adj[..., k, j].any():
+            core = core - (D[j] @ sp.diags(c2_adj[..., k, j]) @ D[k]).T
+    return core
+
+
+@pytest.mark.parametrize("family,params,n", [
+    ("smooth_2d_nonsymmetric", {}, 16), ("smooth_2d_nonsymmetric", {}, 24),
+    ("periodic_only", {"dim": 2, "symmetric": False}, 16)])
+def test_L_core_stencil_matches_product_chain(family, params, n):
+    field, cells, hom, fc = pipeline(family, params, 4, 32)
+    co = corrector_coeffs(cells, field)
+    grid = TorusGrid(2, n)
+    core = assemble_L(co, matrix_op(sp.identity(grid.size)), grid).core.matrix
+    ref = product_chain_core(co, grid)
+    assert abs(ref).max() > 0
+    assert abs(core - ref).max() <= 1e-13 * abs(ref).max()
+
+
+def test_L_core_is_empty_in_1d(separable):
+    field, cells, hom, fc = separable
+    grid = TorusGrid(1, 64)
+    core = assemble_L(corrector_coeffs(cells, field), matrix_op(sp.identity(64)), grid).core.matrix
+    assert core.shape == (64, 64) and core.nnz == 0
+
+
 def fast_lattice(n_f, d):
     """(n_f^d, d) fast points c/n_f in C order."""
     axes = np.meshgrid(*([np.arange(n_f) / n_f] * d), indexing="ij")
@@ -696,7 +742,7 @@ def test_replaced_solves_reach_scipy_composites(separable):
     parts = error_operator_parts(separable, 16, 8)
     r0 = parts[1]
     diffs = error_operators(*parts)
-    q_op = matrix_op(parts[2].quad)
+    q_op = parts[2].quad
     counts = []
     count_solves(r0, counts)
     x = np.random.default_rng(1).standard_normal(r0.shape[0])

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from microhom import SolveError, TorusGrid
 from microhom.grids import centered_diff, centered_gradient
-from microhom.operators import (diff_matrix, h1_gram_op, matrix_op, operator_norm,
+from microhom.operators import (_NCV, diff_matrix, h1_gram_op, matrix_op, operator_norm,
                                 stencil_matrix, transpose_defect)
 from microhom.spectral import calculus, trig_resample
 
@@ -80,6 +80,34 @@ def test_operator_norm_budget_exhaustion_raises():
         operator_norm(op, tol=1e-12, maxiter=5, seed=1)
 
 
+def test_operator_norm_stops_before_a_full_basis():
+    # a clear gap at the top: the per-step stop ends long before the
+    # 22 applications of a check made only once _NCV vectors are filled
+    op = matrix_op(sp.diags(np.concatenate([[2.0], np.linspace(1.0, 0.0, 199)])))
+    info = {}
+    assert operator_norm(op, tol=1e-8, seed=1, info=info) == pytest.approx(2.0, rel=1e-8)
+    assert info["applications"] < 22
+    assert 0.0 <= info["residual"] <= 1e-8
+
+
+def test_operator_norm_restarts_to_the_top_singular_value():
+    # a top gap of 1e-3 relative needs more Lanczos steps than one basis holds
+    sig = np.concatenate([1.0 - 1e-3 * np.arange(100), np.linspace(0.85, 0.0, 200)])
+    q = np.linalg.qr(np.random.default_rng(8).standard_normal((300, 300)))[0]
+    m = q * sig
+    info = {}
+    got = operator_norm(matrix_op(m), tol=1e-9, maxiter=2000, seed=2, info=info)
+    assert info["applications"] > _NCV + 1
+    assert abs(got - np.linalg.svd(m, compute_uv=False)[0]) <= 1e-9
+    assert info["residual"] <= 1e-9
+
+
+def test_operator_norm_budget_runs_out_after_a_restart():
+    m = np.random.default_rng(6).standard_normal((100, 100))
+    with pytest.raises(SolveError, match="within 30 applications"):
+        operator_norm(matrix_op(m), tol=1e-14, maxiter=30, seed=1)
+
+
 def test_operator_norm_counts_normal_applications():
     m = np.random.default_rng(6).standard_normal((100, 100))
     op = matrix_op(m)
@@ -99,7 +127,7 @@ def test_operator_norm_zero_operator(n):
 
 
 def test_operator_norm_dense_path_matches_svd():
-    # n <= ARPACK's 20 Lanczos vectors: the normal matrix is assembled
+    # n <= _NCV = 20 Lanczos vectors: the normal matrix is assembled
     m = np.random.default_rng(7).standard_normal((15, 12))
     ref = np.linalg.svd(m, compute_uv=False)[0]
     info = {}

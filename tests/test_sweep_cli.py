@@ -177,6 +177,17 @@ def test_norm_applications_recorded(quick_report, tmp_path):
     assert finest == ["1/16"] + [str(apps[k][-1]) for k in ("E0", "E1", "E2")]
 
 
+def test_norm_residuals_recorded(quick_report, tmp_path):
+    # each norm stopped at a final Ritz residual within its tolerance
+    res = quick_report.norm_residuals
+    assert all(len(res[k]) == len(quick_report.eps_list) for k in ("E0", "E1", "E2"))
+    assert all(0.0 <= r <= QUICK_1D.norm_tol for v in res.values() for r in v)
+    summary = emit_report(quick_report, tmp_path)["summary"].read_text().splitlines()
+    at = summary.index("eps        final relative Ritz residuals (E0 E1 E2)")
+    for i, line in enumerate(summary[at + 1:at + 1 + len(quick_report.eps_list)]):
+        assert line.split()[1:] == [f"{res[k][i]:.2e}" for k in ("E0", "E1", "E2")]
+
+
 def test_emit_report_empty():
     rep = ConvergenceReport(family="none", eps_list=[],
                             errors={"E0": [], "E1": [], "E2": []})
