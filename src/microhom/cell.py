@@ -7,8 +7,9 @@ For each slow sample x and direction j this solves
 periodically in y, together with the adjoint problems (coefficient a^T).
 Smooth coefficients use Fourier collocation, iterated by lgmres from zero
 on the half spectrum with the Green operator of the Laplacian as right
-preconditioner; discontinuous laminates use conservative finite volumes
-with a direct sparse solve whose factor also serves the adjoint.
+preconditioner; discontinuous laminates use conservative finite volumes,
+a group of slow samples in one direct sparse solve whose factor also
+serves the adjoint.
 """
 
 import os
@@ -19,22 +20,25 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import assemble_diffusion, sample_coefficient
+from .assemble import assemble_diffusion, factor, sample_coefficient
 from .errors import SolveError
-from .grids import TorusGrid, centered_diff, centered_gradient
+from .grids import TorusGrid, centered_diff
 from .spectral import calculus
 
 _LGMRES_CALLS = 300  # outer lgmres iterations allowed per spectral block solve
+# cell unknowns of a group of slow samples (one FV factor, one moments pass)
+_GROUP_UNKNOWNS = 2 ** 16
 
 
 @dataclass
 class CellField:
     """One cell solution: zero-mean values, gradient, and the cell mean of its
-    flux a (e^j + grad chi^j) in the solving scheme (effective column j)."""
-    values: np.ndarray          # (*cell_shape)
-    grad: np.ndarray            # (d, *cell_shape)
-    residual: float             # relative discrete residual
-    column: np.ndarray          # (d,)
+    flux a (e^j + grad chi^j) in the solving scheme (effective column j);
+    a finite-volume stack of samples puts its axes (*lead) first."""
+    values: np.ndarray          # (*lead, *cell_shape)
+    grad: np.ndarray            # (*lead, d, *cell_shape)
+    residual: float             # relative discrete residual, (*lead)
+    column: np.ndarray          # (*lead, d)
 
 
 class SpectralCellSolver:
@@ -46,7 +50,7 @@ class SpectralCellSolver:
     bounds alone and one application costs d inverse and d forward
     transforms.  The directions (and adjoint directions) of one cell are
     solved together as one block-diagonal system over a (B, *cell) stack,
-    by lgmres from zero (`_krylov`).
+    by lgmres from zero (`_krylov`); `a` and `div_residual` also take stacks.
     """
 
     def __init__(self, a_nodes, grid, tol):
@@ -67,8 +71,9 @@ class SpectralCellSolver:
         return self._solve_blocks(np.stack(blocks), list(range(d)) * (2 if adjoint else 1))
 
     def div_residual(self, chi, dev, adjoint=False):
-        """(d, size): the spectral divergence of each flux deviation dev[j]."""
-        return self.calc.div(dev).reshape(len(dev), -1)
+        """(*lead, d, size): the spectral divergence of each flux deviation
+        dev (*lead, j, m, *cell)."""
+        return self.calc.div(dev).reshape(dev.shape[:-self.grid.dim - 1] + (-1,))
 
     def _solve_blocks(self, a, dirs):
         """Solve block b with coefficient a[b] (*shape, d, d) in direction dirs[b].
@@ -151,39 +156,45 @@ class FVCellSolver:
     """Conservative finite volumes for cells with discontinuous coefficients.
 
     The coefficient is held as one sample pair (`assemble.sample_coefficient`):
-    `faces`, the a_mm at the face midpoints, and `a`, the node matrix.  The
-    singular periodic system is pinned at node 0 (the conservative
-    right-hand side is exactly compatible, so pinning is exact) and solved
-    directly.  The scheme satisfies A(a^T) = A(a)^T, so the adjoint cells
-    are solved with the transposed factor of the same matrix, and their
-    right-hand sides and columns read the transposed node matrix.  The
-    effective column uses the face-flux quadrature, which is exact for
-    laminates whose jumps align with grid nodes.
+    `faces`, the a_mm at the face midpoints, and `a`, the node matrix, with
+    the axes `lead` of a stack of slow samples first; the scheme is block
+    diagonal, one block per sample, each pinned at its node 0 (the
+    conservative right-hand side is exactly compatible, so pinning is
+    exact), and factored once (a block's solves are its sample's own, bit
+    for bit).  The scheme satisfies A(a^T) = A(a)^T, so the adjoint cells
+    are solved with the transposed factor, and their right-hand sides and
+    columns read the transposed node matrix.  The effective column uses the
+    face-flux quadrature, exact for laminates whose jumps align with nodes.
     """
 
     def __init__(self, a_eval, grid, tol):
         self.grid = grid
         self.tol = tol
         self.faces, self.a = sample_coefficient(a_eval, grid)
+        self.lead = self.a.shape[:-grid.dim - 2]
         self.mat = assemble_diffusion(grid, self.faces, self.a)
         self._lu = None
 
     @property
     def lu(self):
-        # pin node 0 against the constant null space (the conservative rhs
-        # is exactly compatible, so pinning is exact); factored on first use
-        # since quadrature-only consumers never solve
+        # row 0 of each block becomes e_0^T; factored on first use since
+        # quadrature-only consumers never solve
         if self._lu is None:
-            pinned = sp.vstack([sp.eye(1, self.grid.size, format="csr"), self.mat[1:]])
-            self._lu = spla.splu(pinned.tocsc())
+            coo = self.mat.tocoo()
+            pin = coo.row % self.grid.size == 0
+            keep = ~pin | (coo.row == coo.col)
+            self._lu = factor(sp.csc_matrix((np.where(pin, 1.0, coo.data)[keep],
+                                             (coo.row[keep], coo.col[keep])), shape=coo.shape))
         return self._lu
 
     def div_residual(self, chi, dev, adjoint=False):
-        """(d, size): the residual of the scheme that defined each chi[j] (the
+        """(*lead, d, size): the residual of the scheme that defined chi (the
         fluxes carry kinks, so their spectral divergence is no test)."""
+        d = self.grid.dim
         mat = self.mat.T if adjoint else self.mat
-        return np.stack([mat @ chi[j].ravel() - self._rhs(j, adjoint).ravel()
-                         for j in range(self.grid.dim)])
+        x = np.moveaxis(chi.reshape(self.lead + (d, -1)), -2, 0).reshape(d, -1)
+        res = (mat @ x.T).T - np.stack([self._rhs(j, adjoint).ravel() for j in range(d)])
+        return np.moveaxis(res.reshape((d,) + self.lead + (-1,)), 0, -2)
 
     def _rhs(self, j, adjoint=False):
         # div of the constant-direction flux a e^j, discretized like the matrix;
@@ -191,57 +202,66 @@ class FVCellSolver:
         d = self.grid.dim
         h = self.grid.h
         a = np.swapaxes(self.a, -1, -2) if adjoint else self.a
-        out = np.zeros(self.grid.shape)
+        out = np.zeros(self.a.shape[:-2])
         for m in range(d):
             if m == j:
                 af = self.faces[m]
-                out += (af - np.roll(af, 1, axis=m)) / h
+                out += (af - np.roll(af, 1, axis=m - d)) / h
             else:
-                out += centered_diff(a[..., m, j], m, h)
+                out += centered_diff(a[..., m, j], m - d, h)
         return out
 
     def solve(self, j, adjoint=False):
-        b = self._rhs(j, adjoint).ravel()
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            zero = np.zeros(self.grid.shape)
-            return CellField(zero, np.zeros((self.grid.dim,) + self.grid.shape),
-                             0.0, self._column(zero, j, adjoint))
-        b_pinned = b.copy()
-        b_pinned[0] = 0.0
-        x = self.lu.solve(b_pinned, trans="T" if adjoint else "N")
-        if adjoint:
-            # the pinned row is e_0^T, so rows 1.. of the transposed system
-            # are those of A^T pinned at node 0; row 0 alone sees x[0]
-            x[0] = 0.0
-        v = x.reshape(self.grid.shape)
-        v = v - v.mean()
-        res = np.linalg.norm((self.mat.T if adjoint else self.mat) @ v.ravel() - b) / nb
-        if res > max(10 * self.tol, 1e-10):
-            raise SolveError(f"cell solve (fv, j={j}) residual {res:.2e}")
-        return CellField(v, centered_gradient(v, self.grid.h), res, self._column(v, j, adjoint))
+        return self._solve(adjoint)[j]
 
     def solve_all(self, adjoint):
         """Every direction, then with `adjoint` every transposed-coefficient one."""
-        fields = [self.solve(j) for j in range(self.grid.dim)]
+        return self._solve(False) + (self._solve(True) if adjoint else [])
+
+    def _solve(self, adjoint):
+        """Every direction of one family by one multi-RHS solve; a zero
+        right-hand side gives chi = 0 and residual 0."""
+        d, n = self.grid.dim, self.grid.size
+        b = np.stack([self._rhs(j, adjoint).reshape(-1, n) for j in range(d)])   # (d, S, n)
+        x = b.copy()
+        x[..., 0] = 0.0
+        x = self.lu.solve(x.reshape(d, -1).T, trans="T" if adjoint else "N").T.reshape(b.shape)
         if adjoint:
-            fields += [self.solve(j, adjoint=True) for j in range(self.grid.dim)]
-        return fields
+            # the pinned row is e_0^T, so rows 1.. of the transposed system
+            # are those of A^T pinned at node 0; row 0 alone sees x[0]
+            x[..., 0] = 0.0
+        nb = np.sqrt(np.sum(b ** 2, axis=-1))
+        v = np.where(nb[..., None] > 0.0, x - x.mean(axis=-1, keepdims=True), 0.0)
+        values = v.reshape((d,) + self.lead + self.grid.shape)
+        r = self.div_residual(np.moveaxis(values, 0, -d - 1), None, adjoint).reshape(-1, d, n)
+        res = np.divide(np.sqrt(np.sum(r ** 2, axis=-1)), nb.T, out=np.zeros_like(nb.T),
+                        where=nb.T > 0.0)                                          # (S, d)
+        bad = res > max(10 * self.tol, 1e-10)
+        if bad.any():
+            s = int(np.argmax(bad.any(axis=1)))
+            j = int(np.argmax(bad[s]))
+            raise SolveError(f"cell solve (fv, j={j}) residual {res[s, j]:.2e}", sample=s)
+        grads = np.stack([centered_diff(values, ax, self.grid.h) for ax in range(-d, 0)],
+                         axis=-d - 1)
+        return [CellField(values[j], grads[j], res[:, j].reshape(self.lead),
+                          self._column(values[j], j, adjoint)) for j in range(d)]
 
     def _column(self, values, j, adjoint):
-        """Flux mean of a (e^j + grad chi^j): conservative faces plus node cross terms."""
+        """Flux mean of a (e^j + grad chi^j): conservative faces plus node
+        cross terms, (*lead, d)."""
         d = self.grid.dim
         h = self.grid.h
         a = np.swapaxes(self.a, -1, -2) if adjoint else self.a
-        col = np.zeros(d)
+        mean = lambda f: f.reshape(self.lead + (-1,)).mean(axis=-1)
+        col = np.zeros(self.lead + (d,))
         for m in range(d):
             face_flux = self.faces[m] * (
-                (np.roll(values, -1, axis=m) - values) / h + (1.0 if m == j else 0.0))
-            col[m] = face_flux.mean()
+                (np.roll(values, -1, axis=m - d) - values) / h + (1.0 if m == j else 0.0))
+            col[..., m] = mean(face_flux)
             for k in range(d):
                 if k != m:
-                    dk = centered_diff(values, k, h)
-                    col[m] += (a[..., m, k] * (dk + (1.0 if k == j else 0.0))).mean()
+                    dk = centered_diff(values, k - d, h)
+                    col[..., m] += mean(a[..., m, k] * (dk + (1.0 if k == j else 0.0)))
         return col
 
 
@@ -286,13 +306,21 @@ class CellSolutions:
         return self.cell_grid.dim
 
 
+def sample_groups(n_samples, cell_grid):
+    """Consecutive slow samples in slices of at most _GROUP_UNKNOWNS cell
+    unknowns together (at least one sample each)."""
+    per = max(1, _GROUP_UNKNOWNS // cell_grid.size)
+    return [slice(lo, min(lo + per, n_samples)) for lo in range(0, n_samples, per)]
+
+
 def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     """Solve primal and adjoint cell problems at every slow sample.
 
-    The directions and adjoints of one sample are solved together (one
-    block system on the spectral path); samples are solved in turn and
-    written straight into the tables.  The largest adjacent-sample H1
-    Lipschitz quotient of the solutions is recorded.
+    Finite volumes solve a group of samples (`sample_groups`) at once: one
+    coefficient evaluation, one block-diagonal factor, one solve per family.
+    The spectral path solves one sample at a time (one lgmres over several
+    samples was no faster).  The largest adjacent-sample H1 Lipschitz
+    quotient of the solutions is recorded.
     """
     d = field.dim
     if slow_grid.dim != d or cell_grid.dim != d:
@@ -309,27 +337,26 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     a0 = np.zeros((n_slow, d, d))
     a0_a = np.zeros((n_slow, d, d))
 
-    def work(i):
+    # no slow dependence: one solve serves every sample
+    n_solve = 1 if field.lipschitz_x == 0.0 else n_slow
+    residual_max = 0.0
+    for g in (sample_groups(n_solve, cell_grid) if method == "fv"
+              else [slice(i, i + 1) for i in range(n_solve)]):
         try:
-            fields = make_solver(field.frozen(xs[i]), cell_grid, tol, method).solve_all(
-                adjoint=not field.symmetric)
+            fields = make_solver(field.frozen(xs[g] if method == "fv" else xs[g.start]),
+                                 cell_grid, tol, method).solve_all(adjoint=not field.symmetric)
         except SolveError as exc:
-            raise SolveError(f"cell table build failed: slow sample x = {xs[i]}: {exc}") from exc
+            raise SolveError(f"cell table build failed: slow sample x = "
+                             f"{xs[g.start + (exc.sample or 0)]}: {exc}") from exc
         if field.symmetric:
             fields = fields + fields
         for j in range(d):
             prim, adj = fields[j], fields[d + j]
-            chi[i, j], gy[i, j], a0[i, :, j] = prim.values, prim.grad, prim.column
-            chi_a[i, j], gy_a[i, j], a0_a[i, :, j] = adj.values, adj.grad, adj.column
-        return max(cf.residual for cf in fields)
-
-    if field.lipschitz_x == 0.0:
-        # no slow dependence: one solve serves every sample
-        residual_max = work(0)
-        for table in (chi, gy, chi_a, gy_a, a0, a0_a):
-            table[1:] = table[0]
-    else:
-        residual_max = max(work(i) for i in range(n_slow))
+            chi[g, j], gy[g, j], a0[g, :, j] = prim.values, prim.grad, prim.column
+            chi_a[g, j], gy_a[g, j], a0_a[g, :, j] = adj.values, adj.grad, adj.column
+        residual_max = max(residual_max, *(float(np.max(cf.residual)) for cf in fields))
+    for table in (chi, gy, chi_a, gy_a, a0, a0_a):
+        table[n_solve:] = table[0]
 
     sshape = slow_grid.shape
     chi = chi.reshape(sshape + (d,) + cshape)

@@ -42,16 +42,23 @@ class CoefficientField:
     params: dict = dc_field(default_factory=dict)
 
     def eval(self, x, y):
+        """a(x, y), held to the shape broadcast(x, y)[:-1] + (d, d)."""
         x = np.mod(np.asarray(x, dtype=float), 1.0)
         y = np.mod(np.asarray(y, dtype=float), 1.0)
-        return self.evaluator(x, y)
+        a = self.evaluator(x, y)
+        shape = np.broadcast_shapes(x.shape, y.shape)[:-1] + (self.dim,) * 2
+        if a.shape != shape:
+            raise ValueError(f"coefficient field '{self.name}' evaluated to shape {a.shape}, not "
+                             f"broadcast(x, y).shape[:-1] + (d, d) = {shape}")
+        return a
 
     def frozen(self, x):
-        """Cell evaluator y -> a(x, y) at one fixed slow point x."""
+        """Cell evaluator y -> a(x, y) at a fixed slow point x (d,), or at a
+        stack of them (*lead, d), whose axes then lead the result."""
         x = np.asarray(x, dtype=float)
 
         def a_eval(y):
-            return self.eval(np.broadcast_to(x, y.shape), y)
+            return self.eval(x.reshape(x.shape[:-1] + (1,) * (y.ndim - 1) + x.shape[-1:]), y)
 
         return a_eval
 

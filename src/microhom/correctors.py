@@ -34,8 +34,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .assemble import assemble_diffusion
-from .effective import _sample_fluxes
-from .grids import TorusGrid, interp_matrix
+from .effective import _group_fluxes
+from .grids import TorusGrid, centered_diff, interp_matrix
 from .operators import DiscreteOperator, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
 from .spectral import integer_freqs
@@ -140,45 +140,40 @@ class CorrectorCoeffs:
 
 
 def corrector_coeffs(cells, field) -> CorrectorCoeffs:
-    """Coefficient tensors, built in one walk over the slow samples.
+    """Coefficient tensors, built in one walk over groups of slow samples.
 
-    Each sample's primal and adjoint fluxes and deviations come from one
-    cell solver of the sample and the flux kernel (`effective._sample_flux`,
+    Each group's primal and adjoint fluxes and deviations come from one
+    cell solver of the group and the flux walk (`effective._group_fluxes`,
     which also checks the energy bound and solenoidality); the slow
     gradients in c2 are centered differences of the neighbouring samples'
-    cell solutions, as in `grids.centered_diff`.  The third-order tensor is
-    also evaluated through its reduced form < chi_adj^k (a (grad chi^j +
-    e^j))_m > and the worst relative disagreement of the two quadratures is
-    recorded.
+    cell solutions (`grids.centered_diff` along the slow axes).  The
+    third-order tensor is also evaluated through its reduced form
+    < chi_adj^k (a (grad chi^j + e^j))_m > and the worst relative
+    disagreement of the two quadratures is recorded.
     """
     d = cells.dim
     slow = cells.slow_grid
+    cshape = cells.cell_grid.shape
     cell_axes = tuple(range(-d, 0))
     w_mean = lambda arr: arr.mean(axis=cell_axes)
-    chi = cells.chi.reshape((-1, d) + cells.cell_grid.shape)
-    chi_a = cells.chi_adj.reshape((-1, d) + cells.cell_grid.shape)
-    index = np.arange(slow.size).reshape(slow.shape)
-    neighbours = [(np.roll(index, -1, axis=ax).ravel(), np.roll(index, 1, axis=ax).ravel())
-                  for ax in range(d)]
-
-    def grad_x(table, i):
-        # (j, m, *cell): the m-th slow derivative of solution j at sample i
-        return np.stack([(table[up[i]] - table[down[i]]) * (1.0 / (2.0 * slow.h))
-                         for up, down in neighbours], axis=1)
+    chi = cells.chi.reshape((-1, d) + cshape)
+    chi_a = cells.chi_adj.reshape((-1, d) + cshape)
+    # (sample, j, m, *cell): the m-th slow derivative of solution j
+    gx, gx_a = (np.stack([centered_diff(table, ax, slow.h) for ax in range(d)], axis=d + 1)
+                .reshape((-1, d, d) + cshape) for table in (cells.chi, cells.chi_adj))
 
     c3, c3_alt, c3_adj = (np.zeros((slow.size, d, d, d)) for _ in range(3))
     c2, c2_adj = np.zeros((slow.size, d, d)), np.zeros((slow.size, d, d))
     integrand_scale = 1e-30
-    walk = _sample_fluxes(cells, field, [False, True])
-    for i, ((flux, dev, _), (_, dev_a, _)) in enumerate(walk):
-        # index order [j, k, m] (c3, c2) and [k, j, m] (c3_adj, c2_adj)
-        c3[i] = w_mean(dev[:, None] * chi_a[i][None, :, None])
-        reduced = flux[:, None] * chi_a[i][None, :, None]
-        c3_alt[i] = w_mean(reduced)
+    for g, ((flux, dev, _), (_, dev_a, _)) in _group_fluxes(cells, field, [False, True]):
+        # index order [s, j, k, m] (c3, c2) and [s, k, j, m] (c3_adj, c2_adj)
+        c3[g] = w_mean(dev[:, :, None] * chi_a[g][:, None, :, None])
+        reduced = flux[:, :, None] * chi_a[g][:, None, :, None]
+        c3_alt[g] = w_mean(reduced)
         integrand_scale = max(integrand_scale, float(w_mean(np.abs(reduced)).max()))
-        c2[i] = w_mean((dev[:, None] * grad_x(chi_a, i)[None]).sum(axis=2))
-        c3_adj[i] = w_mean(dev_a[:, None] * chi[i][None, :, None])
-        c2_adj[i] = w_mean((dev_a[:, None] * grad_x(chi, i)[None]).sum(axis=2))
+        c2[g] = w_mean((dev[:, :, None] * gx_a[g][:, None]).sum(axis=3))
+        c3_adj[g] = w_mean(dev_a[:, :, None] * chi[g][:, None, :, None])
+        c2_adj[g] = w_mean((dev_a[:, :, None] * gx[g][:, None]).sum(axis=3))
 
     # relative to the integrand's own magnitude, so identically-zero tensors
     # (one-dimensional flux deviations vanish) do not produce 0/0 ratios
@@ -290,17 +285,6 @@ def _offset_rows(table, d, kern, imag):
         yield np.moveaxis(vals, 3, 0).reshape((per,) + table.shape[:-d] + (-1,))
 
 
-def _eval_broadcast(field, x, y):
-    """field.eval(x, y), held to the shape broadcast(x, y)[:-1] + (d, d)."""
-    a = field.eval(x, y)
-    shape = np.broadcast_shapes(x.shape, y.shape)[:-1] + (field.dim,) * 2
-    if a.shape != shape:
-        raise ValueError(f"coefficient field '{field.name}' evaluated to shape {a.shape}, "
-                         f"not {shape}: an evaluator must broadcast x against y and return "
-                         "broadcast(x, y).shape[:-1] + (d, d)")
-    return a
-
-
 def drift_matrix_field(field, cells, specs, grids):
     """Double-averaged matrices from the slow difference quotient, fine nodes.
 
@@ -359,8 +343,8 @@ def drift_matrix_field(field, cells, specs, grids):
                         .reshape(grid.size, -1, d, d) + eye for v in row_vals)
                 # line integral of grad_x a . omega along each offset, times its weight
                 fast_pts = fast_base + om
-                mid = (_eval_broadcast(field, pts + eps * om, fast_pts)
-                       - _eval_broadcast(field, pts, fast_pts)).reshape(grid.size, -1, d, d)
+                mid = (field.eval(pts + eps * om, fast_pts)
+                       - field.eval(pts, fast_pts)).reshape(grid.size, -1, d, d)
                 mid *= (w / eps)[:, None, None]
                 # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q], as
                 # elementwise sums (np.matmul on (N, batch, d, d) stacks is 3-4x slower)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellSolutions, make_solver
+from .cell import CellSolutions, make_solver, sample_groups
 from .errors import SolveError
 from .grids import TorusGrid
 from .spectral import calculus, trig_resample
@@ -97,59 +97,50 @@ def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
                             symmetric=field.symmetric, adjoint_defect=adjoint_defect)
 
 
-def _sample_flux(solver, chi, grad, lam, x, adjoint=False):
-    """Node flux a (e^j + grad_y chi^j) of one slow sample, every direction j.
-
-    `solver` is the sample's `make_solver` for the field: it holds `a` at
-    the cell nodes.  chi (d, *cell) and grad (d, d, *cell) are the sample's
-    cell solutions; with `adjoint` they are the adjoint ones, and the flux
-    reads the transposed node matrix and the transposed scheme
-    A(a^T) = A(a)^T, so one solver serves both families.  Each direction is
-    held first to the gradient energy bound |grad chi^j| <= sqrt(d) / lam^2,
-    valid for any lam satisfying both ellipticity inequalities (the field's
-    claimed constant), then to solenoidality (the solver's `div_residual`).
-    Returns the flux (j, m, *cell), its deviation from the node-quadrature
-    cell mean and the worst divergence defect; raises SolveError naming the
-    sample.
+def _group_fluxes(cells: CellSolutions, field, adjoints):
+    """Per group of slow samples (`cell.sample_groups`), one cell solver for
+    the field and, for each family in `adjoints` (True: the adjoint one,
+    which reads the transposed node matrix and scheme A(a^T) = A(a)^T),
+    the node flux a (e^j + grad_y chi^j) (S, j, m, *cell), its deviation
+    from the node-quadrature cell mean and each sample's worst divergence
+    defect.  Every direction is held to the gradient energy bound
+    |grad chi^j| <= sqrt(d) / lam^2 (lam: the field's claimed ellipticity
+    constant) and to solenoidality (the solver's `div_residual`); a
+    SolveError names the first failing sample and its first failing check.
+    Yields (group, [(flux, dev, defect) per family]).
     """
-    grid = solver.grid
-    d = grid.dim
-    w = grid.h ** d
+    d, cell_grid = cells.dim, cells.cell_grid
+    w = cell_grid.h ** d
     cell_axes = tuple(range(-d, 0))
-    gnorm = float(np.sqrt(w * np.sum(grad ** 2, axis=(1,) + cell_axes)).max())
-    bound = np.sqrt(d) / lam ** 2
-    if gnorm > bound * _ENERGY_SLACK:
-        raise SolveError(f"slow sample x = {x}: cell gradient energy {gnorm:.3g} "
-                         f"violates bound {bound:.3g}")
-    epg = grad + np.eye(d).reshape((d, d) + (1,) * d)
-    a = np.swapaxes(solver.a, -1, -2) if adjoint else solver.a
-    # C order: the default would follow a's (cell, p, q) layout, and the cell
-    # means taken of the flux and its products reduce several times slower
-    flux = np.einsum("...pq,jq...->jp...", a, epg, order="C")
-    dev = flux - flux.mean(axis=cell_axes, keepdims=True)
-    res = solver.div_residual(chi, dev, adjoint)
-    defect = float(np.sqrt(w * np.sum(res ** 2, axis=1)).max())
-    if defect > _DIV_LIMIT:
-        raise SolveError(f"slow sample x = {x}: flux deviation not solenoidal: defect "
-                         f"{defect:.2e} (upstream cell table inconsistent with the field)")
-    return flux, dev, defect
-
-
-def _sample_fluxes(cells: CellSolutions, field, adjoints):
-    """Per slow sample, one cell solver for the field and the list of its
-    `_sample_flux` for each family in `adjoints` (True: the adjoint one).
-    A field without slow dependence (lipschitz_x == 0) has one solver,
-    built at the first sample and shared by all."""
-    d, cshape = cells.dim, cells.cell_grid.shape
-    tables = [(adj, (cells.chi_adj if adj else cells.chi).reshape((-1, d) + cshape),
-               (cells.grad_y_chi_adj if adj else cells.grad_y_chi).reshape((-1, d, d) + cshape))
-              for adj in adjoints]
-    solver = None
-    for i, x in enumerate(cells.slow_grid.coords().reshape(-1, d)):
-        if solver is None or field.lipschitz_x != 0.0:
-            solver = make_solver(field.frozen(x), cells.cell_grid, 1e-11, cells.method)
-        yield [_sample_flux(solver, chi[i], gy[i], field.ellipticity, x, adj)
-               for adj, chi, gy in tables]
+    bound = np.sqrt(d) / field.ellipticity ** 2
+    xs = cells.slow_grid.coords().reshape(-1, d)
+    for g in sample_groups(len(xs), cell_grid):
+        solver = make_solver(field.frozen(xs[g]), cell_grid, 1e-11, cells.method)
+        out, checks = [], []
+        for adj in adjoints:
+            chi = (cells.chi_adj if adj else cells.chi).reshape((-1, d) + cell_grid.shape)[g]
+            grad = (cells.grad_y_chi_adj if adj else cells.grad_y_chi).reshape(
+                (-1, d, d) + cell_grid.shape)[g]
+            gnorm = np.sqrt(w * np.sum(grad ** 2, axis=(2,) + cell_axes)).max(axis=1)
+            epg = grad + np.eye(d).reshape((d, d) + (1,) * d)
+            a = np.swapaxes(solver.a, -1, -2) if adj else solver.a
+            # C order: the default would follow a's (cell, p, q) layout, and the cell
+            # means taken of the flux and its products reduce several times slower
+            flux = np.einsum("s...pq,sjq...->sjp...", a, epg, order="C")
+            dev = flux - flux.mean(axis=cell_axes, keepdims=True)
+            res = solver.div_residual(chi, dev, adj)
+            defect = np.sqrt(w * np.sum(res ** 2, axis=-1)).max(axis=-1)
+            checks += [(gnorm > bound * _ENERGY_SLACK, gnorm, "cell gradient energy {:.3g} "
+                        f"violates bound {bound:.3g}"),
+                       (defect > _DIV_LIMIT, defect, "flux deviation not solenoidal: defect "
+                        "{:.2e} (upstream cell table inconsistent with the field)")]
+            out.append((flux, dev, defect))
+        failed = np.array([bad for bad, *_ in checks])          # (check, sample)
+        if failed.any():
+            s = int(np.argmax(failed.any(axis=0)))
+            _, values, message = checks[int(np.argmax(failed[:, s]))]
+            raise SolveError(f"slow sample x = {xs[g][s]}: " + message.format(values[s]))
+        yield g, out
 
 
 def flux_corrector(cells: CellSolutions, field, adjoint=False):
@@ -159,7 +150,7 @@ def flux_corrector(cells: CellSolutions, field, adjoint=False):
     component m of g^j at the slow samples, div_defect the worst
     divergence defect.  With adjoint=True, builds the deviation of the
     transposed field from the adjoint cell solutions.  Every sample goes
-    through the flux kernel of the coefficient tensors (`_sample_flux`):
+    through the flux walk of the coefficient tensors (`_group_fluxes`):
     the mean is removed with the same node quadrature that defines it, so
     the zero-mean identity holds at machine precision, and the energy
     bound and solenoidality are checked sample by sample.
@@ -167,9 +158,9 @@ def flux_corrector(cells: CellSolutions, field, adjoint=False):
     d = cells.dim
     dev = np.zeros((cells.slow_grid.size, d, d) + cells.cell_grid.shape)
     worst = 0.0
-    for i, [(_, dev_i, defect)] in enumerate(_sample_fluxes(cells, field, [adjoint])):
-        dev[i] = dev_i
-        worst = max(worst, defect)
+    for g, [(_, dev_g, defect)] in _group_fluxes(cells, field, [adjoint]):
+        dev[g] = dev_g
+        worst = max(worst, float(defect.max()))
     return dev.reshape(cells.slow_grid.shape + dev.shape[1:]), worst
 
 

@@ -94,7 +94,3 @@ def interp_matrix(n, pts, fast=None, n_fast=1):
     return sp.csr_matrix((wts.T.ravel(), idx.T.astype(np.int32).ravel(), indptr),
                          shape=(npts, n ** pts.shape[-1] * n_fast))
 
-
-def centered_gradient(values, h):
-    """Stack of centered differences, shape (d, *values.shape)."""
-    return np.stack([centered_diff(values, ax, h) for ax in range(values.ndim)])

@@ -57,19 +57,20 @@ def matrix_op(mat, grid=None, label="mat"):
     return op
 
 
-def stencil_matrix(grid, offsets, coeffs):
+def stencil_matrix(grid, offsets, coeffs, blocks=1):
     """CSR matrix of a periodic row stencil: (S u)(x) = sum_k c_k(x) u(x + o_k).
 
     offsets: (K, d) integer node offsets o_k; coeffs: an iterable (consumed
     once, so a generator keeps only one term alive) of K scalars or
-    flattened (N,) arrays c_k.  Offsets equal modulo the grid are merged,
-    so every row stores one entry per distinct offset in the same order.
+    flattened (blocks * N,) arrays c_k, one grid copy after another: the
+    matrix is block diagonal.  Offsets equal modulo the grid are merged, so
+    every row stores one entry per distinct offset in the same order.
     """
     d, n = grid.dim, grid.size
     offsets = np.mod(np.asarray(offsets, dtype=int).reshape(-1, d), grid.n)
     uniq, slot = np.unique(offsets, axis=0, return_inverse=True)
     width = len(uniq)
-    data = np.zeros((n, width))
+    data = np.zeros((blocks * n, width))
     for k, c in zip(slot.ravel(), coeffs):
         data[:, k] += c
     # C-order flat columns, built in int32 one axis at a time
@@ -80,8 +81,10 @@ def stencil_matrix(grid, offsets, coeffs):
         np.remainder(step, grid.n, out=step)
         cols *= grid.n
         cols += step
-    indptr = np.arange(n + 1, dtype=np.int32) * np.int32(width)  # width 0: an empty stencil
-    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
+    if blocks > 1:
+        cols = cols + np.int32(n) * np.arange(blocks, dtype=np.int32)[:, None, None]
+    indptr = np.arange(blocks * n + 1, dtype=np.int32) * np.int32(width)  # width 0: empty
+    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(blocks * n,) * 2)
 
 
 def diff_matrix(grid, axis):

@@ -55,9 +55,11 @@ class ConvergenceReport:
     timings: dict = dc_field(default_factory=dict)      # stage -> [ms per eps], or [ms]
     transpose_defect_max: float = 0.0
     # the table's identity defects: the two quadratures of c3 (criterion 5)
-    # and the adjoint duality of a0 (criterion 10)
+    # and the adjoint duality of a0 (criterion 10); its two quality figures
     equivalence_defect: float = 0.0
     adjoint_defect: float = 0.0
+    cell_residual_max: float = 0.0
+    cell_lipschitz_quotient: float = 0.0
     prefactors: dict = dc_field(default_factory=dict)   # name -> E / eps^order at finest eps
     # {"E0": [...], ...}: applications of the normal operator per norm, per eps
     norm_applications: dict = dc_field(
@@ -96,7 +98,9 @@ class ConvergenceReport:
         lines.append(f"max transpose defect over assembled operators: "
                      f"{self.transpose_defect_max:.3e}")
         lines.append(f"identity defects of the cell table: equivalence "
-                     f"{self.equivalence_defect:.3e}, adjoint duality {self.adjoint_defect:.3e}")
+                     f"{self.equivalence_defect:.3e}, adjoint duality {self.adjoint_defect:.3e}, "
+                     f"residual_max {self.cell_residual_max:.3e}, "
+                     f"lipschitz_quotient {self.cell_lipschitz_quotient:.6g}")
         for f in self.flags:
             lines.append(f"flag: {f}")
         return "\n".join(lines)
@@ -192,6 +196,8 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     with setup_stage("cell_table"):
         say("building cell table")
         field, cells = config_cell_table(config, field)
+    report.cell_residual_max, report.cell_lipschitz_quotient = (cells.residual_max,
+                                                                cells.lipschitz_quotient)
     if cells.residual_max > config.cell_tol:
         report.flags.append(f"cell residual_max {cells.residual_max:.2e} above "
                             f"cell_tol {config.cell_tol:g} (roundoff floor)")

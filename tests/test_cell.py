@@ -1,11 +1,14 @@
 import re
 import struct
+import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import microhom.cell
 from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
                       effective_matrix, load_cell_table, save_cell_table)
 from microhom.cell import _LGMRES_CALLS, SpectralCellSolver, flux_operator, make_solver
@@ -53,6 +56,16 @@ def test_laminate_reduces_to_1d():
     assert np.abs(cf2.values).max() < 1e-12
     # direction 1 depends on y1 only
     assert np.abs(cf1.values - cf1.values[:, :1]).max() < 1e-12
+    # on a stack of samples, direction 2's right-hand side is exactly zero:
+    # chi and the residual are exactly 0, with no 0/0 on the way
+    xs = TorusGrid(2, 2).coords().reshape(-1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        along = make_solver(builtin_family("laminate_2d", {"x_amplitude": 0.3}).frozen(xs),
+                            g, 1e-11, "fv").solve_all(adjoint=True)[1::2]
+    for cf in along:
+        assert cf.values.shape == (4,) + g.shape
+        assert not cf.values.any() and not cf.grad.any() and not cf.residual.any()
 
 
 def test_adjoint_equals_primal_on_transposed_field():
@@ -229,6 +242,30 @@ def test_tables_do_not_depend_on_earlier_solves():
     for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj", "a0", "a0_adj"):
         assert np.array_equal(getattr(first, attr), getattr(second, attr)), attr
     assert first.residual_max == second.residual_max
+
+
+@pytest.mark.parametrize("family,params", [("laminate_2d", {"x_amplitude": 0.3}),
+                                           ("smooth_2d_nonsymmetric", {})])
+def test_split_fv_table_equals_the_one_group_table(monkeypatch, family, params):
+    # a cap of five samples' unknowns splits 16 samples into groups of 5, 5,
+    # 5 and 1: every block factor is its sample's own, so the table is the
+    # one-group table bit for bit
+    f = replace(builtin_family(family, params), cell_method="fv")
+    slow, cell = TorusGrid(2, 4), TorusGrid(2, 16)
+    whole = build_cell_table(f, slow, cell, tol=1e-11)
+    factored = []
+    splu = spla.splu
+
+    def counted(mat, **kwargs):
+        factored.append(mat.shape[0] // cell.size)
+        return splu(mat, **kwargs)
+    monkeypatch.setattr(spla, "splu", counted)
+    monkeypatch.setattr(microhom.cell, "_GROUP_UNKNOWNS", 5 * cell.size)
+    split = build_cell_table(f, slow, cell, tol=1e-11)
+    assert factored == [5, 5, 5, 1]
+    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj", "a0", "a0_adj",
+                 "residual_max", "lipschitz_quotient"):
+        assert np.array_equal(getattr(split, attr), getattr(whole, attr)), attr
 
 
 @pytest.mark.parametrize("family", ["separable_1d", "smooth_2d_nonsymmetric"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import microhom.cell
 import microhom.effective
 from microhom import (CoefficientField, SmoothingSpec, SolveError, TorusGrid,
                       assemble_fine, assemble_homogenized, assemble_L, assemble_M,
@@ -199,8 +200,10 @@ def nonsymmetric_table(method):
 
 
 @pytest.mark.parametrize("method", ["spectral", "fv"])
-def test_coefficient_walk_builds_one_solver_per_sample(monkeypatch, method):
-    # the adjoint family reads the primal sample's solver transposed
+def test_coefficient_walk_builds_one_solver_per_group(monkeypatch, method):
+    # the adjoint family reads the primal group's solver transposed; a cap of
+    # five samples' unknowns splits the 16 samples into groups of 5, 5, 5
+    # and 1, whose tensors and deviations are the one-group walk's bit for bit
     field, cells = nonsymmetric_table(method)
     built = []
 
@@ -208,18 +211,26 @@ def test_coefficient_walk_builds_one_solver_per_sample(monkeypatch, method):
         built.append(args)
         return make_solver(*args, **kwargs)
     monkeypatch.setattr(microhom.effective, "make_solver", counted)
-    corrector_coeffs(cells, field)
-    assert len(built) == cells.slow_grid.size
+    whole = corrector_coeffs(cells, field)
+    whole_dev = flux_corrector(cells, field, adjoint=True)
+    assert len(built) == 2
     built.clear()
-    flux_corrector(cells, field, adjoint=True)
-    assert len(built) == cells.slow_grid.size
+    monkeypatch.setattr(microhom.cell, "_GROUP_UNKNOWNS", 5 * cells.cell_grid.size)
+    split = corrector_coeffs(cells, field)
+    assert len(built) == 4
+    for name in ("c3", "c3_adj", "c2", "c2_adj", "equivalence_defect"):
+        assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+    built.clear()
+    split_dev = flux_corrector(cells, field, adjoint=True)
+    assert len(built) == 4
+    assert np.array_equal(split_dev[0], whole_dev[0]) and split_dev[1] == whole_dev[1]
 
 
 @pytest.mark.parametrize("family,params", [("laminate_2d", {}),
                                            ("periodic_only", {"dim": 2, "symmetric": False})])
 def test_coefficient_walk_shares_one_solver_without_slow_dependence(monkeypatch, family, params):
-    # lipschitz_x == 0: every sample's solver would be the same; the tensors
-    # match the walk that builds one per sample (a claimed slow bound of 1)
+    # lipschitz_x == 0: the 16 samples form one group with one solver, and the
+    # tensors match the walk of a claimed slow bound of 1
     field = builtin_family(family, params)
     cells = build_cell_table(field, TorusGrid(2, 4), TorusGrid(2, 16), tol=1e-11)
     per_sample = corrector_coeffs(cells, replace(field, lipschitz_x=1.0))

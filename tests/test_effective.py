@@ -195,13 +195,15 @@ def matched_by_hand(field, slow_grid, n_f, tol):
     return mats.reshape(slow_grid.shape + (d, d))
 
 
-@pytest.mark.parametrize("family,params", [("smooth_2d_nonsymmetric", {}),
-                                           ("laminate_2d", {"x_amplitude": 0.3})],
-                         ids=["spectral", "fv"])
-def test_table_columns_match_the_quadratures(monkeypatch, family, params):
+@pytest.mark.parametrize("family,params,n_f", [("smooth_2d_nonsymmetric", {}, 8),
+                                               ("laminate_2d", {"x_amplitude": 0.3}, 8),
+                                               ("smooth_2d_nonsymmetric", {}, 16)],
+                         ids=["spectral", "fv", "fv-16"])
+def test_table_columns_match_the_quadratures(monkeypatch, family, params, n_f):
     # the columns the solves return are the node-flux mean (spectral) and
     # the face quadrature (fv) of the stored solutions, bit for bit, and
-    # effective_matrix reads them without building a solver
+    # effective_matrix reads them without building a solver; the matched
+    # table, one block-diagonal factor, equals the per-sample solves
     field = builtin_family(family, params)
     slow, cell = TorusGrid(2, 4), TorusGrid(2, 32)
     cells = build_cell_table(field, slow, cell, tol=1e-11)
@@ -217,8 +219,8 @@ def test_table_columns_match_the_quadratures(monkeypatch, family, params):
     assert np.array_equal(hom.matrices, a0)
     assert hom.adjoint_defect == np.abs(a0_adj - np.swapaxes(a0, -1, -2)).max()
 
-    matched = matched_effective_matrix(field, slow, 8, 1e-11)
-    assert np.array_equal(matched.matrices, matched_by_hand(field, slow, 8, 1e-11))
+    matched = matched_effective_matrix(field, slow, n_f, 1e-11)
+    assert np.array_equal(matched.matrices, matched_by_hand(field, slow, n_f, 1e-11))
 
 
 def test_matched_effective_matrix_is_checked():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from microhom import SolveError, TorusGrid
-from microhom.grids import centered_diff, centered_gradient
+from microhom.grids import centered_diff
 from microhom.operators import (_NCV, diff_matrix, h1_gram_op, matrix_op, operator_norm,
                                 stencil_matrix, transpose_defect)
 from microhom.spectral import calculus, trig_resample
@@ -174,7 +174,7 @@ def test_gradient_op_matches_dense_transpose():
         assert np.allclose(gop.rmatvec(y), dense.T @ y, atol=1e-13)
         assert np.allclose(gop.matvec(x), dense @ x, atol=1e-13)
         v = x.reshape(g.shape)
-        ref = centered_gradient(v, g.h).ravel()
+        ref = np.stack([centered_diff(v, ax, g.h) for ax in range(2)]).ravel()
         assert np.abs(gop.matvec(x) - ref).max() <= 1e-14 * np.abs(ref).max()
         ref = v - sum(centered_diff(centered_diff(v, ax, g.h), ax, g.h) for ax in range(2))
         gram = h1_gram_op(g).matvec(x)

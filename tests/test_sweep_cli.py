@@ -9,7 +9,7 @@ from microhom import (ConfigError, ConvergenceReport, SolveError, TorusGrid, emi
                       fit_rate, run_sweep)
 from microhom.cli import main
 from microhom.config import ExperimentConfig
-from microhom.sweep import matched_effective_matrix
+from microhom.sweep import config_cell_table, matched_effective_matrix
 
 QUICK_1D = ExperimentConfig(family="separable_1d", params=(), n_x=16, n_y=64,
                             n_f=8, eps_denominators=(4, 8, 16),
@@ -274,6 +274,18 @@ def test_identity_defects_kept_and_flagged(quick_report, monkeypatch, tmp_path):
     summary = emit_report(rep, tmp_path)["summary"].read_text()
     assert "identity defects of the cell table: equivalence " in summary
     assert "adjoint duality 1.000e-06" in summary
+
+
+def test_cell_table_residual_and_lipschitz_kept(quick_report, tmp_path):
+    # the report keeps the table's worst cell residual and Lipschitz quotient
+    # and prints both on the cell table's identity line
+    _, cells = config_cell_table(QUICK_1D)
+    assert 0.0 < quick_report.cell_residual_max == cells.residual_max <= QUICK_1D.cell_tol
+    assert 0.0 < quick_report.cell_lipschitz_quotient == cells.lipschitz_quotient
+    summary = emit_report(quick_report, tmp_path)["summary"].read_text().splitlines()
+    line = next(x for x in summary if x.startswith("identity defects of the cell table"))
+    assert line.endswith(f", residual_max {cells.residual_max:.3e}, "
+                         f"lipschitz_quotient {cells.lipschitz_quotient:.6g}")
 
 
 def test_constant_family_flagged_floor():
