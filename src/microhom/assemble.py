@@ -23,7 +23,7 @@ def sample_coefficient(a_eval, grid):
     return faces, a_eval(grid.coords())
 
 
-def assemble_diffusion(grid, faces, nodes=None, mass=0.0):
+def assemble_diffusion(grid, faces, nodes, mass=0.0):
     """CSR matrix of -div(a grad .) + mass * I, in canonical format.
 
     Parameters
@@ -54,7 +54,7 @@ def assemble_diffusion(grid, faces, nodes=None, mass=0.0):
         offsets += [0 * e[m], e[m], -e[m]]
         coeffs += [(af + af_minus) / h2, -af / h2, -af_minus / h2]
 
-    for m, k in permutations(range(d), 2) if nodes is not None else ():
+    for m, k in permutations(range(d), 2):
         c = np.asarray(nodes[..., m, k], dtype=float)
         cp = np.roll(c, -1, axis=m - d)        # c at i + e_m
         cm = np.roll(c, 1, axis=m - d)

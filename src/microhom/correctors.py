@@ -38,7 +38,7 @@ from .effective import _group_fluxes
 from .grids import TorusGrid, centered_diff, interp_matrix
 from .operators import DiscreteOperator, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
-from .spectral import integer_freqs
+from .spectral import trig_kernel
 
 
 def fast_sublattice(cells, n_f):
@@ -241,37 +241,31 @@ def _cell_kernels(nodes, n_f, n_y, method):
     """Per-axis maps from the n_y cell nodes to the points c/n_f + node.
 
     Row c of a node's map weighs cell node m by kern[(m - c s) mod n_y],
-    s = n_y / n_f, plus the imaginary part imag[c] (-1)^m.  FV tables use
-    the periodic linear hat of `grids.interp_matrix` (real); spectral tables the
-    trigonometric interpolant on the signed modes of `integer_freqs`, whose
-    unmatched Nyquist mode is the only complex term.
+    s = n_y / n_f.  FV tables use the periodic linear hat of
+    `grids.interp_matrix`, spectral tables the trigonometric interpolant
+    `spectral.trig_kernel` that also resamples a0; both maps are real.
     """
     if n_y % n_f:
         raise ValueError(f"n_f = {n_f} does not divide n_y = {n_y}")
     if method == "fv":
-        return interp_matrix(n_y, nodes[:, None]).toarray(), np.zeros((len(nodes), n_f))
-    k = integer_freqs((n_y,))[0]
-    z = np.fft.fft(np.exp(2j * np.pi * nodes[:, None] * k), axis=-1) / n_y
-    return z.real, z.imag[:, (-(n_y // n_f) * np.arange(n_f)) % n_y]
+        return interp_matrix(n_y, nodes[:, None]).toarray()
+    return trig_kernel(n_y, nodes)
 
 
-def _offset_rows(table, d, kern, imag):
+def _offset_rows(table, d, kern, n_f):
     """A cell table at the fast lattices c/n_f + o of a tensor offset rule.
 
-    table: (*lead, *cell), d <= 2 cell axes; kern, imag: `_cell_kernels` of
-    the rule's 1D nodes.  Yields one lattice row at a time (the offsets
-    sharing the axis-0 node; in 1D every node) as (per, *lead, n_f^d): the
-    real part of the axis maps applied to the table, axis 0 by the row's
-    map, then the last axis for every offset at once.
+    table: (*lead, *cell), d <= 2 cell axes; kern: `_cell_kernels` of the
+    rule's 1D nodes.  Yields one lattice row at a time (the offsets sharing
+    the axis-0 node; in 1D every node) as (per, *lead, n_f^d): the axis
+    maps applied to the table, axis 0 by the row's map, then the last axis
+    for every offset at once.
     """
     cell = table.shape[-d:]
-    (per, n_y), n_f = kern.shape, imag.shape[1]
+    per, n_y = kern.shape
     flat = table.reshape((-1,) + cell)
     m = np.arange(n_y)
     cs = (n_y // n_f) * np.arange(n_f)[:, None]
-    if d == 2:
-        # the imaginary parts meet only in the unmatched Nyquist mode
-        nyquist = (flat * (-1.0) ** np.indices(cell).sum(axis=0)).sum(axis=(1, 2))
     for row in range(per if d == 2 else 1):
         lead = flat
         if d == 2:
@@ -280,8 +274,6 @@ def _offset_rows(table, d, kern, imag):
         # product per table slice keeps BLAS single-threaded (threaded: slower, 2x CPU)
         vals = (np.take(lead.reshape(len(flat), -1, n_y), (m + cs) % n_y, axis=2)
                 .reshape(len(flat), -1, n_y) @ kern.T).reshape(len(flat), -1, n_f, per)
-        if d == 2:
-            vals -= nyquist[:, None, None, None] * imag[row][:, None, None] * imag.T
         yield np.moveaxis(vals, 3, 0).reshape((per,) + table.shape[:-d] + (-1,))
 
 
@@ -322,9 +314,9 @@ def drift_matrix_field(field, cells, specs, grids):
                      _slow_interp(cells.slow_grid, grid, n_f),
                      max(1, 4096 // grid.size), np.zeros((grid.size, d, d))))
     nodes, node_w = specs[0].offset_rule(d)
-    maps = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
+    kern = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
 
-    rows = zip(*(_offset_rows(tab, d, *maps)
+    rows = zip(*(_offset_rows(tab, d, kern, n_f)
                  for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)))
     for row, row_vals in enumerate(rows):
         # (n_slow, n_f^d, per, d, d) gradient tables at the row's offsets

@@ -38,7 +38,6 @@ class HomogenizedField:
     matrices: np.ndarray
     ellipticity: float
     lipschitz_quotient: float
-    symmetric: bool
     adjoint_defect: float
 
     @property
@@ -92,9 +91,8 @@ def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
         lip = max(lip, float(np.linalg.norm(
             diff.reshape(-1, d, d), ord=2, axis=(-2, -1)).max()) / cells.slow_grid.h)
 
-    return HomogenizedField(slow_grid=cells.slow_grid, matrices=mats,
-                            ellipticity=lam, lipschitz_quotient=lip,
-                            symmetric=field.symmetric, adjoint_defect=adjoint_defect)
+    return HomogenizedField(slow_grid=cells.slow_grid, matrices=mats, ellipticity=lam,
+                            lipschitz_quotient=lip, adjoint_defect=adjoint_defect)
 
 
 def _group_fluxes(cells: CellSolutions, field, adjoints):

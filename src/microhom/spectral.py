@@ -4,7 +4,7 @@ Derivative multipliers are 2*pi*i*k for integer modes k.  On even grids the
 unmatched Nyquist mode k = -n/2 has no symmetric partner, so every operator
 here zeroes it (the mask below); this keeps derivatives real, skew-adjoint,
 and leaves the subspace of masked modes invariant, which the iterative cell
-solver relies on.
+solver relies on.  The interpolant `trig_kernel` splits it over +-n/2 instead.
 """
 
 from itertools import product
@@ -127,53 +127,33 @@ def calculus(shape):
     return _CALC_CACHE[shape]
 
 
-def _pad_axis(spec, axis, n_to):
-    """Zero-pad one axis of a full FFT spectrum, splitting the Nyquist mode."""
-    n_from = spec.shape[axis]
-    if n_to == n_from:
-        return spec.copy()
-    if n_to < n_from:
-        raise ValueError("padding target smaller than source")
-    sh = list(spec.shape)
-    sh[axis] = n_to
-    out = np.zeros(sh, dtype=complex)
+def trig_kernel(n, pts):
+    """Weights (len(pts), n) of the trigonometric interpolant on the nodes m/n at pts.
 
-    def put(dst_idx, src_idx, scale=1.0):
-        src = [slice(None)] * spec.ndim
-        dst = [slice(None)] * spec.ndim
-        src[axis] = src_idx
-        dst[axis] = dst_idx
-        out[tuple(dst)] += scale * spec[tuple(src)]
-
-    if n_from % 2 == 0:
-        half = n_from // 2
-        put(slice(0, half), slice(0, half))
-        if half > 1:
-            put(slice(n_to - (half - 1), n_to), slice(half + 1, n_from))
-        # split the single -n/2 coefficient over the +-n/2 slots
-        put(half, half, 0.5)
-        put(n_to - half, half, 0.5)
-    else:
-        half = (n_from - 1) // 2
-        put(slice(0, half + 1), slice(0, half + 1))
-        put(slice(n_to - half, n_to), slice(half + 1, n_from))
-    return out
+    Node m weighs the real part of (1/n) sum_k exp(2 pi i k (pt - m/n)) over the signed
+    modes of `integer_freqs`, which splits the unmatched Nyquist mode into half weights
+    at +-n/2 (Trefethen, Spectral Methods in MATLAB, ch. 3): real data stays real.
+    """
+    k = integer_freqs((n,))[0]
+    return (np.fft.fft(np.exp(2j * np.pi * np.asarray(pts)[:, None] * k), axis=-1) / n).real
 
 
 def trig_resample(values, n_to, offset=None):
     """Evaluate the trigonometric interpolant on a finer uniform grid.
 
     `values` samples a 1-periodic function on a (n,)*d grid with nodes at
-    k/n; the result samples its trig interpolant at j/n_to + offset.
-    Spectrally accurate for smooth data; exact for resolved trig polynomials.
+    k/n; the result samples its interpolant (`trig_kernel`, one product per
+    axis) at j/n_to + offset.  The mean is carried apart, so a constant
+    comes back exactly.  Spectrally accurate for smooth data; exact for
+    resolved trig polynomials.
     """
     values = np.asarray(values, dtype=float)
-    d = values.ndim
-    spec = np.fft.fftn(values) / values.size
-    for ax in range(d):
-        spec = _pad_axis(spec, ax, n_to)
-    if offset is not None:
-        for ax, k in zip(range(d), integer_freqs(spec.shape)):
-            spec = spec * np.exp(2j * np.pi * k * float(offset[ax]))
-    return np.fft.ifftn(spec).real * spec.size
-
+    n = values.shape[0]
+    if n_to < n:
+        raise ValueError(f"resampling target {n_to} coarser than the source {n}")
+    mean = values.mean()
+    out = values - mean
+    for ax in range(values.ndim):
+        pts = np.arange(n_to) / n_to + (0.0 if offset is None else float(offset[ax]))
+        out = np.moveaxis(np.tensordot(trig_kernel(n, pts), out, axes=(1, ax)), 0, ax)
+    return out + mean

@@ -200,6 +200,15 @@ def test_trig_resample_exact_on_modes():
     shifted = trig_resample(vals, m, offset=[0.5 / m])
     ref_s = np.sin(2 * np.pi * 3 * (xt + 0.5 / m)) + 0.5 * np.cos(2 * np.pi * 5 * (xt + 0.5 / m))
     assert np.allclose(shifted, ref_s, atol=1e-13)
+    # the unmatched Nyquist mode is split over +-n/2: (-1)^j samples cos(pi n x)
+    nyq = (-1.0) ** np.arange(n)
+    for off in (0.0, 0.5 / m, 0.3):
+        got = trig_resample(nyq, m, offset=[off])
+        assert np.abs(got - np.cos(np.pi * n * (xt + off))).max() <= 1e-13
+    # a constant comes back bit for bit, and a coarser target is refused
+    assert np.array_equal(trig_resample(np.full(n, 1.7), m, offset=[0.3]), np.full(m, 1.7))
+    with pytest.raises(ValueError, match="coarser"):
+        trig_resample(vals, n - 1)
 
 
 def test_trig_resample_2d():
@@ -211,6 +220,16 @@ def test_trig_resample_2d():
     gt = TorusGrid(2, m).coords()
     ref = np.sin(2 * np.pi * gt[..., 0]) * np.cos(2 * np.pi * 2 * gt[..., 1])
     assert np.allclose(out, ref, atol=1e-12)
+    # the Nyquist corner (-1)^(j1 + j2) resamples to the product of the split modes
+    nyq = (-1.0) ** np.indices((n, n)).sum(axis=0)
+    for off in ([0.0, 0.0], [0.5 / m, 0.0], [0.1, 0.35]):
+        got = trig_resample(nyq, m, offset=off)
+        ref = np.prod(np.cos(np.pi * n * (gt + np.asarray(off))), axis=-1)
+        assert np.abs(got - ref).max() <= 1e-13
+    assert np.array_equal(trig_resample(np.full((n, n), -0.4), m, offset=[0.1, 0.35]),
+                          np.full((m, m), -0.4))
+    with pytest.raises(ValueError, match="coarser"):
+        trig_resample(vals, n // 2)
 
 
 def test_spectral_calculus_derivative():
