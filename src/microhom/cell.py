@@ -44,13 +44,14 @@ class CellField:
 class SpectralCellSolver:
     """Fourier collocation for div_y[a (e^j + grad chi)] = 0 on one cell.
 
-    The unknown y is the packed half spectrum (`FourierCalculus.pack`),
-    right-preconditioned by the Green operator (Moulinec-Suquet): chi_hat =
-    |2 pi k|^-2 y, so the operator's spectrum is controlled by the ellipticity
-    bounds alone and one application costs d inverse and d forward
-    transforms.  The directions (and adjoint directions) of one cell are
-    solved together as one block-diagonal system over a (B, *cell) stack,
-    by lgmres from zero (`_krylov`); `a` and `div_residual` also take stacks.
+    The unknown y is the half spectrum in Parseval-weighted real coordinates
+    (`FourierCalculus.pack`), right-preconditioned by the Green operator
+    (Moulinec-Suquet): chi_hat = |2 pi k|^-2 y, so the operator's spectrum is
+    controlled by the ellipticity bounds alone and one application costs d
+    inverse and d forward transforms.  The directions (and adjoint
+    directions) of one cell are solved together as one block-diagonal system
+    over a (B, *cell) stack, by lgmres from zero (`_krylov`); `a` and
+    `div_residual` also take stacks.
     """
 
     def __init__(self, a_nodes, grid, tol):
@@ -113,11 +114,11 @@ class SpectralCellSolver:
 
         lgmres starts from zero and runs one outer iteration per call,
         warm-started from the last iterate and its augmentation vectors, and
-        the true residual of every block (the grid l2 one: the packing is an
-        isometry) is checked after each call.  It cannot push the residual
-        below the FFT roundoff floor, so the solve stops as soon as every
-        block reaches tol or a call fails to halve the best residual, and
-        keeps the best iterate.
+        the true residual of every block (the grid l2 one: the coordinates
+        carry Parseval weights) is checked after each call.  It cannot push
+        the residual below the FFT roundoff floor, so the solve stops as soon
+        as every block reaches tol or a call fails to halve the best
+        residual, and keeps the best iterate.
         """
         calc = self.calc
         b = calc.pack(rhs)                                            # (B, m)

@@ -33,26 +33,17 @@ class SmoothingSpec:
         if self.n_omega < 2 or self.n_omega % 2:
             raise ValueError("n_omega must be even and >= 2")
 
-    def lattice_1d(self):
-        ls = np.arange(self.n_omega + 1)
-        omega = -0.5 + ls / self.n_omega
-        w = np.ones(self.n_omega + 1) / self.n_omega
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        shifts = ls - self.n_omega // 2
-        return shifts, omega, w
-
     def lattice(self, dim):
-        """Integer fast-grid shifts, offset vectors, weights; weights sum to 1."""
-        s1, o1, w1 = self.lattice_1d()
-        if dim == 1:
-            return s1[:, None], o1[:, None], w1
-        S1, S2 = np.meshgrid(s1, s1, indexing="ij")
-        O1, O2 = np.meshgrid(o1, o1, indexing="ij")
-        W = np.outer(w1, w1)
-        shifts = np.stack([S1.ravel(), S2.ravel()], axis=-1)
-        omegas = np.stack([O1.ravel(), O2.ravel()], axis=-1)
-        return shifts, omegas, W.ravel()
+        """Integer fast-grid shifts, offset vectors, weights; weights sum to 1.
+
+        One row per node of the 1D rule tensorized over the dim axes, the
+        last axis fastest; a node's weight is the product of its 1D weights.
+        """
+        ls = np.arange(self.n_omega + 1)
+        w = np.ones(self.n_omega + 1) / self.n_omega
+        w[[0, -1]] *= 0.5
+        idx = np.stack([g.ravel() for g in np.meshgrid(*[ls] * dim, indexing="ij")], axis=-1)
+        return idx - self.n_omega // 2, -0.5 + idx / self.n_omega, np.prod(w[idx], axis=-1)
 
     def offset_rule(self, dim):
         """1D Gauss-Legendre nodes and weights on the offset axis [-1/2, 1/2].

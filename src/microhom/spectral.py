@@ -5,9 +5,9 @@ unmatched Nyquist mode k = -n/2 has no symmetric partner, so every operator
 here zeroes it (the mask below); this keeps derivatives real, skew-adjoint,
 and leaves the subspace of masked modes invariant, which the iterative cell
 solver relies on.  The interpolant `trig_kernel` splits it over +-n/2 instead.
+That solver iterates on the half spectrum in Parseval-weighted real
+coordinates (`FourierCalculus.pack`), whose Euclidean norm is the grid l2 norm.
 """
-
-from itertools import product
 
 import numpy as np
 
@@ -38,7 +38,11 @@ class FourierCalculus:
     The grid occupies the trailing axes of every input; any leading axes
     are a batch, transformed in the same FFT call.  Real data is carried
     on the half spectrum (`rfftn`), which the odd, Nyquist-masked
-    multipliers keep Hermitian.
+    multipliers keep Hermitian.  `pack` scales each mode by sqrt(2/N) off
+    the k_last = 0 plane and by sqrt(1/N) on it, where both members of each
+    conjugate pair are stored; `inverse` reads only the Hermitian part of
+    that plane, so the rest of it lies in the null space of every operator
+    built on it.
     """
 
     def __init__(self, shape):
@@ -54,21 +58,11 @@ class FourierCalculus:
         nz = mask & (k2 > 0)
         inv[nz] = 1.0 / k2[nz]
         self.poisson_mult = inv  # (-Laplace)^-1 on masked, zero-mean modes
-        # boxes of the float view (re, im on the last axis) of a half spectrum:
-        # box l holds 0 < k_l < n_l/2, later axes at 0 and earlier ones off
-        # Nyquist, so every masked nonzero mode or its conjugate is kept once
-        d = self.dim
-        self._boxes = []
-        for l, n in enumerate(shape):
-            before = [(slice(0, m // 2), slice(m // 2 + 1, m)) for m in shape[:l]]
-            at = ((slice(2, n),) if l == d - 1 else
-                  (slice(1, n // 2),) + (slice(0, 1),) * (d - 2 - l) + (slice(0, 2),))
-            self._boxes += [head + at for head in product(*before)]
-        flt = np.empty(mask.shape[:-1] + (2 * mask.shape[-1],))
-        self._splits = np.cumsum([flt[box].size for box in self._boxes])[:-1]
-        # each kept mode stands for itself and its conjugate (Parseval)
-        self._weight = np.sqrt(2.0 / np.prod(shape))
-        self._negate = np.ix_(*[-np.arange(n) % n for n in shape[:-1]])
+        # Parseval weights of the half spectrum: a mode with 0 < k_last < n_last/2
+        # stands for itself and its conjugate, the k_last = 0 plane holds both
+        # members of each pair, and the masked modes and the mean weigh 0
+        self._weight = np.sqrt(np.where(half[-1] > 0, 2.0, 1.0) / np.prod(shape)) * (inv > 0)
+        self._unweight = np.divide(1.0, self._weight, out=np.zeros(mask.shape), where=inv > 0)
 
     def forward(self, values):
         """Half spectrum (`rfftn`) over the trailing grid axes."""
@@ -79,29 +73,19 @@ class FourierCalculus:
         return np.fft.irfftn(spec, s=self.shape, axes=self.axes)
 
     def pack(self, spec):
-        """Real coordinates of masked, zero-mean half spectra: (*batch, *half) -> (*batch, m).
+        """Real coordinates of half spectra: (*batch, *half) -> (*batch, 2 * half.size).
 
-        The Euclidean norm of the coordinates is the grid l2 norm of the field.
+        The weighted real and imaginary parts of every mode, zero on the
+        masked modes and the mean; on the masked, zero-mean spectrum of a
+        real field their Euclidean norm is the grid l2 norm of the field.
         """
-        flt = np.ascontiguousarray(spec).view(float)
-        batch = flt.shape[:-self.dim]
-        return np.concatenate([flt[(...,) + box].reshape(batch + (-1,)) for box in self._boxes],
-                              axis=-1) * self._weight
+        flt = (spec * self._weight).view(float)
+        return flt.reshape(flt.shape[:-self.dim] + (-1,))
 
     def unpack(self, packed):
         """Half spectra of packed coordinates, the inverse of `pack`."""
-        spec = np.zeros(packed.shape[:-1] + self.poisson_mult.shape, dtype=complex)
-        flt = spec.view(float)
-        for box, part in zip(self._boxes, np.split(packed * (1.0 / self._weight), self._splits,
-                                                   axis=-1)):
-            target = flt[(...,) + box]
-            target[...] = part.reshape(target.shape)
-        if self.dim > 1:
-            # irfftn reads only the Hermitian part of the k_last = 0 plane:
-            # give every kept mode there its conjugate partner at -k
-            plane = spec[..., 0]
-            plane += np.conj(plane[(...,) + self._negate])
-        return spec
+        spec = np.ascontiguousarray(packed).view(complex)
+        return spec.reshape(packed.shape[:-1] + self._weight.shape) * self._unweight
 
     def grad(self, values):
         """Masked spectral gradient: (*batch, *shape) -> (*batch, d, *shape)."""

@@ -201,9 +201,6 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
     if cells.residual_max > config.cell_tol:
         report.flags.append(f"cell residual_max {cells.residual_max:.2e} above "
                             f"cell_tol {config.cell_tol:g} (roundoff floor)")
-    if config.matched_effective:
-        report.flags.append("matched_effective: R0 and the correctors come from the "
-                            f"finite-volume cell problems at n_f = {config.n_f}")
     with setup_stage("moments"):
         # the tensors first: their walk checks every sample's energy bound
         # and solenoidality before anything else is read off the table

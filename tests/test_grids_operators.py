@@ -251,8 +251,17 @@ def test_pack_is_an_isometry_and_unpack_inverts_it(shape):
     rng = np.random.default_rng(3)
     u = calc.inverse((calc.poisson_mult > 0) * calc.forward(rng.standard_normal((3,) + shape)))
     p = calc.pack(calc.forward(u))
-    assert p.shape == (3, np.prod([n - 1 for n in shape]) - 1)
     l2 = np.sqrt(np.sum(u ** 2, axis=tuple(range(1, u.ndim))))
     assert np.abs(np.linalg.norm(p, axis=1) - l2).max() <= 1e-14 * l2.max()
     assert np.abs(calc.inverse(calc.unpack(p)) - u).max() <= 1e-14 * np.abs(u).max()
     assert np.abs(calc.pack(calc.unpack(p)) - p).max() <= 1e-14 * np.abs(p).max()
+    # the masked modes and the mean pack to zeros
+    off = calc.unpack(np.ones(p.shape[-1])) == 0
+    assert np.array_equal(off, calc.poisson_mult == 0)
+    assert not calc.pack(np.where(off, calc.forward(rng.standard_normal(shape)), 0)).any()
+    if len(shape) == 2:
+        # the k_last = 0 plane holds a mode (3, 0) and its conjugate partner (-3, 0)
+        y1 = np.arange(shape[0])[:, None] / shape[0] * np.ones(shape)
+        v = np.cos(2 * np.pi * 3 * y1) + 0.5 * np.sin(2 * np.pi * 3 * y1)
+        back = calc.inverse(calc.unpack(calc.pack(calc.forward(v))))
+        assert np.abs(back - v).max() <= 1e-14 * np.abs(v).max()

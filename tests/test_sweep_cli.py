@@ -142,13 +142,11 @@ def test_sweep_reads_every_cell_object_from_one_table(monkeypatch, matched, meth
     assert (cell_method, cells.method, n) == (method, method, n_cell)
     assert len(r0_a0) == len(rep.eps_list)
     assert all(np.array_equal(a0, cells.a0) for a0 in r0_a0)
-    flagged = [f for f in rep.flags if f.startswith("matched_effective")]
+    # flags are warnings: the mode is recorded in the summary's config block
+    assert not any(f.startswith("matched_effective") for f in rep.flags)
+    assert f"matched_effective = {str(matched).lower()}" in rep.config_text
     if matched:
         assert np.array_equal(cells.a0, quick_2d_matched().matrices)
-        assert flagged == ["matched_effective: R0 and the correctors come from the "
-                           "finite-volume cell problems at n_f = 8"]
-    else:
-        assert flagged == []
 
 
 def test_per_eps_stages_run_without_gradient_tables(monkeypatch):
