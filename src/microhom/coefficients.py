@@ -21,10 +21,10 @@ class CoefficientField:
     ----------
     dim : spatial dimension (1 or 2)
     evaluator : (x, y) -> matrix, with x, y arrays of shapes (..., dim)
-        that broadcast against each other, already wrapped to [0, 1); the
-        result has shape broadcast(x, y).shape[:-1] + (dim, dim), so a
-        caller may pass x and y on factored axes (the drift passes the
-        slow points and the fast points on separate axes)
+        that broadcast against each other, already wrapped mod 1 (into
+        [0, 1]: a tiny negative entry wraps to 1.0); the result has shape
+        broadcast(x, y).shape[:-1] + (dim, dim), so a caller may pass x and
+        y on factored axes (the drift: slow and fast points apart)
     ellipticity : claimed constant lam > 0 with
         a xi . xi >= lam |xi|^2  and  |a xi| <= (1/lam) |xi|
     lipschitz_x : claimed Lipschitz constant of x -> a(x, .)
@@ -43,8 +43,8 @@ class CoefficientField:
 
     def eval(self, x, y):
         """a(x, y), held to the shape broadcast(x, y)[:-1] + (d, d)."""
-        x = np.mod(np.asarray(x, dtype=float), 1.0)
-        y = np.mod(np.asarray(y, dtype=float), 1.0)
+        x, y = (np.asarray(v, dtype=float) for v in (x, y))
+        x, y = x - np.floor(x), y - np.floor(y)  # np.mod(., 1.0) bit for bit, faster
         a = self.evaluator(x, y)
         shape = np.broadcast_shapes(x.shape, y.shape)[:-1] + (self.dim,) * 2
         if a.shape != shape:

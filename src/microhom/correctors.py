@@ -18,7 +18,7 @@ sublattice of the cell by construction (its offsets are grid multiples),
 which `fast_sublattice` cuts out of the table.  Both it and the
 double-averaged matrix read their tables at the fine nodes through one CSR
 slow-interpolation matrix whose columns also carry the fast index
-(`grids.interp_matrix`).
+(`grids.interp_matrix`), the latter both gradient tables in one product.
 
 Every factor that does not solve (the kernel quadrature of the centered
 gradient for K and for K-tilde, and the differential core of the composed
@@ -39,6 +39,8 @@ from .grids import TorusGrid, centered_diff, interp_matrix
 from .operators import DiscreteOperator, matrix_op, stencil_matrix
 from .smoothing import SmoothingSpec
 from .spectral import trig_kernel
+
+_DRIFT_PAIRS = 2 ** 14  # (fine node, offset) pairs per pass of the drift walk
 
 
 def fast_sublattice(cells, n_f):
@@ -228,9 +230,16 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
                 terms += [(s * e[k] + r * e[j], c, s * e[k], -s * r * step ** 2)
                           for s, r in product((1, -1), repeat=2)]
     axes = tuple(range(d))
-    core = matrix_op(stencil_matrix(grid, [o for o, *_ in terms], (
-        f * np.roll(c, tuple(-at), axis=axes).ravel() for _, c, at, f in terms)),
-        grid=grid, label="L-core")
+
+    def weights():  # consecutive terms share a roll (c3 over r, c3_adj and c2 over t, r)
+        key = None
+        for _, c, at, f in terms:
+            if key != (id(c), tuple(at)):
+                key, rolled = (id(c), tuple(at)), np.roll(c, tuple(-at), axis=axes).ravel()
+            yield f * rolled
+
+    core = matrix_op(stencil_matrix(grid, [o for o, *_ in terms], weights()),
+                     grid=grid, label="L-core")
     op = hom_solver @ core @ hom_solver
     op.label = "Lop"
     op.core = core
@@ -288,23 +297,22 @@ def drift_matrix_field(field, cells, specs, grids):
     line integral is exactly (a(x + eps w, y) - a(x, y)) / eps.  The
     offset integral has no grid-function shifts in it, so it uses the
     tensor Gauss rule (the integrand is analytic in the offset but not
-    periodic), whose rows are walked once for every (spec, grid) pair: each
-    row's table values are added into every pair's matrix, in batches of
-    at most 4096 (fine node, offset) pairs of its grid.  The fine node
-    x = eps (K + c/n_f) has the fast point c/n_f + w at offset w, so the
-    nodes are laid out as (1/eps, n_f) per axis and `field.eval` gets the
-    slow points (*layout, 1, d) against the fast points (1, n_f)*d +
-    (batch, d): the evaluator's y-only terms run once per (c, offset), not
-    per (fine node, offset), under the broadcast contract of
-    `CoefficientField.evaluator`, which is checked.  The specs must share
-    n_omega and drift_order.  Returns a list of (*fine, d, d).
+    periodic), whose rows are walked once for every (spec, grid) pair; a
+    pass reads both tables of a row, plus identity, at a pair's fine nodes
+    by one product, for at most _DRIFT_PAIRS (fine node, offset) pairs.
+    The fine node x = eps (K + c/n_f) has the fast point c/n_f + w at
+    offset w, so the nodes are laid out as (1/eps, n_f) per axis and
+    `field.eval` gets the slow points (*layout, 1, d) against the fast
+    points (1, n_f)*d + (batch, d): the evaluator's y-only terms run once
+    per (c, offset), not per (fine node, offset), under the broadcast
+    contract of `CoefficientField.evaluator`, which is checked.  The specs
+    must share n_omega and drift_order.  Returns a list of (*fine, d, d).
     """
     if len({(spec.n_omega, spec.drift_order) for spec in specs}) != 1:
         raise ValueError("one drift walk needs specs with one offset rule "
                          "(n_omega and drift_order)")
     d = cells.dim
     n_f = specs[0].n_omega
-    eye = np.eye(d)
     runs = []
     fast_base = (np.moveaxis(np.indices((n_f,) * d), 0, -1) / n_f).reshape((1, n_f) * d + (1, d))
     for spec, grid in zip(specs, grids, strict=True):
@@ -312,40 +320,42 @@ def drift_matrix_field(field, cells, specs, grids):
         layout = (grid.n // n_f, n_f) * d
         runs.append((spec.eps, grid, grid.coords().reshape(layout + (1, d)),
                      _slow_interp(cells.slow_grid, grid, n_f),
-                     max(1, 4096 // grid.size), np.zeros((grid.size, d, d))))
+                     max(1, _DRIFT_PAIRS // grid.size), np.zeros((d, d, grid.size))))
     nodes, node_w = specs[0].offset_rule(d)
     kern = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
 
     rows = zip(*(_offset_rows(tab, d, kern, n_f)
                  for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)))
     for row, row_vals in enumerate(rows):
-        # (n_slow, n_f^d, per, d, d) gradient tables at the row's offsets
-        row_vals = [np.moveaxis(v.reshape(len(nodes), -1, d, d, n_f ** d), (0, 4), (2, 1))
-                    for v in row_vals]
+        # (n_slow * n_f^d, 2, d, d, per): both gradient tables plus identity at the
+        # row's offsets, component-major with the offsets last
+        tab = np.empty((cells.slow_grid.size, n_f ** d, 2, d, d, len(nodes)))
+        for fam, v in enumerate(row_vals):
+            tab[:, :, fam] = v.reshape(len(nodes), -1, d, d, n_f ** d).transpose(1, 4, 2, 3, 0)
+        tab = tab.reshape(-1, 2, d, d, len(nodes))
+        tab += np.eye(d)[:, :, None]
+        del row_vals  # one row of offset values alive at a time
+        row_om = nodes[:, None] if d == 1 else np.stack([np.full_like(nodes, nodes[row]), nodes], 1)
+        row_w = node_w if d == 1 else node_w[row] * node_w
         for eps, grid, pts, interp, batch, out in runs:
             for lo in range(0, len(nodes), batch):
-                sl = slice(lo, lo + batch)
-                om = nodes[sl, None]
-                w = node_w[sl]
-                if d == 2:
-                    om = np.concatenate([np.full_like(om, nodes[row]), om], axis=1)
-                    w = node_w[row] * w
-                # (N, per, d, d): gradients plus identity at the fine nodes
-                P, Q = ((interp @ v[:, :, sl].reshape(interp.shape[1], -1))
-                        .reshape(grid.size, -1, d, d) + eye for v in row_vals)
+                om, w = row_om[lo:lo + batch], row_w[lo:lo + batch]
+                # P and Q, (d, d, N, batch) each, from one product
+                pq = interp @ tab[..., lo:lo + batch].reshape(interp.shape[1], -1)
+                pq = np.ascontiguousarray(pq.reshape(grid.size, 2 * d * d, -1).transpose(1, 0, 2))
+                P, Q = pq.reshape(2, d, d, grid.size, -1)
                 # line integral of grad_x a . omega along each offset, times its weight
                 fast_pts = fast_base + om
                 mid = (field.eval(pts + eps * om, fast_pts)
                        - field.eval(pts, fast_pts)).reshape(grid.size, -1, d, d)
-                mid *= (w / eps)[:, None, None]
-                # out[n, j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q], as
-                # elementwise sums (np.matmul on (N, batch, d, d) stacks is 3-4x slower)
+                mid = np.ascontiguousarray(np.moveaxis(mid, (2, 3), (0, 1))) * (w / eps)
+                # out[j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q], as elementwise
+                # sums on contiguous (N, batch) planes (einsum, broadcasts: slower)
                 for k in range(d):
-                    r = [sum(Q[..., k, p] * mid[..., p, q] for p in range(d)) for q in range(d)]
+                    r = [sum(Q[k, p] * mid[p, q] for p in range(d)) for q in range(d)]
                     for j in range(d):
-                        out[:, j, k] += sum(r[q] * P[..., j, q] for q in range(d)).sum(axis=1)
-        del row_vals  # one row of offset values alive at a time
-    return [out.reshape(grid.shape + (d, d)) for _, grid, *_, out in runs]
+                        out[j, k] += sum(r[q] * P[j, q] for q in range(d)).sum(axis=1)
+    return [np.moveaxis(out, 2, 0).reshape(grid.shape + (d, d)) for _, grid, *_, out in runs]
 
 
 def assemble_M(chat, hom_solver: LinearOperator, grid: TorusGrid) -> LinearOperator:

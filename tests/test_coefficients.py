@@ -131,3 +131,23 @@ def test_evaluator_broadcasts_x_against_y(fam, params):
     assert np.array_equal(a, full)
     assert np.array_equal(f.eval(y, x), f.eval(np.broadcast_to(y, (3, 5, d)),
                                               np.broadcast_to(x, (3, 5, d))))
+
+
+def test_eval_wraps_like_mod_one_bit_for_bit():
+    # eval wraps by x - floor(x), which is np.mod(x, 1.0) bit for bit, signs of
+    # zeros and NaNs included; a tiny negative input wraps to exactly 1.0
+    seen = []
+
+    def ev(x, y):
+        seen.append((x, y))
+        return np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1] + (1, 1))
+    f = CoefficientField(dim=1, evaluator=ev, ellipticity=1.0, lipschitz_x=0.0,
+                         symmetric=True)
+    edge = np.array([-0.0, -1e-20, -5e-324, 1 - 2 ** -53, 1.0, 2.5, -3.25, 1e17, -1e17,
+                     np.inf, np.nan])[:, None]
+    with np.errstate(invalid="ignore"):
+        f.eval(edge, -edge)
+        want = [np.mod(edge, 1.0), np.mod(-edge, 1.0)]
+    for got, ref in zip(seen[0], want):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert seen[0][0][1, 0] == 1.0 and seen[0][0][2, 0] == 1.0

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import microhom.cell
+import microhom.correctors
 import microhom.effective
 from microhom import (CoefficientField, SmoothingSpec, SolveError, TorusGrid,
                       assemble_fine, assemble_homogenized, assemble_L, assemble_M,
@@ -615,6 +616,27 @@ def test_drift_walk_over_several_eps_matches_one_walk_per_eps(family, n_x, n_y, 
         alone = drift_matrix_field(field, cells, [spec], [grid])[0]
         assert chat.shape == grid.shape + (field.dim, field.dim)
         assert np.array_equal(chat, alone)
+
+
+@pytest.mark.parametrize("family,params,method,n_y,ks", [
+    ("separable_1d", {}, "spectral", 64, (4, 8, 16)),
+    ("smooth_2d_nonsymmetric", {}, "fv", 8, (2, 3, 4)),
+    ("laminate_2d", {"x_amplitude": 0.3}, "fv", 8, (2, 4)),
+], ids=["spectral-1d", "fv-nonsymmetric", "fv-laminate"])
+def test_drift_does_not_depend_on_its_batching(monkeypatch, family, params, method, n_y, ks):
+    # the default cap takes a whole Gauss row in one pass on these grids, a cap
+    # of one pair one offset per pass: the sums differ only in their order
+    field = replace(builtin_family(family, params), cell_method=method)
+    d, n_f = field.dim, 8 if field.dim == 2 else 16
+    cells = build_cell_table(field, TorusGrid(d, 4), TorusGrid(d, n_y), tol=1e-12)
+    specs = [SmoothingSpec(eps=1.0 / k, n_omega=n_f) for k in ks]
+    grids = [TorusGrid(d, n_f * k) for k in ks]
+    whole = drift_matrix_field(field, cells, specs, grids)
+    monkeypatch.setattr(microhom.correctors, "_DRIFT_PAIRS", 1)
+    single = drift_matrix_field(field, cells, specs, grids)
+    for a, b in zip(whole, single):
+        assert np.abs(a).max() > 1e-3
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
 
 
 def test_drift_walk_needs_one_offset_rule():
