@@ -18,13 +18,13 @@ sublattice of the cell by construction (its offsets are grid multiples),
 which `fast_sublattice` cuts out of the table.  Both it and the
 double-averaged matrix read their tables at the fine nodes through one CSR
 slow-interpolation matrix whose columns also carry the fast index
-(`grids.interp_matrix`), the latter both gradient tables in one product.
+(`grids.interp_matrix`), each both of its tables in one product.
 
-Every factor that does not solve (the kernel quadrature of the centered
-gradient for K and for K-tilde, and the differential core of the composed
-operator) is assembled once per eps as one CSR matrix, so applying it is one
-sparse product and its transpose is exact by construction; only the
-homogenized resolvents stay LU solves.
+Every factor that does not solve (the kernel quadratures of the centered
+gradient for K and K-tilde, built by one lattice walk on one CSR column
+table, and the differential core of the composed operator) is one CSR
+matrix per eps, so applying it is one sparse product and its transpose is
+exact by construction; only the homogenized resolvents stay LU solves.
 """
 
 from dataclasses import dataclass, replace
@@ -68,24 +68,26 @@ def _slow_interp(slow_grid, grid, n_f):
     return interp_matrix(slow_grid.n, grid.coords().reshape(-1, d), fast, n_f ** d)
 
 
-def corrector_matrix(cells, spec, grid, adjoint=False):
-    """The smoothed corrector K, a CSR matrix on the fine grid:
+def corrector_matrix(cells, spec, grid):
+    """The smoothed correctors' kernel quadratures (Q_K, Q_K-tilde), CSR:
 
-        K u(x) = sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l),
+        Q u(x) = sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l),
 
-    with the slow argument interpolated multilinearly from the sample grid
-    and the fast one on the cell's n_f-point sublattice; with adjoint=True
-    the cell solutions are the adjoint ones (K-tilde).  Row x reads u at
-    x - s_l +- e_j with weight +-w_l chi^j(x - s_l, x/eps) / 2h, where s_l
-    is the grid shift of eps w_l.  That field is the slow interpolation of
-    the fast table rolled by -s_l, rolled back by s_l.
+    chi the primal cell solutions for K and the adjoint ones for K-tilde,
+    the slow argument interpolated multilinearly from the sample grid and
+    the fast one on the cell's n_f-point sublattice.  Row x reads u at
+    x - s_l +- e_j with weight +-w_l chi^j(x - s_l, x/eps) / 2h, s_l the grid
+    shift of eps w_l: the slow interpolation of the fast table rolled by
+    -s_l, rolled back by s_l.  One walk does both, its table holding chi and
+    chi_adj as 2d columns; the pair shares one indptr and indices array.
     """
     spec.check_grid(grid)
     d, n_f = grid.dim, spec.n_omega
     interp = _slow_interp(cells.slow_grid, grid, n_f)
     cells = fast_sublattice(cells, n_f)
-    table = cells.chi_adj if adjoint else cells.chi
-    fast = np.moveaxis(table.reshape((-1, d) + (n_f,) * d), 1, -1)
+    # (n_slow, *fast, 2d): the d components of chi, then those of chi_adj
+    fast = np.concatenate([np.moveaxis(t.reshape((-1, d) + (n_f,) * d), 1, -1)
+                           for t in (cells.chi, cells.chi_adj)], axis=-1)
     axes = tuple(range(1, d + 1))  # the fast axes of `fast`, the grid axes of a field
     shifts, _, weights = spec.lattice(d)
     eye = np.eye(d, dtype=int)
@@ -93,32 +95,27 @@ def corrector_matrix(cells, spec, grid, adjoint=False):
 
     def coeffs():
         for s, w in zip(shifts, weights):
-            rolled = np.roll(fast, tuple(-s), axis=axes).reshape(-1, d)
-            fld = np.roll((interp @ rolled).T.reshape((d,) + grid.shape), tuple(s), axis=axes)
+            rolled = np.roll(fast, tuple(-s), axis=axes).reshape(-1, 2 * d)
+            fld = np.roll((interp @ rolled).T.reshape((2 * d,) + grid.shape), tuple(s), axis=axes)
             for j in range(d):
-                c = (w / (2.0 * grid.h)) * fld[j].ravel()
-                yield c
-                yield -c
+                c = (w / (2.0 * grid.h)) * fld[j::d].reshape(2, -1)  # chi^j, chi_adj^j
+                yield from (c, -c)
 
-    return stencil_matrix(grid, offsets, coeffs())
+    return tuple(stencil_matrix(grid, offsets, coeffs(), sets=2))
 
 
-def corrector_op(cells, spec: SmoothingSpec, grid, resolvent: LinearOperator,
-                 adjoint=False) -> LinearOperator:
-    """The corrector as an operator on right-hand sides.
-
-    Composition: resolve, then apply the kernel quadrature of the centered
-    gradient (`corrector_matrix`, one CSR matrix per eps).  For the adjoint
-    corrector pass the transposed homogenized resolvent.  The true adjoint
-    of the returned operator (via .T) realizes the divergence-form identity
-    resolvent^T . (-div) . kernel-quadrature^T without further derivation.
+def corrector_op(cells, spec: SmoothingSpec, grid, resolvent: LinearOperator) -> tuple:
+    """The correctors (K, K-tilde) = (Q_K R0, Q_K-tilde R0^T), R0 the
+    `resolvent`, from the quadratures of `corrector_matrix` (one walk per
+    eps).  The true adjoint of each (via .T) realizes the divergence-form
+    identity resolvent^T . (-div) . kernel-quadrature^T without derivation.
     """
-    quad = matrix_op(corrector_matrix(cells, spec, grid, adjoint), grid=grid,
-                     label="kernel-quad")
-    op = quad @ resolvent
-    op.label = "Ktilde" if adjoint else "K"
-    op.quad = quad
-    return op
+    quads = [matrix_op(q, grid=grid, label="kernel-quad")
+             for q in corrector_matrix(cells, spec, grid)]
+    ops = (quads[0] @ resolvent, quads[1] @ resolvent.T)
+    for op, quad, label in zip(ops, quads, ("K", "Ktilde")):
+        op.label, op.quad = label, quad
+    return ops
 
 
 @dataclass
@@ -216,26 +213,26 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
     # D_k D_m C D_j reads u at x + s e_k + t e_m + r e_j with weight s t r C(x + s e_k
     # + t e_m) / (2h)^3.  A component that vanishes (all of them in 1D) adds no term
     step = 1.0 / (2.0 * grid.h)
-    e = np.eye(d, dtype=int)
+    node = lambda *st: tuple(sum(g for g, a in st if a == i) for i in range(d))  # sum g e_a
     terms = []
     for j, k, m in product(range(d), repeat=3):
         for c, adj in ((c3[..., j, k, m], False), (c3_adj[..., k, j, m], True)):
             if c.any():
-                terms += [(s * e[k] + t * e[m] + r * e[j], c, s * e[k] + (0 if adj else t * e[m]),
+                terms += [(node((s, k), (t, m), (r, j)), c, node((s, k), (0 if adj else t, m)),
                            (-1 if adj else 1) * s * t * r * step ** 3)
                           for s, t, r in product((1, -1), repeat=3)]
     for j, k in product(range(d), repeat=2):
         for c in (c2[..., j, k], c2_adj[..., k, j]):
             if c.any():
-                terms += [(s * e[k] + r * e[j], c, s * e[k], -s * r * step ** 2)
+                terms += [(node((s, k), (r, j)), c, node((s, k)), -s * r * step ** 2)
                           for s, r in product((1, -1), repeat=2)]
     axes = tuple(range(d))
 
     def weights():  # consecutive terms share a roll (c3 over r, c3_adj and c2 over t, r)
         key = None
         for _, c, at, f in terms:
-            if key != (id(c), tuple(at)):
-                key, rolled = (id(c), tuple(at)), np.roll(c, tuple(-at), axis=axes).ravel()
+            if key != (id(c), at):
+                key, rolled = (id(c), at), np.roll(c, tuple(-a for a in at), axis=axes).ravel()
             yield f * rolled
 
     core = matrix_op(stencil_matrix(grid, [o for o, *_ in terms], weights()),
@@ -275,15 +272,16 @@ def _offset_rows(table, d, kern, n_f):
     flat = table.reshape((-1,) + cell)
     m = np.arange(n_y)
     cs = (n_y // n_f) * np.arange(n_f)[:, None]
-    for row in range(per if d == 2 else 1):
-        lead = flat
-        if d == 2:
-            lead = np.matmul(kern[row][(m - cs) % n_y], flat)
+
+    def last_axis(lead):  # one call per row: the suspended frame holds no row buffer
         # row c of the last axis reads the table rolled by c s; one small
         # product per table slice keeps BLAS single-threaded (threaded: slower, 2x CPU)
         vals = (np.take(lead.reshape(len(flat), -1, n_y), (m + cs) % n_y, axis=2)
                 .reshape(len(flat), -1, n_y) @ kern.T).reshape(len(flat), -1, n_f, per)
-        yield np.moveaxis(vals, 3, 0).reshape((per,) + table.shape[:-d] + (-1,))
+        return np.moveaxis(vals, 3, 0).reshape((per,) + table.shape[:-d] + (-1,))
+
+    for row in range(per if d == 2 else 1):
+        yield last_axis(flat if d == 1 else np.matmul(kern[row][(m - cs) % n_y], flat))
 
 
 def drift_matrix_field(field, cells, specs, grids):
@@ -324,17 +322,16 @@ def drift_matrix_field(field, cells, specs, grids):
     nodes, node_w = specs[0].offset_rule(d)
     kern = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
 
-    rows = zip(*(_offset_rows(tab, d, kern, n_f)
-                 for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)))
-    for row, row_vals in enumerate(rows):
+    walks = [_offset_rows(tab, d, kern, n_f) for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)]
+    for row in range(len(nodes) if d == 2 else 1):
         # (n_slow * n_f^d, 2, d, d, per): both gradient tables plus identity at the
-        # row's offsets, component-major with the offsets last
+        # row's offsets, component-major, offsets last; a walk's row dies with its copy
         tab = np.empty((cells.slow_grid.size, n_f ** d, 2, d, d, len(nodes)))
-        for fam, v in enumerate(row_vals):
-            tab[:, :, fam] = v.reshape(len(nodes), -1, d, d, n_f ** d).transpose(1, 4, 2, 3, 0)
+        for fam, rows in enumerate(walks):
+            tab[:, :, fam] = next(rows).reshape(len(nodes), -1, d, d, n_f ** d).transpose(
+                1, 4, 2, 3, 0)
         tab = tab.reshape(-1, 2, d, d, len(nodes))
         tab += np.eye(d)[:, :, None]
-        del row_vals  # one row of offset values alive at a time
         row_om = nodes[:, None] if d == 1 else np.stack([np.full_like(nodes, nodes[row]), nodes], 1)
         row_w = node_w if d == 1 else node_w[row] * node_w
         for eps, grid, pts, interp, batch, out in runs:

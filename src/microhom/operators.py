@@ -57,22 +57,24 @@ def matrix_op(mat, grid=None, label="mat"):
     return op
 
 
-def stencil_matrix(grid, offsets, coeffs, blocks=1):
+def stencil_matrix(grid, offsets, coeffs, blocks=1, sets=None):
     """CSR matrix of a periodic row stencil: (S u)(x) = sum_k c_k(x) u(x + o_k).
 
     offsets: (K, d) integer node offsets o_k; coeffs: an iterable (consumed
     once, so a generator keeps only one term alive) of K scalars or
     flattened (blocks * N,) arrays c_k, one grid copy after another: the
     matrix is block diagonal.  Offsets equal modulo the grid are merged, so
-    every row stores one entry per distinct offset in the same order.
+    every row stores one entry per distinct offset in the same order.  With
+    `sets` = S every c_k is (S, blocks * N), and a list of S matrices sharing
+    one indptr and indices array comes back, each filled in place.
     """
     d, n = grid.dim, grid.size
     offsets = np.mod(np.asarray(offsets, dtype=int).reshape(-1, d), grid.n)
     uniq, slot = np.unique(offsets, axis=0, return_inverse=True)
     width = len(uniq)
-    data = np.zeros((blocks * n, width))
+    data = np.zeros((sets or 1, blocks * n, width))
     for k, c in zip(slot.ravel(), coeffs):
-        data[:, k] += c
+        data[..., k] += c
     # C-order flat columns, built in int32 one axis at a time
     cols = np.zeros((n, width), dtype=np.int32)
     step = np.empty((n, width), dtype=np.int32)
@@ -84,7 +86,8 @@ def stencil_matrix(grid, offsets, coeffs, blocks=1):
     if blocks > 1:
         cols = cols + np.int32(n) * np.arange(blocks, dtype=np.int32)[:, None, None]
     indptr = np.arange(blocks * n + 1, dtype=np.int32) * np.int32(width)  # width 0: empty
-    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(blocks * n,) * 2)
+    mats = [sp.csr_matrix((v.ravel(), cols.ravel(), indptr), shape=(len(v),) * 2) for v in data]
+    return mats if sets else mats[0]
 
 
 def diff_matrix(grid, axis):

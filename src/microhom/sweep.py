@@ -248,8 +248,7 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
             r_hom = resolvent_op(a_hom, label="R0")
 
         with stage("correctors"):
-            cor = corrector_op(cells, spec, grid, r_hom, adjoint=False)
-            cor_adj = corrector_op(cells, spec, grid, r_hom.T, adjoint=True)
+            cor, cor_adj = corrector_op(cells, spec, grid, r_hom)
             l_op = assemble_L(coeffs, r_hom, grid)
             m_op = assemble_M(chat, r_hom, grid)
             diffs = error_operators(r_eps, r_hom, cor, cor_adj, l_op, m_op, spec.eps)

@@ -97,9 +97,7 @@ def test_criterion_3_degeneration_ladder():
     spec = SmoothingSpec(eps=0.25, n_omega=8)
     r0 = resolvent_op(assemble_homogenized(hom, grid))
     co = corrector_coeffs(cells, field)
-    for op in (corrector_op(cells, spec, grid, r0),
-               corrector_op(cells, spec, grid, r0.T, adjoint=True),
-               assemble_L(co, r0, grid),
+    for op in (*corrector_op(cells, spec, grid, r0), assemble_L(co, r0, grid),
                assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid)):
         assert operator_norm(op, tol=1e-6, maxiter=60, seed=1) < 1e-12
 
@@ -125,13 +123,11 @@ def test_criterion_3_degeneration_ladder():
     spec1 = SmoothingSpec(eps=1.0 / 8, n_omega=16)
     x = grid1.axis_coords()
     u = np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x)
-    k = corrector_matrix(cellss, spec1, grid1) @ u
-    kt = corrector_matrix(cellss, spec1, grid1, adjoint=True) @ u
+    k, kt = (q @ u for q in corrector_matrix(cellss, spec1, grid1))
     assert np.array_equal(k, kt)
     homs = effective_matrix(cellss, fields)
     r0s = resolvent_op(assemble_homogenized(homs, grid1))
-    k_op = corrector_op(cellss, spec1, grid1, r0s)
-    kt_op = corrector_op(cellss, spec1, grid1, r0s.T, adjoint=True)
+    k_op, kt_op = corrector_op(cellss, spec1, grid1, r0s)
     dk = k_op @ np.eye(grid1.size)
     dkt = kt_op @ np.eye(grid1.size)
     scale = np.abs(dk).max()
@@ -251,8 +247,7 @@ def test_criterion_10_adjoint_identities():
     a0 = assemble_homogenized(hom, grid)
     r_eps, r0 = resolvent_op(a_eps), resolvent_op(a0)
     co = corrector_coeffs(cells, field)
-    k_op = corrector_op(cells, spec, grid, r0)
-    kt_op = corrector_op(cells, spec, grid, r0.T, adjoint=True)
+    k_op, kt_op = corrector_op(cells, spec, grid, r0)
     l_op = assemble_L(co, r0, grid)
     m_op = assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid)
     c_op = full_corrector(k_op, kt_op.T, l_op, m_op)

@@ -16,9 +16,10 @@ from microhom import (CoefficientField, SmoothingSpec, SolveError, TorusGrid,
                       effective_matrix, error_operators, flux_corrector,
                       full_corrector, h1_gram_op, resolvent_op)
 from microhom.cell import make_solver
-from microhom.correctors import _cell_kernels, _offset_rows, fast_sublattice
+from microhom.correctors import _cell_kernels, _offset_rows, _slow_interp, fast_sublattice
 from microhom.grids import centered_diff, corners, interp_matrix
-from microhom.operators import diff_matrix, matrix_op, operator_norm, transpose_defect
+from microhom.operators import (diff_matrix, matrix_op, operator_norm, stencil_matrix,
+                                transpose_defect)
 from microhom.spectral import calculus
 from microhom.sweep import _norm_seed
 
@@ -47,16 +48,16 @@ def test_corrector_zero_for_constant_family():
     grid = TorusGrid(2, 32)
     spec = SmoothingSpec(eps=0.25, n_omega=8)
     x = grid.coords()
-    k = corrector_matrix(cells, spec, grid) @ np.sin(2 * np.pi * x[..., 0]).ravel()
-    assert np.abs(k).max() == 0.0
+    for q in corrector_matrix(cells, spec, grid):
+        assert np.abs(q @ np.sin(2 * np.pi * x[..., 0]).ravel()).max() == 0.0
 
 
 def test_corrector_zero_for_constant_input(smooth_2d):
     field, cells, hom, fc = smooth_2d
     grid = TorusGrid(2, 32)
     spec = SmoothingSpec(eps=0.25, n_omega=8)
-    k = corrector_matrix(cells, spec, grid) @ np.full(grid.size, 3.0)
-    assert np.abs(k).max() < 1e-12
+    for q in corrector_matrix(cells, spec, grid):
+        assert np.abs(q @ np.full(grid.size, 3.0)).max() < 1e-12
 
 
 def test_corrector_bounded_across_eps(separable):
@@ -69,9 +70,9 @@ def test_corrector_bounded_across_eps(separable):
         rhs = np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
         u = resolvent_op(a0).matvec(rhs)
         assert np.linalg.norm(a0.matvec(u) - rhs) <= 1e-10 * np.linalg.norm(rhs)
-        kf = corrector_matrix(cells, spec, grid) @ u
-        # both L2 norms carry the same quadrature weight h
-        assert np.linalg.norm(kf) <= 2.0 * np.linalg.norm(rhs)
+        for q in corrector_matrix(cells, spec, grid):
+            # both L2 norms carry the same quadrature weight h
+            assert np.linalg.norm(q @ u) <= 2.0 * np.linalg.norm(rhs)
 
 
 def test_ktilde_equals_k_for_symmetric(separable):
@@ -79,8 +80,7 @@ def test_ktilde_equals_k_for_symmetric(separable):
     grid = TorusGrid(1, 128)
     spec = SmoothingSpec(eps=1.0 / 8, n_omega=16)
     x = grid.axis_coords()
-    k = corrector_matrix(cells, spec, grid)
-    kt = corrector_matrix(cells, spec, grid, adjoint=True)
+    k, kt = corrector_matrix(cells, spec, grid)
     assert (k != kt).nnz == 0
     assert np.array_equal(k @ np.sin(2 * np.pi * x), kt @ np.sin(2 * np.pi * x))
 
@@ -91,8 +91,7 @@ def test_ktilde_differs_for_nonsymmetric(smooth_2d):
     spec = SmoothingSpec(eps=0.25, n_omega=8)
     x = grid.coords()
     u = (np.sin(2 * np.pi * x[..., 0]) * np.cos(2 * np.pi * x[..., 1])).ravel()
-    k = corrector_matrix(cells, spec, grid) @ u
-    kt = corrector_matrix(cells, spec, grid, adjoint=True) @ u
+    k, kt = (q @ u for q in corrector_matrix(cells, spec, grid))
     assert np.abs(k - kt).max() > 1e-6
 
 
@@ -269,7 +268,7 @@ def test_corrector_op_duality(smooth_2d):
     spec = SmoothingSpec(eps=0.25, n_omega=8)
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
-    kt = corrector_op(cells, spec, grid, r0.T, adjoint=True)
+    kt = corrector_op(cells, spec, grid, r0)[1]
     rng = np.random.default_rng(3)
     for _ in range(5):
         f = rng.standard_normal(grid.size)
@@ -286,12 +285,12 @@ def test_corrector_op_matches_function_form(separable):
     spec = SmoothingSpec(eps=1.0 / 8, n_omega=16)
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
-    op = corrector_op(cells, spec, grid, r0)
+    op = corrector_op(cells, spec, grid, r0)[0]
     rng = np.random.default_rng(5)
     f = rng.standard_normal(grid.size)
     u = r0.matvec(f)
     assert np.linalg.norm(a0.matvec(u) - f) <= 1e-10 * np.linalg.norm(f)
-    direct = corrector_matrix(cells, spec, grid) @ u
+    direct = corrector_matrix(cells, spec, grid)[0] @ u
     assert np.allclose(op.matvec(f), direct, atol=1e-12)
 
 
@@ -307,7 +306,7 @@ def test_corrector_matrix_of_the_fast_sublattice_is_bitwise_the_same(smooth_2d, 
     assert fast.chi.flags.c_contiguous and not np.shares_memory(fast.chi, cells.chi)
     # a table already on the sublattice is not copied again
     assert np.shares_memory(fast_sublattice(fast, 8).chi, fast.chi)
-    full, cut = (corrector_matrix(c, spec, grid, adjoint) for c in (cells, fast))
+    full, cut = (corrector_matrix(c, spec, grid)[adjoint] for c in (cells, fast))
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(full, name), getattr(cut, name))
     with pytest.raises(ValueError, match="does not divide"):
@@ -374,13 +373,47 @@ def test_corrector_op_matches_rolled_formula(case, adjoint, request):
         spec = SmoothingSpec(eps=1.0 / k, n_omega=n_f)
         grid = TorusGrid(field.dim, n_f * k)
         r0 = resolvent_op(assemble_homogenized(hom, grid))
+        op = corrector_op(cells, spec, grid, r0)[adjoint]
         if adjoint:
             r0 = r0.T
-        op = corrector_op(cells, spec, grid, r0, adjoint=adjoint)
         f = np.random.default_rng(k).standard_normal(grid.size)
         ref = rolled_corrector(r0.matvec(f).reshape(grid.shape), cells, spec, adjoint)
         assert np.abs(op.matvec(f) - ref.ravel()).max() <= 1e-12 * np.abs(ref).max()
 
+
+
+@pytest.mark.parametrize("case", ["separable", "smooth_2d"])
+def test_corrector_pair_is_bitwise_one_walk_per_table(case, request):
+    # the stacked [chi | chi_adj] walk gives each quadrature bit for bit as a
+    # walk over its own table would (roll by -s, interpolate, roll back by s),
+    # and both matrices read one column table
+    field, cells, hom, fc = request.getfixturevalue(case)
+    d, n_f = field.dim, 16 if case == "separable" else 8
+    fast = fast_sublattice(cells, n_f)
+    eye = np.eye(d, dtype=int)
+    axes = tuple(range(1, d + 1))
+    for k in (2, 4):
+        spec = SmoothingSpec(eps=1.0 / k, n_omega=n_f)
+        grid = TorusGrid(d, n_f * k)
+        pair = corrector_matrix(cells, spec, grid)
+        assert np.shares_memory(pair[0].indices, pair[1].indices)
+        assert np.shares_memory(pair[0].indptr, pair[1].indptr)
+        interp = _slow_interp(cells.slow_grid, grid, n_f)
+        shifts, _, weights = spec.lattice(d)
+        offsets = [-s + sign * eye[j] for s in shifts for j in range(d) for sign in (1, -1)]
+        for table, q in zip((fast.chi, fast.chi_adj), pair):
+            tab = np.moveaxis(table.reshape((-1, d) + (n_f,) * d), 1, -1)
+            coeffs = []
+            for s, w in zip(shifts, weights):
+                rolled = np.roll(tab, tuple(-s), axis=axes).reshape(-1, d)
+                fld = np.roll((interp @ rolled).T.reshape((d,) + grid.shape), tuple(s), axis=axes)
+                for j in range(d):
+                    c = (w / (2.0 * grid.h)) * fld[j].ravel()
+                    coeffs += [c, -c]
+            ref = stencil_matrix(grid, offsets, coeffs)
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(q, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 def test_composed_operator_zero_for_symmetric_periodic():
     field, cells, hom, fc = pipeline("periodic_only", {"dim": 2, "symmetric": True}, 4, 32)
@@ -706,8 +739,7 @@ def test_full_corrector_composition(smooth_2d):
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
     co = corrector_coeffs(cells, field)
-    k_op = corrector_op(cells, spec, grid, r0)
-    kt_op = corrector_op(cells, spec, grid, r0.T, adjoint=True)
+    k_op, kt_op = corrector_op(cells, spec, grid, r0)
     l_op = assemble_L(co, r0, grid)
     m_op = assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid)
     c_op = full_corrector(k_op, kt_op.T, l_op, m_op)
@@ -725,9 +757,8 @@ def test_full_corrector_zero_for_constant():
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
     co = corrector_coeffs(cells, field)
-    c_op = full_corrector(corrector_op(cells, spec, grid, r0),
-                          corrector_op(cells, spec, grid, r0.T, adjoint=True).T,
-                          assemble_L(co, r0, grid),
+    k_op, kt_op = corrector_op(cells, spec, grid, r0)
+    c_op = full_corrector(k_op, kt_op.T, assemble_L(co, r0, grid),
                           assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid))
     assert operator_norm(c_op, tol=1e-6, maxiter=50, seed=1) < 1e-12
 
@@ -741,9 +772,7 @@ def error_operator_parts(pipe, n_f, k):
     r_eps = resolvent_op(assemble_fine(field, eps, grid))
     r0 = resolvent_op(assemble_homogenized(hom, grid))
     co = corrector_coeffs(cells, field)
-    return (r_eps, r0, corrector_op(cells, spec, grid, r0),
-            corrector_op(cells, spec, grid, r0.T, adjoint=True),
-            assemble_L(co, r0, grid),
+    return (r_eps, r0, *corrector_op(cells, spec, grid, r0), assemble_L(co, r0, grid),
             assemble_M(drift_matrix_field(field, cells, [spec], [grid])[0], r0, grid), eps)
 
 

@@ -158,7 +158,8 @@ def test_per_eps_stages_run_without_gradient_tables(monkeypatch):
         return corrector_op(cells, *args, **kwargs)
     monkeypatch.setattr(microhom.sweep, "corrector_op", watched)
     run_sweep(QUICK_1D)
-    assert len(seen) == 2 * len(QUICK_1D.eps_denominators)
+    # one call per eps builds both K and K-tilde
+    assert len(seen) == len(QUICK_1D.eps_denominators)
     assert all(gy is None and gy_adj is None for gy, gy_adj, _ in seen)
     # chi and chi_adj are kept on the n_f-point fast sublattice only
     assert all(cell_grid.n == QUICK_1D.n_f for _, _, cell_grid in seen)
