@@ -24,7 +24,10 @@ class CoefficientField:
         that broadcast against each other, already wrapped mod 1 (into
         [0, 1]: a tiny negative entry wraps to 1.0); the result has shape
         broadcast(x, y).shape[:-1] + (dim, dim), so a caller may pass x and
-        y on factored axes (the drift: slow and fast points apart)
+        y on factored axes (the drift: slow and fast points apart); x and y
+        may be non-contiguous views, such as (..., dim) views of
+        component-major (dim, ...) buffers (the drift's), and the values
+        must not depend on the memory layout
     ellipticity : claimed constant lam > 0 with
         a xi . xi >= lam |xi|^2  and  |a xi| <= (1/lam) |xi|
     lipschitz_x : claimed Lipschitz constant of x -> a(x, .)

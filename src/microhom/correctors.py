@@ -85,21 +85,30 @@ def corrector_matrix(cells, spec, grid):
     d, n_f = grid.dim, spec.n_omega
     interp = _slow_interp(cells.slow_grid, grid, n_f)
     cells = fast_sublattice(cells, n_f)
-    # (n_slow, *fast, 2d): the d components of chi, then those of chi_adj
-    fast = np.concatenate([np.moveaxis(t.reshape((-1, d) + (n_f,) * d), 1, -1)
-                           for t in (cells.chi, cells.chi_adj)], axis=-1)
-    axes = tuple(range(1, d + 1))  # the fast axes of `fast`, the grid axes of a field
+    # (n_slow * n_f^d, 2d): the d components of chi, then those of chi_adj
+    fast = np.concatenate([np.moveaxis(t.reshape((-1, d, n_f ** d)), 1, -1)
+                           for t in (cells.chi, cells.chi_adj)], axis=-1).reshape(-1, 2 * d)
+    axes = tuple(range(1, d + 1))  # the grid axes of a (2d, *grid) field
     shifts, _, weights = spec.lattice(d)
-    eye = np.eye(d, dtype=int)
-    offsets = [-s + sign * eye[j] for s in shifts for j in range(d) for sign in (1, -1)]
+    # the stencil offsets -s + sign e_j in the coefficients' order (shift, j, sign)
+    offsets = (np.array([1, -1])[:, None] * np.eye(d, dtype=int)[:, None]
+               - shifts[:, None, None]).reshape(-1, d)
+    # the table rolled by -s reads fast node c + s at node c: rows of `fast` per shift
+    corner = np.indices((n_f,) * d).reshape(d, 1, -1)
+    src = np.ravel_multi_index(tuple((corner + shifts.T[:, :, None]) % n_f), (n_f,) * d)
+    slow = n_f ** d * np.arange(len(fast) // n_f ** d)[:, None]
+    per = n_f + 1  # a lattice row: the shifts sharing s[0] (in 1D, all of them)
 
     def coeffs():
-        for s, w in zip(shifts, weights):
-            rolled = np.roll(fast, tuple(-s), axis=axes).reshape(-1, 2 * d)
-            fld = np.roll((interp @ rolled).T.reshape((2 * d,) + grid.shape), tuple(s), axis=axes)
-            for j in range(d):
-                c = (w / (2.0 * grid.h)) * fld[j::d].reshape(2, -1)  # chi^j, chi_adj^j
-                yield from (c, -c)
+        for lo in range(0, len(shifts), per):
+            # the row's rolled tables, (per, n_slow * n_f^d, 2d), by one gather
+            rolled = fast[(slow + src[lo:lo + per, None]).reshape(-1, len(fast))]
+            for table, s, w in zip(rolled, shifts[lo:lo + per], weights[lo:lo + per]):
+                fld = np.roll((interp @ table).T.reshape((2 * d,) + grid.shape), tuple(s),
+                              axis=axes)
+                for j in range(d):
+                    c = (w / (2.0 * grid.h)) * fld[j::d].reshape(2, -1)  # chi^j, chi_adj^j
+                    yield from (c, -c)
 
     return tuple(stencil_matrix(grid, offsets, coeffs(), sets=2))
 
@@ -263,9 +272,11 @@ def _offset_rows(table, d, kern, n_f):
 
     table: (*lead, *cell), d <= 2 cell axes; kern: `_cell_kernels` of the
     rule's 1D nodes.  Yields one lattice row at a time (the offsets sharing
-    the axis-0 node; in 1D every node) as (per, *lead, n_f^d): the axis
+    the axis-0 node; in 1D every node) as a (per, *lead, *(n_f,)*d) view: the axis
     maps applied to the table, axis 0 by the row's map, then the last axis
-    for every offset at once.
+    for every offset at once.  In 2D each map is one GEMM over all table
+    slices; in 1D the last axis is one product per slice, as one GEMM there
+    rounds differently.
     """
     cell = table.shape[-d:]
     per, n_y = kern.shape
@@ -274,14 +285,27 @@ def _offset_rows(table, d, kern, n_f):
     cs = (n_y // n_f) * np.arange(n_f)[:, None]
 
     def last_axis(lead):  # one call per row: the suspended frame holds no row buffer
-        # row c of the last axis reads the table rolled by c s; one small
-        # product per table slice keeps BLAS single-threaded (threaded: slower, 2x CPU)
-        vals = (np.take(lead.reshape(len(flat), -1, n_y), (m + cs) % n_y, axis=2)
-                .reshape(len(flat), -1, n_y) @ kern.T).reshape(len(flat), -1, n_f, per)
-        return np.moveaxis(vals, 3, 0).reshape((per,) + table.shape[:-d] + (-1,))
+        # lead (X, slices, n_y); row c of the last axis reads it rolled by c s
+        vals = np.take(lead, (m + cs) % n_y, axis=2)
+        vals = (vals.reshape(-1, n_y) if d == 2 else vals.reshape(len(flat), -1, n_y)) @ kern.T
+        return vals.reshape(-1, len(flat), n_f, per).transpose(3, 1, 0, 2).reshape(
+            (per,) + table.shape[:-d] + (n_f,) * d)
 
-    for row in range(per if d == 2 else 1):
-        yield last_axis(flat if d == 1 else np.matmul(kern[row][(m - cs) % n_y], flat))
+    if d == 1:
+        yield last_axis(flat[None])
+        return
+    cols = flat.transpose(1, 0, 2).reshape(n_y, -1)  # axis 0 of every slice side by side
+    for row in range(per):
+        yield last_axis((kern[row][(m - cs) % n_y] @ cols).reshape(n_f, len(flat), n_y))
+
+
+def _shifted(base, om):
+    """The points base + om, (*lead, batch, d), as a view of a component-major
+    (d, *lead, batch) buffer filled one component at a time; base is (d, *lead, 1)."""
+    out = np.empty(base.shape[:-1] + (len(om),))
+    for i in range(len(out)):
+        np.add(base[i], om[:, i], out=out[i])
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
 
 def drift_matrix_field(field, cells, specs, grids):
@@ -312,29 +336,39 @@ def drift_matrix_field(field, cells, specs, grids):
     d = cells.dim
     n_f = specs[0].n_omega
     runs = []
-    fast_base = (np.moveaxis(np.indices((n_f,) * d), 0, -1) / n_f).reshape((1, n_f) * d + (1, d))
+    # points are held component-major, (d, *layout, batch), and reach field.eval
+    # as (*layout, batch, d) views: each component is one contiguous plane
+    fast_base = (np.indices((n_f,) * d) / n_f).reshape((d,) + (1, n_f) * d + (1,))
     for spec, grid in zip(specs, grids, strict=True):
         spec.check_grid(grid)
         layout = (grid.n // n_f, n_f) * d
-        runs.append((spec.eps, grid, grid.coords().reshape(layout + (1, d)),
+        pts = np.moveaxis(grid.coords(), -1, 0).reshape((d,) + layout + (1,))
+        runs.append((spec.eps, grid, pts, np.moveaxis(pts, 0, -1),
                      _slow_interp(cells.slow_grid, grid, n_f),
                      max(1, _DRIFT_PAIRS // grid.size), np.zeros((d, d, grid.size))))
     nodes, node_w = specs[0].offset_rule(d)
     kern = _cell_kernels(nodes, n_f, cells.cell_grid.n, cells.method)
 
+    def dot(a, b):  # sum_p a[p] b[p] of (N, batch) planes, summed in place
+        acc = a[0] * b[0]
+        for p in range(1, d):
+            acc += a[p] * b[p]
+        return acc
+
     walks = [_offset_rows(tab, d, kern, n_f) for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)]
     for row in range(len(nodes) if d == 2 else 1):
         # (n_slow * n_f^d, 2, d, d, per): both gradient tables plus identity at the
         # row's offsets, component-major, offsets last; a walk's row dies with its copy
-        tab = np.empty((cells.slow_grid.size, n_f ** d, 2, d, d, len(nodes)))
+        # (the copy also joins the fast axes that the 2D walk yields apart)
+        tab = np.empty((cells.slow_grid.size,) + (n_f,) * d + (2, d, d, len(nodes)))
         for fam, rows in enumerate(walks):
-            tab[:, :, fam] = next(rows).reshape(len(nodes), -1, d, d, n_f ** d).transpose(
-                1, 4, 2, 3, 0)
+            tab[..., fam, :, :, :] = next(rows).reshape((len(nodes), -1, d, d) + (n_f,) * d
+                                                        ).transpose(1, *range(4, 4 + d), 2, 3, 0)
         tab = tab.reshape(-1, 2, d, d, len(nodes))
         tab += np.eye(d)[:, :, None]
         row_om = nodes[:, None] if d == 1 else np.stack([np.full_like(nodes, nodes[row]), nodes], 1)
         row_w = node_w if d == 1 else node_w[row] * node_w
-        for eps, grid, pts, interp, batch, out in runs:
+        for eps, grid, pts, at, interp, batch, out in runs:
             for lo in range(0, len(nodes), batch):
                 om, w = row_om[lo:lo + batch], row_w[lo:lo + batch]
                 # P and Q, (d, d, N, batch) each, from one product
@@ -342,16 +376,17 @@ def drift_matrix_field(field, cells, specs, grids):
                 pq = np.ascontiguousarray(pq.reshape(grid.size, 2 * d * d, -1).transpose(1, 0, 2))
                 P, Q = pq.reshape(2, d, d, grid.size, -1)
                 # line integral of grad_x a . omega along each offset, times its weight
-                fast_pts = fast_base + om
-                mid = (field.eval(pts + eps * om, fast_pts)
-                       - field.eval(pts, fast_pts)).reshape(grid.size, -1, d, d)
-                mid = np.ascontiguousarray(np.moveaxis(mid, (2, 3), (0, 1))) * (w / eps)
+                fast_pts = _shifted(fast_base, om)
+                mid = np.multiply((field.eval(_shifted(pts, eps * om), fast_pts)
+                                   - field.eval(at, fast_pts)).reshape(grid.size, -1, d, d)
+                                  .transpose(2, 3, 0, 1), w / eps,
+                                  out=np.empty((d, d, grid.size, len(om))))
                 # out[j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q], as elementwise
-                # sums on contiguous (N, batch) planes (einsum, broadcasts: slower)
+                # products on contiguous (N, batch) planes (einsum, broadcasts: slower)
                 for k in range(d):
-                    r = [sum(Q[k, p] * mid[p, q] for p in range(d)) for q in range(d)]
+                    r = [dot(Q[k], mid[:, q]) for q in range(d)]
                     for j in range(d):
-                        out[j, k] += sum(r[q] * P[j, q] for q in range(d)).sum(axis=1)
+                        out[j, k] += dot(r, P[j]).sum(axis=1)
     return [np.moveaxis(out, 2, 0).reshape(grid.shape + (d, d)) for _, grid, *_, out in runs]
 
 

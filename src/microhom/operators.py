@@ -14,6 +14,7 @@ tested for convergence after every application.
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dsyevr
 
 from .errors import SolveError
 
@@ -75,14 +76,16 @@ def stencil_matrix(grid, offsets, coeffs, blocks=1, sets=None):
     data = np.zeros((sets or 1, blocks * n, width))
     for k, c in zip(slot.ravel(), coeffs):
         data[..., k] += c
-    # C-order flat columns, built in int32 one axis at a time
-    cols = np.zeros((n, width), dtype=np.int32)
-    step = np.empty((n, width), dtype=np.int32)
-    for ax, coord in enumerate(np.indices(grid.shape, dtype=np.int32).reshape(d, n, 1)):
-        np.add(coord, uniq[:, ax].astype(np.int32), out=step)
-        np.remainder(step, grid.n, out=step)
+    del coeffs  # a generator left suspended at its last term holds that term's buffers
+    # C-order flat columns, built in int32 one axis at a time from the (n, width)
+    # table of that axis's wrapped node indices, broadcast along the other axes
+    cols = np.zeros(grid.shape + (width,), dtype=np.int32)
+    for ax in range(d):
+        wrapped = np.add.outer(np.arange(grid.n, dtype=np.int32), uniq[:, ax].astype(np.int32))
+        wrapped %= grid.n
         cols *= grid.n
-        cols += step
+        cols += wrapped.reshape((grid.n,) + (1,) * (d - 1 - ax) + (width,))
+    cols = cols.reshape(n, width)
     if blocks > 1:
         cols = cols + np.int32(n) * np.arange(blocks, dtype=np.int32)[:, None, None]
     indptr = np.arange(blocks * n + 1, dtype=np.int32) * np.int32(width)  # width 0: empty
@@ -123,22 +126,28 @@ def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, atol=0.0, info=N
     With `gram` given (a symmetric positive operator G), estimates the
     operator norm measured in the G-inner product on the output side, i.e.
     the largest eigenvalue of N = M^T G M, square-rooted.  `op` is any
-    scipy LinearOperator; N is applied one vector at a time through its
-    matvec and rmatvec, and `maxiter` bounds the number of applications of
-    N.  The start vector is one application of N to a `seed`-drawn Gaussian
-    vector, and N is scaled by the size of that application so its top
-    eigenvalue is at least 1.  Thick-restart Lanczos from there (Wu & Simon,
-    SIAM J. Matrix Anal. Appl. 22, 2000), with full reorthogonalization,
-    tests its top Ritz pair (theta, s) after every application as ARPACK
-    does: it stops once beta |s_m| <= tol * theta, beta the norm of the new
-    residual vector and s_m the last entry of s.  beta |s_m| is the Ritz
+    scipy LinearOperator; N is applied one vector at a time through the
+    unchecked _matvec and _rmatvec of `op` and `gram` (a DiscreteOperator's
+    reach its `apply` and `apply_transpose`), and `maxiter` bounds the
+    number of applications of N.  The start vector is one application of N
+    to a `seed`-drawn Gaussian vector, and N is scaled by the size of that
+    application so its top eigenvalue is at least 1.  Thick-restart Lanczos
+    from there (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000), with full
+    reorthogonalization, tests its top Ritz pair (theta, s) after every
+    application as ARPACK does: it stops once beta |s_m| <= tol * theta,
+    beta the norm of the new residual vector and s_m the last entry of s.  beta |s_m| is the Ritz
     residual ||N v - theta v||, which bounds the distance from theta to an
-    eigenvalue of N.  A full basis of _NCV vectors restarts from its top
-    _NCV // 2 Ritz vectors.  `atol` adds an absolute tolerance on the norm,
+    eigenvalue of N.  Only that pair is computed, by one LAPACK dsyevr call
+    on the index range of the largest eigenvalue of the projected matrix T;
+    at a full basis of _NCV vectors the same call returns the top _NCV // 2
+    pairs, and the basis restarts from those Ritz vectors.  Every new
+    vector is orthogonalized twice against the basis (classical
+    Gram-Schmidt).  `atol` adds an absolute tolerance on the norm,
     for operators that cancel to the roundoff floor and so never converge
     in the relative sense.
 
-    Raises SolveError when the budget runs out and on non-finite values.
+    Raises SolveError when the budget runs out, on non-finite values and
+    when dsyevr fails.
     An operator whose first application is exactly zero has norm 0.0.
     Operators with at most _NCV columns are assembled and solved densely.
     `info`, when a dict, receives the number of applications of N under
@@ -155,11 +164,12 @@ def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, atol=0.0, info=N
             raise SolveError(f"operator_norm: no convergence to rel. tol {tol:g} "
                              f"within {maxiter} applications for {label}")
         count[0] += 1
-        w = op.matvec(x)
+        # the unchecked products (scipy's matvec checks shapes on every call)
+        w = op._matvec(x)
         if gram is not None:
-            w = gram.matvec(w)
-        z = op.rmatvec(w)
-        if not np.all(np.isfinite(z)):
+            w = gram._matvec(w)
+        z = np.ravel(op._rmatvec(w))
+        if not np.isfinite(z).all():
             # a broken operator must not read as zero error
             raise SolveError(f"operator_norm: non-finite values for {label}")
         return z
@@ -185,19 +195,23 @@ def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, atol=0.0, info=N
                     w -= c @ basis[:j + 1]
                     t[j, j] += c[j]
                 beta = float(np.linalg.norm(w))
-                theta, s = np.linalg.eigh(t[:j + 1, :j + 1])
+                # the top Ritz pair; at a full basis the top _NCV // 2 to restart from
+                top = j + 1 if j + 1 < _NCV else j + 2 - _NCV // 2
+                theta, s, m, _, fail = dsyevr(t[:j + 1, :j + 1], range="I", il=top, iu=j + 1)
+                if fail:
+                    raise SolveError(f"operator_norm: dsyevr failed (info {fail}) for {label}")
+                theta = theta[:m]
                 if beta * abs(s[j, -1]) <= rel * theta[-1]:
                     break
                 if j + 1 < _NCV:
                     t[j, j + 1] = t[j + 1, j] = beta
                     j += 1
                 else:  # thick restart: T holds the kept Ritz values, coupled to w
-                    keep = s[:, -(_NCV // 2):]
-                    j = keep.shape[1]
-                    basis[:j] = keep.T @ basis
+                    j = m
+                    basis[:j] = s.T @ basis
                     t[:] = 0.0
-                    t[range(j), range(j)] = theta[-j:]
-                    t[j, :j] = t[:j, j] = beta * keep[-1]
+                    t[range(j), range(j)] = theta
+                    t[j, :j] = t[:j, j] = beta * s[-1]
                 basis[j] = w / beta
             lam, resid = float(theta[-1]) * scale, float(beta * abs(s[j, -1]) / theta[-1])
     finally:

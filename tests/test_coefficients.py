@@ -131,6 +131,11 @@ def test_evaluator_broadcasts_x_against_y(fam, params):
     assert np.array_equal(a, full)
     assert np.array_equal(f.eval(y, x), f.eval(np.broadcast_to(y, (3, 5, d)),
                                               np.broadcast_to(x, (3, 5, d))))
+    # the drift hands over (..., d) views of component-major (d, ...) buffers
+    xv, yv = (np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1) for v in (x, y))
+    assert d == 1 or not xv.flags.c_contiguous
+    assert np.array_equal(f.eval(xv, yv), a)
+    assert np.array_equal(f.eval(yv, xv), f.eval(y, x))
 
 
 def test_eval_wraps_like_mod_one_bit_for_bit():
