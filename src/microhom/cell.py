@@ -57,18 +57,20 @@ class SpectralCellSolver:
     def __init__(self, a_nodes, grid, tol):
         self.grid = grid
         self.a = a_nodes                    # (*shape, d, d)
+        # (d, d, *shape): the entry planes under eval's view, not a copy
+        self.planes = np.moveaxis(a_nodes, (-2, -1), (0, 1))
         self.tol = tol
         self.calc = calculus(grid.shape)
 
     def solve(self, j):
-        return self._solve_blocks(self.a[None], [j])[0]
+        return self._solve_blocks(np.stack([self.planes]), [j])[0]
 
     def solve_all(self, adjoint):
         """Every direction, then with `adjoint` every transposed-coefficient one."""
         d = self.grid.dim
-        blocks = [self.a] * d
+        blocks = [self.planes] * d
         if adjoint:
-            blocks += [np.swapaxes(self.a, -1, -2)] * d
+            blocks += [self.planes.swapaxes(0, 1)] * d
         return self._solve_blocks(np.stack(blocks), list(range(d)) * (2 if adjoint else 1))
 
     def div_residual(self, chi, dev, adjoint=False):
@@ -77,14 +79,13 @@ class SpectralCellSolver:
         return self.calc.div(dev).reshape(dev.shape[:-self.grid.dim - 1] + (-1,))
 
     def _solve_blocks(self, a, dirs):
-        """Solve block b with coefficient a[b] (*shape, d, d) in direction dirs[b].
+        """Solve block b with coefficient planes a[b] (d, d, *shape) in direction dirs[b].
 
         Each right-hand side is scaled to unit norm and the global relative
         tolerance is tol/sqrt(B), so every block's relative residual is
         bounded by tol; each block's true residual is still checked alone.
         """
         d, calc = self.grid.dim, self.calc
-        a = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (1, 2)))   # (B, d, d, *shape)
         rhs = np.sum(calc.deriv * calc.forward(a[np.arange(len(dirs)), :, dirs]), axis=1)
         scale = np.linalg.norm(calc.pack(rhs), axis=-1)               # grid l2 norm of div(a e^j)
         live = scale > 0.0

@@ -20,14 +20,14 @@ class CoefficientField:
     Attributes
     ----------
     dim : spatial dimension (1 or 2)
-    evaluator : (x, y) -> matrix, with x, y arrays of shapes (..., dim)
+    evaluator : (x, y) -> entry planes, with x, y arrays of shapes (..., dim)
         that broadcast against each other, already wrapped mod 1 (into
-        [0, 1]: a tiny negative entry wraps to 1.0); the result has shape
-        broadcast(x, y).shape[:-1] + (dim, dim), so a caller may pass x and
-        y on factored axes (the drift: slow and fast points apart); x and y
-        may be non-contiguous views, such as (..., dim) views of
-        component-major (dim, ...) buffers (the drift's), and the values
-        must not depend on the memory layout
+        [0, 1]: a tiny negative entry wraps to 1.0); the result holds entry
+        a_ij in plane [i, j] of one (dim, dim) + broadcast(x, y).shape[:-1]
+        array, so a caller may pass x and y on factored axes (the drift:
+        slow and fast points apart); x and y may be non-contiguous views,
+        such as (..., dim) views of component-major (dim, ...) buffers (the
+        drift's), and the values must not depend on the memory layout
     ellipticity : claimed constant lam > 0 with
         a xi . xi >= lam |xi|^2  and  |a xi| <= (1/lam) |xi|
     lipschitz_x : claimed Lipschitz constant of x -> a(x, .)
@@ -45,15 +45,16 @@ class CoefficientField:
     params: dict = dc_field(default_factory=dict)
 
     def eval(self, x, y):
-        """a(x, y), held to the shape broadcast(x, y)[:-1] + (d, d)."""
+        """a(x, y) of shape broadcast(x, y).shape[:-1] + (d, d): a view of the
+        evaluator's entry planes, whose shape is checked."""
         x, y = (np.asarray(v, dtype=float) for v in (x, y))
         x, y = x - np.floor(x), y - np.floor(y)  # np.mod(., 1.0) bit for bit, faster
-        a = self.evaluator(x, y)
-        shape = np.broadcast_shapes(x.shape, y.shape)[:-1] + (self.dim,) * 2
-        if a.shape != shape:
-            raise ValueError(f"coefficient field '{self.name}' evaluated to shape {a.shape}, not "
-                             f"broadcast(x, y).shape[:-1] + (d, d) = {shape}")
-        return a
+        planes = self.evaluator(x, y)
+        shape = (self.dim,) * 2 + np.broadcast_shapes(x.shape, y.shape)[:-1]
+        if planes.shape != shape:
+            raise ValueError(f"coefficient field '{self.name}' evaluated to shape {planes.shape}, "
+                             f"not (d, d) + broadcast(x, y).shape[:-1] = {shape}")
+        return np.moveaxis(planes, (0, 1), (-2, -1))
 
     def frozen(self, x):
         """Cell evaluator y -> a(x, y) at a fixed slow point x (d,), or at a
@@ -70,7 +71,7 @@ class CoefficientField:
         ev = self.evaluator
 
         def ev_t(x, y):
-            return np.swapaxes(ev(x, y), -1, -2)
+            return np.swapaxes(ev(x, y), 0, 1)
 
         return CoefficientField(
             dim=self.dim, evaluator=ev_t, ellipticity=self.ellipticity,
@@ -80,12 +81,14 @@ class CoefficientField:
         )
 
 
-def _as_matrix(vals_dict, shape, dim):
-    """Assemble (..., dim, dim) from a {(i, j): array} dict of entries."""
-    out = np.zeros(shape + (dim, dim))
-    for (i, j), v in vals_dict.items():
-        out[..., i, j] = v
-    return out
+def _planes(x, y, *entries):
+    """The d * d entries, row by row (arrays or scalars), as one C-contiguous
+    (d, d) + broadcast(x, y).shape[:-1] planes array."""
+    shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+    planes = np.empty((len(entries),) + shape)
+    for plane, v in zip(planes, entries):
+        plane[...] = v
+    return planes.reshape((x.shape[-1],) * 2 + shape)
 
 
 def _constant(params):
@@ -105,8 +108,7 @@ def _constant(params):
     lam = min(lam_low, 1.0 / upper)
 
     def ev(x, y):
-        return np.broadcast_to(mat, np.broadcast_shapes(x.shape, y.shape)[:-1]
-                               + (dim, dim)).copy()
+        return _planes(x, y, *mat.ravel())
 
     return CoefficientField(dim=dim, evaluator=ev, ellipticity=lam,
                             lipschitz_x=0.0, symmetric=bool(np.array_equal(mat, mat.T)),
@@ -126,7 +128,7 @@ def _separable_1d(params):
     def ev(x, y):
         fast = 2.0 + ay * np.sin(TWO_PI * y[..., 0])
         slow = 1.0 + ax * np.sin(TWO_PI * x[..., 0])
-        return (fast * slow)[..., None, None]
+        return _planes(x, y, fast * slow)
 
     return CoefficientField(dim=1, evaluator=ev, ellipticity=lam, lipschitz_x=c_l,
                             symmetric=True, name="separable_1d",
@@ -159,8 +161,7 @@ def _laminate_2d(params):
     def ev(x, y):
         alpha, beta = pieces(y[..., 0])
         slow = 1.0 + ax * np.sin(TWO_PI * x[..., 0])
-        return _as_matrix({(0, 0): slow * alpha, (1, 1): slow * beta},
-                          np.broadcast(x[..., 0], y[..., 0]).shape, 2)
+        return _planes(x, y, slow * alpha, 0.0, 0.0, slow * beta)
 
     return CoefficientField(dim=2, evaluator=ev, ellipticity=lam, lipschitz_x=c_l,
                             symmetric=True, cell_method="fv", name="laminate_2d",
@@ -195,10 +196,8 @@ def _smooth_2d_nonsymmetric(params):
 
     def ev(x, y):
         p, q, sigma, r = parts(x, y)
-        shape = np.broadcast(x[..., 0], y[..., 0]).shape
         diag, sq = sigma * p, sigma * q
-        return _as_matrix({(0, 0): diag, (1, 1): diag, (0, 1): sq + r, (1, 0): sq - r},
-                          shape, 2)
+        return _planes(x, y, diag, sq + r, sq - r, diag)
 
     return CoefficientField(dim=2, evaluator=ev, ellipticity=lam, lipschitz_x=c_l,
                             symmetric=False, name="smooth_2d_nonsymmetric",
@@ -217,8 +216,7 @@ def _periodic_only(params):
         lam = min(2.0 - amp, 1.0 / (2.0 + amp))
 
         def ev(x, y):
-            return _as_matrix({(0, 0): 2.0 + amp * np.sin(TWO_PI * y[..., 0])},
-                              np.broadcast(x[..., 0], y[..., 0]).shape, 1)
+            return _planes(x, y, 2.0 + amp * np.sin(TWO_PI * y[..., 0]))
 
         return CoefficientField(dim=1, evaluator=ev, ellipticity=lam, lipschitz_x=0.0,
                                 symmetric=True, name="periodic_only",
@@ -238,9 +236,7 @@ def _periodic_only(params):
                          + 0.3 * np.sin(TWO_PI * (y1 + y2)))
         q = amp * (0.3 * np.sin(TWO_PI * y2) + 0.2 * np.cos(TWO_PI * y1))
         r = sk * np.cos(TWO_PI * y2)
-        shape = np.broadcast(x[..., 0], y[..., 0]).shape
-        return _as_matrix({(0, 0): p, (1, 1): p, (0, 1): q + r, (1, 0): q - r},
-                          shape, 2)
+        return _planes(x, y, p, q + r, q - r, p)
 
     return CoefficientField(dim=2, evaluator=ev, ellipticity=lam, lipschitz_x=0.0,
                             symmetric=sym, name="periodic_only",

@@ -327,8 +327,10 @@ def drift_matrix_field(field, cells, specs, grids):
     `field.eval` gets the slow points (*layout, 1, d) against the fast
     points (1, n_f)*d + (batch, d): the evaluator's y-only terms run once
     per (c, offset), not per (fine node, offset), under the broadcast
-    contract of `CoefficientField.evaluator`, which is checked.  The specs
-    must share n_omega and drift_order.  Returns a list of (*fine, d, d).
+    contract of `CoefficientField.evaluator`, which is checked; their
+    difference is scaled and contracted in its (d, d, N, batch) entry planes.
+    The specs must share n_omega and drift_order.  Returns a list of
+    (*fine, d, d) views of (d, d, N) accumulators.
     """
     if len({(spec.n_omega, spec.drift_order) for spec in specs}) != 1:
         raise ValueError("one drift walk needs specs with one offset rule "
@@ -375,12 +377,12 @@ def drift_matrix_field(field, cells, specs, grids):
                 pq = interp @ tab[..., lo:lo + batch].reshape(interp.shape[1], -1)
                 pq = np.ascontiguousarray(pq.reshape(grid.size, 2 * d * d, -1).transpose(1, 0, 2))
                 P, Q = pq.reshape(2, d, d, grid.size, -1)
-                # line integral of grad_x a . omega along each offset, times its weight
+                # line integral of grad_x a . omega along each offset, times its
+                # weight, read back as the evaluator's (d, d, N, batch) entry planes
                 fast_pts = _shifted(fast_base, om)
-                mid = np.multiply((field.eval(_shifted(pts, eps * om), fast_pts)
-                                   - field.eval(at, fast_pts)).reshape(grid.size, -1, d, d)
-                                  .transpose(2, 3, 0, 1), w / eps,
-                                  out=np.empty((d, d, grid.size, len(om))))
+                mid = field.eval(_shifted(pts, eps * om), fast_pts) - field.eval(at, fast_pts)
+                mid = np.moveaxis(mid, (-2, -1), (0, 1)).reshape(d, d, grid.size, len(om))
+                mid *= w / eps
                 # out[j, k] += sum over offsets of Q[k, p] mid[p, q] P[j, q], as elementwise
                 # products on contiguous (N, batch) planes (einsum, broadcasts: slower)
                 for k in range(d):

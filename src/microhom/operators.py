@@ -227,14 +227,15 @@ def transpose_defect(op, n_trials=5, seed=0):
     The defect is scaled by ||Mf|| ||h|| + ||f|| ||M^T h||, so it measures
     the pairing mismatch against the operator's own magnitude (a value-
     relative scale would blow up on operators that are numerically zero).
+    Applies the unchecked _matvec and _rmatvec, as `operator_norm` does.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
         f = rng.standard_normal(op.shape[1])
         h = rng.standard_normal(op.shape[0])
-        mf = op.matvec(f)
-        mth = op.rmatvec(h)
+        mf = np.ravel(op._matvec(f))
+        mth = np.ravel(op._rmatvec(h))
         a = float(np.dot(mf, h))
         b = float(np.dot(f, mth))
         scale = (np.linalg.norm(mf) * np.linalg.norm(h)

@@ -145,10 +145,8 @@ def matched_effective_matrix(field, slow_grid, n_f, tol):
     """Effective matrix of the fine scheme's own implicit cell problem: the
     a0 of the matched table of `config_cell_table` (finite volumes at the
     fine grid's per-cell resolution n_f), checked like the continuum one."""
-    fv, cells = config_cell_table(ExperimentConfig(
-        family=field.name, params=(), n_x=slow_grid.n, n_y=n_f, n_f=n_f, eps_denominators=(),
-        cell_tol=tol, matched_effective=True), field)
-    return effective_matrix(cells, fv)
+    fv = replace(field, cell_method="fv")
+    return effective_matrix(build_cell_table(fv, slow_grid, TorusGrid(field.dim, n_f), tol=tol), fv)
 
 
 # the bound the tests hold both identity defects to; a sweep above it is flagged

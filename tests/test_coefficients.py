@@ -136,6 +136,15 @@ def test_evaluator_broadcasts_x_against_y(fam, params):
     assert d == 1 or not xv.flags.c_contiguous
     assert np.array_equal(f.eval(xv, yv), a)
     assert np.array_equal(f.eval(yv, xv), f.eval(y, x))
+    # eval is a view of the evaluator's C-contiguous (d, d, ...) entry planes
+    assert np.moveaxis(a, (-2, -1), (0, 1)).flags.c_contiguous
+    # an evaluator that returns the (..., d, d) layout is refused by name
+    stacked = CoefficientField(dim=d, evaluator=lambda x, y: np.moveaxis(f.evaluator(x, y),
+                                                                          (0, 1), (-2, -1)),
+                               ellipticity=f.ellipticity, lipschitz_x=f.lipschitz_x,
+                               symmetric=f.symmetric, name="matrix_layout")
+    with pytest.raises(ValueError, match=r"'matrix_layout'.*\(d, d\) \+ broadcast\(x, y\)"):
+        stacked.eval(x, y)
 
 
 def test_eval_wraps_like_mod_one_bit_for_bit():
@@ -145,7 +154,7 @@ def test_eval_wraps_like_mod_one_bit_for_bit():
 
     def ev(x, y):
         seen.append((x, y))
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1] + (1, 1))
+        return np.zeros((1, 1) + np.broadcast_shapes(x.shape, y.shape)[:-1])
     f = CoefficientField(dim=1, evaluator=ev, ellipticity=1.0, lipschitz_x=0.0,
                          symmetric=True)
     edge = np.array([-0.0, -1e-20, -5e-324, 1 - 2 ** -53, 1.0, 2.5, -3.25, 1e17, -1e17,

@@ -696,8 +696,8 @@ def test_drift_matrix_of_field_without_slow_gradient():
 
 
 def test_drift_rejects_evaluator_that_does_not_broadcast():
-    # an evaluator that ignores x is sized by y alone, which would reshape
-    # into wrong numbers whenever 1/eps divides the batch
+    # an evaluator that ignores x returns (d, d) planes sized by y alone,
+    # which would reshape into wrong numbers whenever 1/eps divides the batch
     builtin, cells, hom, fc = pipeline("smooth_2d_nonsymmetric", {}, 4, 16)
 
     def ev(x, y):

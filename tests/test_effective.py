@@ -138,10 +138,11 @@ def test_resample_entry_matches_samples(smooth_2d):
 
 
 def spectral_column(a, grad, j, grid):
-    """Cell mean of the node flux a (e^j + grad chi^j), one einsum per cell."""
+    """Cell mean of the node flux a (e^j + grad chi^j), one einsum per cell
+    (a in node-major memory: einsum sums in memory order)."""
     ej = np.zeros_like(grad)
     ej[j] = 1.0
-    flux = np.einsum("...pq,q...->p...", a, grad + ej)
+    flux = np.einsum("...pq,q...->p...", np.ascontiguousarray(a), grad + ej)
     return flux.reshape(grid.dim, -1).mean(axis=1)
 
 
@@ -149,7 +150,8 @@ def fv_column(a_eval, values, j, grid):
     """Face-flux quadrature: diagonal entries at face midpoints with the
     two-point difference, off-diagonal ones at nodes with centered ones."""
     d, h = grid.dim, grid.h
-    a_nodes = a_eval(grid.coords())
+    # node-major memory: numpy's means of products sum in memory order
+    a_nodes = np.ascontiguousarray(a_eval(grid.coords()))
     col = np.zeros(d)
     for m in range(d):
         a_face = a_eval(grid.face_coords(m))[..., m, m]
