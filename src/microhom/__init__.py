@@ -10,7 +10,7 @@ and LinearOperators for the composed corrector operators.
 """
 
 from .assemble import assemble_diffusion, assemble_fine, assemble_homogenized, resolvent_op
-from .cell import CellField, CellSolutions, build_cell_table, load_cell_table, save_cell_table
+from .cell import CellSolutions, build_cell_table, load_cell_table, save_cell_table
 from .coefficients import CoefficientField, ValidationReport, builtin_family, validate_coefficient
 from .config import ExperimentConfig, load_config
 from .correctors import (CorrectorCoeffs, assemble_L, assemble_M, corrector_coeffs,
@@ -25,7 +25,7 @@ from .smoothing import SmoothingSpec, shift, steklov_op
 from .sweep import ConvergenceReport, emit_report, fit_rate, run_sweep
 
 __all__ = [
-    "CellField", "CellSolutions", "CoefficientField", "ConfigError",
+    "CellSolutions", "CoefficientField", "ConfigError",
     "ConvergenceReport", "CorrectorCoeffs", "DiscreteOperator",
     "ExperimentConfig", "HomogenizedField", "SmoothingSpec", "SolveError",
     "TorusGrid", "ValidationReport",

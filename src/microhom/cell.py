@@ -30,17 +30,6 @@ _LGMRES_CALLS = 300  # outer lgmres iterations allowed per spectral block solve
 _GROUP_UNKNOWNS = 2 ** 16
 
 
-@dataclass
-class CellField:
-    """One cell solution: zero-mean values, gradient, and the cell mean of its
-    flux a (e^j + grad chi^j) in the solving scheme (effective column j);
-    a finite-volume stack of samples puts its axes (*lead) first."""
-    values: np.ndarray          # (*lead, *cell_shape)
-    grad: np.ndarray            # (*lead, d, *cell_shape)
-    residual: float             # relative discrete residual, (*lead)
-    column: np.ndarray          # (*lead, d)
-
-
 class SpectralCellSolver:
     """Fourier collocation for div_y[a (e^j + grad chi)] = 0 on one cell.
 
@@ -62,11 +51,10 @@ class SpectralCellSolver:
         self.tol = tol
         self.calc = calculus(grid.shape)
 
-    def solve(self, j):
-        return self._solve_blocks(np.stack([self.planes]), [j])[0]
-
     def solve_all(self, adjoint):
-        """Every direction, then with `adjoint` every transposed-coefficient one."""
+        """Every direction, then with `adjoint` every transposed-coefficient one:
+        the blocks' values (B, *cell), grads (B, d, *cell), residuals (B,) and
+        columns (B, d), the cell means of their fluxes a (e^j + grad chi^j)."""
         d = self.grid.dim
         blocks = [self.planes] * d
         if adjoint:
@@ -106,8 +94,7 @@ class SpectralCellSolver:
         epg = grads + np.eye(d)[dirs].reshape((len(dirs), d) + (1,) * d)
         flux = np.sum(a * epg[:, None], axis=2)
         columns = np.moveaxis(flux, 1, -1).copy().reshape(len(dirs), -1, d).mean(axis=1)
-        return [CellField(values[b], grads[b], float(residuals[b]), columns[b])
-                for b in range(len(dirs))]
+        return values, grads, residuals, columns
 
     def _krylov(self, a, rhs):
         """Block solve for unit-norm half-spectrum right-hand sides: (solution
@@ -213,16 +200,16 @@ class FVCellSolver:
                 out += centered_diff(a[..., m, j], m - d, h)
         return out
 
-    def solve(self, j, adjoint=False):
-        return self._solve(adjoint)[j]
-
     def solve_all(self, adjoint):
-        """Every direction, then with `adjoint` every transposed-coefficient one."""
-        return self._solve(False) + (self._solve(True) if adjoint else [])
+        """The arrays of `SpectralCellSolver.solve_all`, the sample axes (*lead)
+        after the block axis."""
+        families = [self._solve(False)] + ([self._solve(True)] if adjoint else [])
+        return tuple(map(np.concatenate, zip(*families)))
 
     def _solve(self, adjoint):
-        """Every direction of one family by one multi-RHS solve; a zero
-        right-hand side gives chi = 0 and residual 0."""
+        """Every direction of one family by one multi-RHS solve, the arrays of
+        `solve_all` with j as block axis; a zero right-hand side gives chi = 0
+        and residual 0."""
         d, n = self.grid.dim, self.grid.size
         b = np.stack([self._rhs(j, adjoint).reshape(-1, n) for j in range(d)])   # (d, S, n)
         x = b.copy()
@@ -245,8 +232,8 @@ class FVCellSolver:
             raise SolveError(f"cell solve (fv, j={j}) residual {res[s, j]:.2e}", sample=s)
         grads = np.stack([centered_diff(values, ax, self.grid.h) for ax in range(-d, 0)],
                          axis=-d - 1)
-        return [CellField(values[j], grads[j], res[:, j].reshape(self.lead),
-                          self._column(values[j], j, adjoint)) for j in range(d)]
+        return (values, grads, res.T.reshape((d,) + self.lead),
+                np.stack([self._column(values[j], j, adjoint) for j in range(d)]))
 
     def _column(self, values, j, adjoint):
         """Flux mean of a (e^j + grad chi^j): conservative faces plus node
@@ -281,12 +268,14 @@ def make_solver(a_eval, grid, tol, method):
 class CellSolutions:
     """Cell solutions and their adjoints on a sample grid.
 
-    Array layout (slow sample axes first, then direction j, then cell axes):
-      chi, chi_adj:                 (*slow_shape, d, *cell_shape)
-      grad_y_chi, grad_y_chi_adj:   (*slow_shape, d, d, *cell_shape)
-      a0, a0_adj:                   (*slow_shape, d, d)
-    where grad_y_* [..., j, m, ...] holds the m-derivative of solution j
-    and a0[..., :, j] its effective column (`CellField.column`).
+    Array layout (family f first: 0 the primal cell problems of a, 1 the
+    adjoint ones of a^T; then the slow sample axes, direction j, cell axes):
+      chi:          (2, *slow_shape, d, *cell_shape)
+      grad_y_chi:   (2, *slow_shape, d, d, *cell_shape)
+      a0:           (2, *slow_shape, d, d)
+    where grad_y_chi[f, ..., j, m, ...] holds the m-derivative of solution j
+    and a0[f, ..., :, j] its effective column (the `columns` of the cell
+    solvers).  A symmetric field's one family fills both slots.
     Slow-variable gradients are centered differences of neighbouring
     samples, taken where they are used.
     """
@@ -295,10 +284,7 @@ class CellSolutions:
     cell_grid: TorusGrid
     chi: np.ndarray
     grad_y_chi: np.ndarray
-    chi_adj: np.ndarray
-    grad_y_chi_adj: np.ndarray
     a0: np.ndarray
-    a0_adj: np.ndarray
     residual_max: float = 0.0
     lipschitz_quotient: float = 0.0
     method: str = "spectral"
@@ -332,12 +318,9 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     n_slow = xs.shape[0]
     cshape = cell_grid.shape
 
-    chi = np.zeros((n_slow, d) + cshape)
-    gy = np.zeros((n_slow, d, d) + cshape)
-    chi_a = np.zeros((n_slow, d) + cshape)
-    gy_a = np.zeros((n_slow, d, d) + cshape)
-    a0 = np.zeros((n_slow, d, d))
-    a0_a = np.zeros((n_slow, d, d))
+    chi = np.zeros((2, n_slow, d) + cshape)
+    gy = np.zeros((2, n_slow, d, d) + cshape)
+    a0 = np.zeros((2, n_slow, d, d))
 
     # no slow dependence: one solve serves every sample
     n_solve = 1 if field.lipschitz_x == 0.0 else n_slow
@@ -345,43 +328,34 @@ def build_cell_table(field, slow_grid, cell_grid, tol=1e-11):
     for g in (sample_groups(n_solve, cell_grid) if method == "fv"
               else [slice(i, i + 1) for i in range(n_solve)]):
         try:
-            fields = make_solver(field.frozen(xs[g] if method == "fv" else xs[g.start]),
-                                 cell_grid, tol, method).solve_all(adjoint=not field.symmetric)
+            values, grads, residuals, columns = make_solver(
+                field.frozen(xs[g] if method == "fv" else xs[g.start]),
+                cell_grid, tol, method).solve_all(adjoint=not field.symmetric)
         except SolveError as exc:
             raise SolveError(f"cell table build failed: slow sample x = "
                              f"{xs[g.start + (exc.sample or 0)]}: {exc}") from exc
-        if field.symmetric:
-            fields = fields + fields
-        for j in range(d):
-            prim, adj = fields[j], fields[d + j]
-            chi[g, j], gy[g, j], a0[g, :, j] = prim.values, prim.grad, prim.column
-            chi_a[g, j], gy_a[g, j], a0_a[g, :, j] = adj.values, adj.grad, adj.column
-        residual_max = max(residual_max, *(float(np.max(cf.residual)) for cf in fields))
-    for table in (chi, gy, chi_a, gy_a, a0, a0_a):
-        table[n_solve:] = table[0]
-
-    sshape = slow_grid.shape
-    chi = chi.reshape(sshape + (d,) + cshape)
-    gy = gy.reshape(sshape + (d, d) + cshape)
-    chi_a = chi_a.reshape(sshape + (d,) + cshape)
-    gy_a = gy_a.reshape(sshape + (d, d) + cshape)
-    a0 = a0.reshape(sshape + (d, d))
-    a0_a = a0_a.reshape(sshape + (d, d))
+        # blocks (family, j, sample): a symmetric field's one family fills both slots
+        lead = (-1, d, g.stop - g.start)
+        chi[:, g] = np.moveaxis(values.reshape(lead + cshape), 1, 2)
+        gy[:, g] = np.moveaxis(grads.reshape(lead + (d,) + cshape), 1, 2)
+        a0[:, g] = np.moveaxis(columns.reshape(lead + (d,)), 1, -1)
+        residual_max = max(residual_max, float(residuals.max()))
+    for table in (chi, gy, a0):
+        table[:, n_solve:] = table[:, :1]
+    chi, gy, a0 = (t.reshape((2,) + slow_grid.shape + t.shape[2:]) for t in (chi, gy, a0))
 
     # adjacent-sample H1 Lipschitz quotient along each slow axis
     w = cell_grid.h ** d
     quot = 0.0
     for ax in range(d):
-        dv = np.roll(chi, -1, axis=ax) - chi
-        dg = np.roll(gy, -1, axis=ax) - gy
+        dv, dg = (np.roll(t[0], -1, axis=ax) - t[0] for t in (chi, gy))
         dv_sq = np.sum(dv ** 2, axis=tuple(range(d + 1, dv.ndim)))   # (*slow, d)
         dg_sq = np.sum(dg ** 2, axis=tuple(range(d + 1, dg.ndim)))
         per_pair = np.sqrt(w * (dv_sq + dg_sq))
         quot = max(quot, float(per_pair.max()) / slow_grid.h)
 
     return CellSolutions(family=field.name, slow_grid=slow_grid, cell_grid=cell_grid,
-                         chi=chi, grad_y_chi=gy, chi_adj=chi_a, grad_y_chi_adj=gy_a,
-                         a0=a0, a0_adj=a0_a, residual_max=residual_max,
+                         chi=chi, grad_y_chi=gy, a0=a0, residual_max=residual_max,
                          lipschitz_quotient=quot, method=method)
 
 
@@ -397,8 +371,9 @@ def save_cell_table(path, cells):
     Layout: 8-byte magic `CELLTBL4`, 64-byte family name and 8-byte cell
     method (`spectral` or `fv`; both utf-8, zero padded), three
     little-endian int64 (dim, n_x, n_y), one little-endian float64 pair
-    (residual_max, lipschitz_quotient), then the six float64 arrays chi,
-    grad_y_chi, chi_adj, grad_y_chi_adj, a0, a0_adj in C order.
+    (residual_max, lipschitz_quotient), then the float64 arrays chi[0],
+    grad_y_chi[0], chi[1], grad_y_chi[1], a0[0], a0[1] in C order (the
+    primal family's solutions, the adjoint family's, then both a0).
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -406,8 +381,8 @@ def save_cell_table(path, cells):
         fh.write(cells.method.encode()[:8].ljust(8, b"\0"))
         fh.write(struct.pack("<3q", cells.dim, cells.slow_grid.n, cells.cell_grid.n))
         fh.write(struct.pack("<2d", cells.residual_max, cells.lipschitz_quotient))
-        for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj, cells.grad_y_chi_adj,
-                    cells.a0, cells.a0_adj):
+        for arr in (cells.chi[0], cells.grad_y_chi[0], cells.chi[1], cells.grad_y_chi[1],
+                    cells.a0):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -435,14 +410,13 @@ def load_cell_table(path):
             raise ValueError(f"{path}: bad header: {exc}") from exc
         sshape, cshape = slow.shape, cell.shape
         shapes = [sshape + (dim,) + cshape, sshape + (dim, dim) + cshape] * 2
-        shapes += [sshape + (dim, dim)] * 2
+        shapes += [(2,) + sshape + (dim, dim)]
         expected = _HEADER + 8 * sum(int(np.prod(shape)) for shape in shapes)
         if actual != expected:
             raise ValueError(f"{path}: expected {expected} bytes, found {actual}")
-        chi, gy, chi_a, gy_a, a0, a0_a = (
+        chi, gy, chi_a, gy_a, a0 = (
             np.fromfile(fh, dtype="<f8", count=int(np.prod(shape))).reshape(shape)
             for shape in shapes)
     return CellSolutions(family=family, slow_grid=slow, cell_grid=cell,
-                         chi=chi, grad_y_chi=gy, chi_adj=chi_a, grad_y_chi_adj=gy_a,
-                         a0=a0, a0_adj=a0_a, residual_max=residual_max,
-                         lipschitz_quotient=lip, method=method)
+                         chi=np.stack([chi, chi_a]), grad_y_chi=np.stack([gy, gy_a]), a0=a0,
+                         residual_max=residual_max, lipschitz_quotient=lip, method=method)

@@ -46,18 +46,17 @@ _DRIFT_PAIRS = 2 ** 14  # (fine node, offset) pairs per pass of the drift walk
 def fast_sublattice(cells, n_f):
     """The cell solutions on the n_f-point fast sublattice of the cell.
 
-    The smoothed correctors read chi and chi_adj only there (their offsets
-    are grid multiples).  Returns the table with contiguous copies of both,
-    cell_grid the n_f-point grid and no gradient tables; a table already on
-    that grid comes back without copies.
+    The smoothed correctors read both families of chi only there (their
+    offsets are grid multiples).  Returns the table with a contiguous copy
+    of chi, cell_grid the n_f-point grid and no gradient table; a table
+    already on that grid comes back without a copy.
     """
     d, n_y = cells.dim, cells.cell_grid.n
     if n_y % n_f:
         raise ValueError(f"n_f = {n_f} does not divide n_y = {n_y}")
     step = (Ellipsis,) + (slice(None, None, n_y // n_f),) * d
-    chi, chi_adj = (np.ascontiguousarray(table[step]) for table in (cells.chi, cells.chi_adj))
-    return replace(cells, cell_grid=TorusGrid(d, n_f), chi=chi, chi_adj=chi_adj,
-                   grad_y_chi=None, grad_y_chi_adj=None)
+    return replace(cells, cell_grid=TorusGrid(d, n_f),
+                   chi=np.ascontiguousarray(cells.chi[step]), grad_y_chi=None)
 
 
 def _slow_interp(slow_grid, grid, n_f):
@@ -73,21 +72,21 @@ def corrector_matrix(cells, spec, grid):
 
         Q u(x) = sum_l w_l chi(x - eps w_l, x/eps) . grad u(x - eps w_l),
 
-    chi the primal cell solutions for K and the adjoint ones for K-tilde,
-    the slow argument interpolated multilinearly from the sample grid and
-    the fast one on the cell's n_f-point sublattice.  Row x reads u at
-    x - s_l +- e_j with weight +-w_l chi^j(x - s_l, x/eps) / 2h, s_l the grid
-    shift of eps w_l: the slow interpolation of the fast table rolled by
-    -s_l, rolled back by s_l.  One walk does both, its table holding chi and
-    chi_adj as 2d columns; the pair shares one indptr and indices array.
+    chi the primal cell solutions (family 0) for K and the adjoint ones
+    (family 1) for K-tilde, the slow argument interpolated multilinearly from
+    the sample grid and the fast one on the cell's n_f-point sublattice.
+    Row x reads u at x - s_l +- e_j with weight +-w_l chi^j(x - s_l, x/eps) / 2h,
+    s_l the grid shift of eps w_l: the slow interpolation of the fast table
+    rolled by -s_l, rolled back by s_l.  One walk does both, its table
+    holding both families of chi as 2d columns; the pair shares one indptr
+    and indices array.
     """
     spec.check_grid(grid)
     d, n_f = grid.dim, spec.n_omega
     interp = _slow_interp(cells.slow_grid, grid, n_f)
     cells = fast_sublattice(cells, n_f)
-    # (n_slow * n_f^d, 2d): the d components of chi, then those of chi_adj
-    fast = np.concatenate([np.moveaxis(t.reshape((-1, d, n_f ** d)), 1, -1)
-                           for t in (cells.chi, cells.chi_adj)], axis=-1).reshape(-1, 2 * d)
+    # (n_slow * n_f^d, 2d): the d components of family 0's chi, then family 1's
+    fast = np.moveaxis(cells.chi.reshape((2, -1, d, n_f ** d)), (0, 2), (2, 3)).reshape(-1, 2 * d)
     axes = tuple(range(1, d + 1))  # the grid axes of a (2d, *grid) field
     shifts, _, weights = spec.lattice(d)
     # the stencil offsets -s + sign e_j in the coefficients' order (shift, j, sign)
@@ -107,7 +106,7 @@ def corrector_matrix(cells, spec, grid):
                 fld = np.roll((interp @ table).T.reshape((2 * d,) + grid.shape), tuple(s),
                               axis=axes)
                 for j in range(d):
-                    c = (w / (2.0 * grid.h)) * fld[j::d].reshape(2, -1)  # chi^j, chi_adj^j
+                    c = (w / (2.0 * grid.h)) * fld[j::d].reshape(2, -1)  # chi^j per family
                     yield from (c, -c)
 
     return tuple(stencil_matrix(grid, offsets, coeffs(), sets=2))
@@ -131,19 +130,18 @@ def corrector_op(cells, spec: SmoothingSpec, grid, resolvent: LinearOperator) ->
 class CorrectorCoeffs:
     """Cell-averaged coefficient tensors of the composed corrector operator.
 
-    Index conventions over the trailing axes:
-      c3[..., j, k, m]      = < dev^j_m  chi_adj^k >
-      c3_adj[..., k, j, m]  = < dev_adj^k_m  chi^j >
-      c2[..., j, k]         = < dev^j . grad_x chi_adj^k >
-      c2_adj[..., k, j]     = < dev_adj^k . grad_x chi^j >
-    All vanish when the coefficient has no slow dependence except c3/c3_adj,
-    which vanish only for constant coefficients.
+    Family f first (0 primal, 1 adjoint, as in `CellSolutions`), then the
+    slow sample axes; each family pairs its flux deviation dev_f with chi of
+    the other family, chi_{1-f}:
+      c3[f, ..., a, b, m]  = < dev_f^a_m  chi_{1-f}^b >        (2, *slow, d, d, d)
+      c2[f, ..., a, b]     = < dev_f^a . grad_x chi_{1-f}^b >  (2, *slow, d, d)
+    so c3[0][..., j, k, m] = < dev^j_m chi_adj^k > and c3[1][..., k, j, m] =
+    < dev_adj^k_m chi^j >.  All vanish when the coefficient has no slow
+    dependence except c3, which vanishes only for constant coefficients.
     """
     slow_grid: TorusGrid
     c3: np.ndarray
-    c3_adj: np.ndarray
     c2: np.ndarray
-    c2_adj: np.ndarray
     equivalence_defect: float = 0.0
 
 
@@ -164,38 +162,37 @@ def corrector_coeffs(cells, field) -> CorrectorCoeffs:
     cshape = cells.cell_grid.shape
     cell_axes = tuple(range(-d, 0))
     w_mean = lambda arr: arr.mean(axis=cell_axes)
-    chi = cells.chi.reshape((-1, d) + cshape)
-    chi_a = cells.chi_adj.reshape((-1, d) + cshape)
-    # (sample, j, m, *cell): the m-th slow derivative of solution j
-    gx, gx_a = (np.stack([centered_diff(table, ax, slow.h) for ax in range(d)], axis=d + 1)
-                .reshape((-1, d, d) + cshape) for table in (cells.chi, cells.chi_adj))
+    chi = cells.chi.reshape((2, -1, d) + cshape)
+    # per family, (sample, j, m, *cell): the m-th slow derivative of solution j
+    gx = [np.stack([centered_diff(table, ax, slow.h) for ax in range(d)], axis=d + 1)
+          .reshape((-1, d, d) + cshape) for table in cells.chi]
 
-    c3, c3_alt, c3_adj = (np.zeros((slow.size, d, d, d)) for _ in range(3))
-    c2, c2_adj = np.zeros((slow.size, d, d)), np.zeros((slow.size, d, d))
+    c3, c2 = np.zeros((2, slow.size, d, d, d)), np.zeros((2, slow.size, d, d))
+    c3_alt = np.zeros((slow.size, d, d, d))
     integrand_scale = 1e-30
-    for g, ((flux, dev, _), (_, dev_a, _)) in _group_fluxes(cells, field, [False, True]):
-        # index order [s, j, k, m] (c3, c2) and [s, k, j, m] (c3_adj, c2_adj)
-        c3[g] = w_mean(dev[:, :, None] * chi_a[g][:, None, :, None])
-        reduced = flux[:, :, None] * chi_a[g][:, None, :, None]
+    for g, fluxes in _group_fluxes(cells, field, [0, 1]):
+        for f, (flux, dev, _) in enumerate(fluxes):
+            # index order [s, a, b, m]: dev_f^a against chi_{1-f}^b
+            other = chi[1 - f, g][:, None, :, None]
+            c3[f, g] = w_mean(dev[:, :, None] * other)
+            c2[f, g] = w_mean((dev[:, :, None] * gx[1 - f][g][:, None]).sum(axis=3))
+        # the reduced form of c3[0]: family 0's flux, not its deviation
+        reduced = fluxes[0][0][:, :, None] * chi[1, g][:, None, :, None]
         c3_alt[g] = w_mean(reduced)
         integrand_scale = max(integrand_scale, float(w_mean(np.abs(reduced)).max()))
-        c2[g] = w_mean((dev[:, :, None] * gx_a[g][:, None]).sum(axis=3))
-        c3_adj[g] = w_mean(dev_a[:, :, None] * chi[g][:, None, :, None])
-        c2_adj[g] = w_mean((dev_a[:, :, None] * gx[g][:, None]).sum(axis=3))
 
     # relative to the integrand's own magnitude, so identically-zero tensors
     # (one-dimensional flux deviations vanish) do not produce 0/0 ratios
-    defect = float(np.abs(c3 - c3_alt).max()) / integrand_scale
+    defect = float(np.abs(c3[0] - c3_alt).max()) / integrand_scale
 
     # tensors that are zero up to quadrature roundoff become exact zeros,
     # otherwise they would seed third-derivative-amplified noise downstream
-    for arr in (c3, c3_adj, c2, c2_adj):
+    for arr in (*c3, *c2):
         if float(np.abs(arr).max()) < 1e-12 * integrand_scale:
             arr[...] = 0.0
 
-    lift = lambda arr: arr.reshape(slow.shape + arr.shape[1:])
-    return CorrectorCoeffs(slow_grid=slow, c3=lift(c3), c3_adj=lift(c3_adj), c2=lift(c2),
-                           c2_adj=lift(c2_adj), equivalence_defect=defect)
+    lift = lambda arr: arr.reshape((2,) + slow.shape + arr.shape[2:])
+    return CorrectorCoeffs(slow_grid=slow, c3=lift(c3), c2=lift(c2), equivalence_defect=defect)
 
 
 def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
@@ -210,14 +207,14 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
     """
     d = grid.dim
     slow = coeffs.slow_grid
-    # the four tables, column-stacked, interpolated to the fine nodes by one product
-    tables = (coeffs.c3, coeffs.c3_adj, coeffs.c2, coeffs.c2_adj)
+    # both tables, both families column-stacked, interpolated to the fine nodes by one product
+    tables = (coeffs.c3, coeffs.c2)
     fine = interp_matrix(slow.n, grid.coords().reshape(-1, d)) @ np.hstack(
-        [t.reshape(slow.size, -1) for t in tables])
-    parts = np.split(fine, [d ** 3, 2 * d ** 3, 2 * d ** 3 + d ** 2], axis=1)
-    c3, c3_adj, c2, c2_adj = (p.reshape(grid.shape + t.shape[d:]) for p, t in zip(parts, tables))
-    # the primal family D_k D_m c3[j,k,m] D_j - D_k c2[j,k] D_j and, as D^T = -D, the
-    # transposed adjoint family -D_k c3_adj[k,j,m] D_m D_j - D_k c2_adj[k,j] D_j as one
+        [np.moveaxis(t, 0, d).reshape(slow.size, -1) for t in tables])
+    c3, c2 = (np.moveaxis(p.reshape(grid.shape + (2,) + t.shape[d + 1:]), d, 0)
+              for p, t in zip(np.split(fine, [2 * d ** 3], axis=1), tables))
+    # the primal family D_k D_m c3[0][j,k,m] D_j - D_k c2[0][j,k] D_j and, as D^T = -D, the
+    # transposed adjoint family -D_k c3[1][k,j,m] D_m D_j - D_k c2[1][k,j] D_j as one
     # stencil of terms (offset, C, where C is read, factor): over signs s, t, r = +-1,
     # D_k D_m C D_j reads u at x + s e_k + t e_m + r e_j with weight s t r C(x + s e_k
     # + t e_m) / (2h)^3.  A component that vanishes (all of them in 1D) adds no term
@@ -225,19 +222,19 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
     node = lambda *st: tuple(sum(g for g, a in st if a == i) for i in range(d))  # sum g e_a
     terms = []
     for j, k, m in product(range(d), repeat=3):
-        for c, adj in ((c3[..., j, k, m], False), (c3_adj[..., k, j, m], True)):
+        for c, adj in ((c3[0][..., j, k, m], False), (c3[1][..., k, j, m], True)):
             if c.any():
                 terms += [(node((s, k), (t, m), (r, j)), c, node((s, k), (0 if adj else t, m)),
                            (-1 if adj else 1) * s * t * r * step ** 3)
                           for s, t, r in product((1, -1), repeat=3)]
     for j, k in product(range(d), repeat=2):
-        for c in (c2[..., j, k], c2_adj[..., k, j]):
+        for c in (c2[0][..., j, k], c2[1][..., k, j]):
             if c.any():
                 terms += [(node((s, k), (r, j)), c, node((s, k)), -s * r * step ** 2)
                           for s, r in product((1, -1), repeat=2)]
     axes = tuple(range(d))
 
-    def weights():  # consecutive terms share a roll (c3 over r, c3_adj and c2 over t, r)
+    def weights():  # consecutive terms share a roll (c3[0] over r, c3[1] and c2 over t, r)
         key = None
         for _, c, at, f in terms:
             if key != (id(c), at):
@@ -357,7 +354,7 @@ def drift_matrix_field(field, cells, specs, grids):
             acc += a[p] * b[p]
         return acc
 
-    walks = [_offset_rows(tab, d, kern, n_f) for tab in (cells.grad_y_chi, cells.grad_y_chi_adj)]
+    walks = [_offset_rows(tab, d, kern, n_f) for tab in cells.grad_y_chi]
     for row in range(len(nodes) if d == 2 else 1):
         # (n_slow * n_f^d, 2, d, d, per): both gradient tables plus identity at the
         # row's offsets, component-major, offsets last; a walk's row dies with its copy

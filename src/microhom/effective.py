@@ -75,15 +75,17 @@ def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
     solutions equals the transpose of the primal one.
     """
     d = cells.dim
-    mats = cells.a0
-    adjoint_defect = float(np.abs(cells.a0_adj - np.swapaxes(mats, -1, -2)).max())
+    mats, mats_adj = cells.a0
+    adjoint_defect = float(np.abs(mats_adj - np.swapaxes(mats, -1, -2)).max())
 
     lam = field.ellipticity
-    for i, mat in enumerate(mats.reshape(-1, d, d)):
-        low = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
-        if low < lam * (1 - 1e-8) - 1e-12:
-            raise SolveError(
-                f"effective matrix lost ellipticity at sample {i}: {low:.6g} < {lam:.6g}")
+    flat = mats.reshape(-1, d, d)
+    low = np.linalg.eigvalsh(0.5 * (flat + np.swapaxes(flat, -1, -2))).min(axis=-1)
+    lost = low < lam * (1 - 1e-8) - 1e-12
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise SolveError(
+            f"effective matrix lost ellipticity at sample {i}: {low[i]:.6g} < {lam:.6g}")
 
     lip = 0.0
     for ax in range(d):
@@ -95,10 +97,10 @@ def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
                             lipschitz_quotient=lip, adjoint_defect=adjoint_defect)
 
 
-def _group_fluxes(cells: CellSolutions, field, adjoints):
+def _group_fluxes(cells: CellSolutions, field, families):
     """Per group of slow samples (`cell.sample_groups`), one cell solver for
-    the field and, for each family in `adjoints` (True: the adjoint one,
-    which reads the transposed node matrix and scheme A(a^T) = A(a)^T),
+    the field and, for each family in `families` (1: the adjoint one, which
+    reads the transposed node matrix and scheme A(a^T) = A(a)^T),
     the node flux a (e^j + grad_y chi^j) (S, j, m, *cell), its deviation
     from the node-quadrature cell mean and each sample's worst divergence
     defect.  Every direction is held to the gradient energy bound
@@ -115,10 +117,9 @@ def _group_fluxes(cells: CellSolutions, field, adjoints):
     for g in sample_groups(len(xs), cell_grid):
         solver = make_solver(field.frozen(xs[g]), cell_grid, 1e-11, cells.method)
         out, checks = [], []
-        for adj in adjoints:
-            chi = (cells.chi_adj if adj else cells.chi).reshape((-1, d) + cell_grid.shape)[g]
-            grad = (cells.grad_y_chi_adj if adj else cells.grad_y_chi).reshape(
-                (-1, d, d) + cell_grid.shape)[g]
+        for adj in families:
+            chi = cells.chi[adj].reshape((-1, d) + cell_grid.shape)[g]
+            grad = cells.grad_y_chi[adj].reshape((-1, d, d) + cell_grid.shape)[g]
             gnorm = np.sqrt(w * np.sum(grad ** 2, axis=(2,) + cell_axes)).max(axis=1)
             epg = grad + np.eye(d).reshape((d, d) + (1,) * d)
             a = np.swapaxes(solver.a, -1, -2) if adj else solver.a
@@ -156,7 +157,7 @@ def flux_corrector(cells: CellSolutions, field, adjoint=False):
     d = cells.dim
     dev = np.zeros((cells.slow_grid.size, d, d) + cells.cell_grid.shape)
     worst = 0.0
-    for g, [(_, dev_g, defect)] in _group_fluxes(cells, field, [adjoint]):
+    for g, [(_, dev_g, defect)] in _group_fluxes(cells, field, [int(adjoint)]):
         dev[g] = dev_g
         worst = max(worst, float(defect.max()))
     return dev.reshape(cells.slow_grid.shape + dev.shape[1:]), worst

@@ -218,7 +218,7 @@ def run_sweep(config: ExperimentConfig, jobs=1, progress=None) -> ConvergenceRep
         say("building double-averaged matrices")
         # through the module, where perfbench/run.py wraps it
         chats = correctors.drift_matrix_field(field, cells, specs, grids)
-    # the per-eps stages read only chi and chi_adj on the fast sublattice:
+    # the per-eps stages read only chi, both families, on the fast sublattice:
     # the full tables are released here
     cells = correctors.fast_sublattice(cells, config.n_f)
 

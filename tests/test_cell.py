@@ -18,9 +18,9 @@ from microhom.spectral import calculus
 def test_identity_coefficient_gives_zero():
     f = builtin_family("constant", {"matrix": np.eye(2)})
     g = TorusGrid(2, 16)
-    cf = make_solver(f.frozen([0, 0]), g, 1e-11, "spectral").solve(0)
-    assert np.abs(cf.values).max() == 0.0
-    assert np.abs(cf.grad).max() == 0.0
+    values, grads, _, _ = make_solver(f.frozen([0, 0]), g, 1e-11, "spectral").solve_all(False)
+    assert np.abs(values[0]).max() == 0.0
+    assert np.abs(grads[0]).max() == 0.0
 
 
 def test_1d_closed_form_solution():
@@ -29,7 +29,7 @@ def test_1d_closed_form_solution():
     # high-resolution quadrature of that closed form
     f = builtin_family("separable_1d", {"x_amplitude": 0.0})
     g = TorusGrid(1, 256)
-    cf = make_solver(f.frozen([0.0]), g, 1e-12, "spectral").solve(0)
+    values, grads, _, _ = make_solver(f.frozen([0.0]), g, 1e-12, "spectral").solve_all(False)
 
     m = 2 ** 15
     ys = (np.arange(m) + 0.5) / m
@@ -41,31 +41,29 @@ def test_1d_closed_form_solution():
     anti -= anti.mean()
     oracle = anti[:: m // 256]
     # midpoint-quadrature oracle vs the spectral solve
-    assert np.abs(cf.values - oracle).max() < 1e-8
+    assert np.abs(values[0] - oracle).max() < 1e-8
     a_nodes = 2 + np.sin(2 * np.pi * g.axis_coords())
-    assert np.abs(cf.grad[0] - (hm / a_nodes - 1.0)).max() < 1e-9
+    assert np.abs(grads[0, 0] - (hm / a_nodes - 1.0)).max() < 1e-9
 
 
 def test_laminate_reduces_to_1d():
     f = builtin_family("laminate_2d", {})
     g = TorusGrid(2, 64)
-    s = make_solver(f.frozen([0, 0]), g, 1e-11, "fv")
-    cf1 = s.solve(0)
-    cf2 = s.solve(1)
+    values = make_solver(f.frozen([0, 0]), g, 1e-11, "fv").solve_all(adjoint=False)[0]
     # direction 2 sees a constant coefficient along y2: zero corrector
-    assert np.abs(cf2.values).max() < 1e-12
+    assert np.abs(values[1]).max() < 1e-12
     # direction 1 depends on y1 only
-    assert np.abs(cf1.values - cf1.values[:, :1]).max() < 1e-12
+    assert np.abs(values[0] - values[0][:, :1]).max() < 1e-12
     # on a stack of samples, direction 2's right-hand side is exactly zero:
     # chi and the residual are exactly 0, with no 0/0 on the way
     xs = TorusGrid(2, 2).coords().reshape(-1, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         along = make_solver(builtin_family("laminate_2d", {"x_amplitude": 0.3}).frozen(xs),
-                            g, 1e-11, "fv").solve_all(adjoint=True)[1::2]
-    for cf in along:
-        assert cf.values.shape == (4,) + g.shape
-        assert not cf.values.any() and not cf.grad.any() and not cf.residual.any()
+                            g, 1e-11, "fv").solve_all(adjoint=True)
+    values, grads, residuals, _ = (arr[1::2] for arr in along)
+    assert values.shape == (2, 4) + g.shape
+    assert not values.any() and not grads.any() and not residuals.any()
 
 
 def test_adjoint_equals_primal_on_transposed_field():
@@ -77,35 +75,35 @@ def test_adjoint_equals_primal_on_transposed_field():
         return np.swapaxes(a_eval(y), -1, -2)
 
     # the adjoint blocks of one batched solve against the transposed coefficient alone
-    adj = make_solver(a_eval, g, 1e-12, "spectral").solve_all(adjoint=True)[2:]
+    adj = make_solver(a_eval, g, 1e-12, "spectral").solve_all(adjoint=True)[0][2:]
+    ref = make_solver(a_eval_t, g, 1e-12, "spectral").solve_all(adjoint=False)[0]
     for j in range(2):
-        ref = make_solver(a_eval_t, g, 1e-12, "spectral").solve(j)
-        assert np.abs(adj[j].values - ref.values).max() <= 1e-13
+        assert np.abs(adj[j] - ref[j]).max() <= 1e-13
 
 
 def test_adjoint_of_symmetric_is_identical():
     f = builtin_family("periodic_only", {"dim": 2, "symmetric": True})
     g = TorusGrid(2, 32)
-    p = make_solver(f.frozen([0, 0]), g, 1e-12, "spectral").solve(1)
-    q = make_solver(f.transposed().frozen([0, 0]), g, 1e-12, "spectral").solve(1)
-    assert np.array_equal(p.values, q.values)
+    p, q = (make_solver(fld.frozen([0, 0]), g, 1e-12, "spectral").solve_all(False)[0][1]
+            for fld in (f, f.transposed()))
+    assert np.array_equal(p, q)
 
 
 def test_zero_mean_and_energy_bound():
     f = builtin_family("smooth_2d_nonsymmetric", {})
     g = TorusGrid(2, 32)
-    cf = make_solver(f.frozen([0.1, 0.9]), g, 1e-11, "spectral").solve(0)
-    assert abs(cf.values.mean()) < 1e-13
+    values, grads, _, _ = make_solver(f.frozen([0.1, 0.9]), g, 1e-11, "spectral").solve_all(False)
+    assert abs(values[0].mean()) < 1e-13
     w = g.h ** 2
-    gnorm = np.sqrt(w * np.sum(cf.grad ** 2))
+    gnorm = np.sqrt(w * np.sum(grads[0] ** 2))
     assert gnorm <= np.sqrt(2) / f.ellipticity ** 2
 
 
 def test_residual_reported_below_tolerance():
     f = builtin_family("separable_1d", {})
     g = TorusGrid(1, 128)
-    cf = make_solver(f.frozen([0.37]), g, 1e-11, "spectral").solve(0)
-    assert cf.residual <= 1e-10
+    residuals = make_solver(f.frozen([0.37]), g, 1e-11, "spectral").solve_all(False)[2]
+    assert residuals[0] <= 1e-10
 
 
 def test_fv_grid_convergence_second_order():
@@ -116,7 +114,7 @@ def test_fv_grid_convergence_second_order():
     a_eval = f.frozen([0.0])
     errs = []
     for n in (16, 32, 64, 128):
-        a0 = make_solver(a_eval, TorusGrid(1, n), 1e-12, "fv").solve(0).column[0]
+        a0 = make_solver(a_eval, TorusGrid(1, n), 1e-12, "fv").solve_all(False)[3][0, 0]
         errs.append(abs(a0 - np.sqrt(3.0)))
     for coarse, fine in zip(errs, errs[1:]):
         assert fine <= coarse / 3.5 or fine <= 1e-14, errs
@@ -126,7 +124,7 @@ def test_fv_grid_convergence_second_order():
 def test_build_table_periodic_only_has_zero_slow_gradient():
     f = builtin_family("periodic_only", {"dim": 2})
     cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16), tol=1e-11)
-    for table in (cells.chi, cells.chi_adj):
+    for table in cells.chi:
         assert np.abs(np.roll(table, 1, axis=0) - table).max() == 0.0
         assert np.abs(np.roll(table, 1, axis=1) - table).max() == 0.0
     assert cells.lipschitz_quotient == 0.0
@@ -135,7 +133,7 @@ def test_build_table_periodic_only_has_zero_slow_gradient():
 def test_build_table_constant_family_all_zero():
     f = builtin_family("constant", {"matrix": [[1.5, 0.2], [0.2, 1.1]]})
     cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16))
-    for arr in (cells.chi, cells.grad_y_chi, cells.chi_adj, cells.grad_y_chi_adj):
+    for arr in (cells.chi, cells.grad_y_chi):
         assert np.abs(arr).max() == 0.0
 
 
@@ -176,16 +174,17 @@ def test_spectral_solve_stops_at_roundoff_floor(monkeypatch):
     # must stop there instead of restarting lgmres until maxiter
     f = builtin_family("separable_1d", {})
     applications, _ = count_operator_applications(monkeypatch)
-    cf = make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-12, "spectral").solve(0)
+    solver = make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-12, "spectral")
+    residuals = solver.solve_all(adjoint=False)[2]
     assert 0 < sum(applications.values()) <= 100
-    assert cf.residual <= 10 * 1e-12
+    assert residuals[0] <= 10 * 1e-12
 
 
 def test_unreachable_tolerance_raises(monkeypatch):
     f = builtin_family("separable_1d", {})
     applications, _ = count_operator_applications(monkeypatch)
     with pytest.raises(SolveError, match="residual"):
-        make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-15, "spectral").solve(0)
+        make_solver(f.frozen([0.37]), TorusGrid(1, 256), 1e-15, "spectral").solve_all(False)
     assert 0 < sum(applications.values()) <= 100
 
 
@@ -200,11 +199,11 @@ def test_spectral_solve_reaches_tol_beside_a_high_mode(monkeypatch, amplitude):
     skew = 0.2 * np.cos(2 * np.pi * y2)[..., None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
     a = s[..., None, None] * np.eye(2) + skew
     applications, calls = count_operator_applications(monkeypatch)
-    fields = SpectralCellSolver(a, g, 1e-11).solve_all(adjoint=True)
+    residuals = SpectralCellSolver(a, g, 1e-11).solve_all(adjoint=True)[2]
     fine = packed_system_shape(g.shape, 4)
     assert applications[fine] > 0
     assert calls[fine] < _LGMRES_CALLS
-    assert max(cf.residual for cf in fields) <= 1e-11
+    assert residuals.max() <= 1e-11
 
 
 def test_1d_acceptance_cells_reach_tol():
@@ -239,7 +238,7 @@ def test_tables_do_not_depend_on_earlier_solves():
     build_cell_table(other, slow, cell, tol=1e-11)
     make_solver(other.frozen([0.5, 0.5]), cell, 1e-12, "spectral").solve_all(adjoint=True)
     second = build_cell_table(f, slow, cell, tol=1e-11)
-    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj", "a0", "a0_adj"):
+    for attr in ("chi", "grad_y_chi", "a0"):
         assert np.array_equal(getattr(first, attr), getattr(second, attr)), attr
     assert first.residual_max == second.residual_max
 
@@ -263,9 +262,11 @@ def test_split_fv_table_equals_the_one_group_table(monkeypatch, family, params):
     monkeypatch.setattr(microhom.cell, "_GROUP_UNKNOWNS", 5 * cell.size)
     split = build_cell_table(f, slow, cell, tol=1e-11)
     assert factored == [5, 5, 5, 1]
-    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj", "a0", "a0_adj",
-                 "residual_max", "lipschitz_quotient"):
+    for attr in ("chi", "grad_y_chi", "a0", "residual_max", "lipschitz_quotient"):
         assert np.array_equal(getattr(split, attr), getattr(whole, attr)), attr
+    # a symmetric field's one family fills both slots
+    assert not f.symmetric or all(np.array_equal(t[0], t[1])
+                                  for t in (split.chi, split.grad_y_chi, split.a0))
 
 
 @pytest.mark.parametrize("family", ["separable_1d", "smooth_2d_nonsymmetric"])
@@ -274,14 +275,16 @@ def test_batched_table_matches_per_direction_solves(family):
     slow, cell = TorusGrid(f.dim, 4), TorusGrid(f.dim, 32)
     cells = build_cell_table(f, slow, cell, tol=1e-12)
     xs = slow.coords().reshape(-1, f.dim)
-    chi = cells.chi.reshape((len(xs), f.dim) + cell.shape)
-    chi_a = cells.chi_adj.reshape((len(xs), f.dim) + cell.shape)
+    chi = cells.chi.reshape((2, len(xs), f.dim) + cell.shape)
+    # a symmetric field's one family fills both slots
+    assert not f.symmetric or all(np.array_equal(t[0], t[1])
+                                  for t in (cells.chi, cells.grad_y_chi, cells.a0))
     for i, x in enumerate(xs):
-        for j in range(f.dim):
-            ref = make_solver(f.frozen(x), cell, 1e-12, f.cell_method).solve(j)
-            ref_a = make_solver(f.transposed().frozen(x), cell, 1e-12, f.cell_method).solve(j)
-            assert np.abs(chi[i, j] - ref.values).max() <= 1e-13
-            assert np.abs(chi_a[i, j] - ref_a.values).max() <= 1e-13
+        # family 1: the primal directions of the transposed field
+        for fam, fld in enumerate((f, f.transposed())):
+            ref = make_solver(fld.frozen(x), cell, 1e-12, f.cell_method).solve_all(False)[0]
+            for j in range(f.dim):
+                assert np.abs(chi[fam, i, j] - ref[j]).max() <= 1e-13
 
 
 @pytest.mark.parametrize("family,n_y", [("smooth_2d_nonsymmetric", 16),
@@ -297,12 +300,26 @@ def test_save_load_roundtrip(tmp_path, family, n_y):
     assert loaded.method == cells.method == f.cell_method
     assert loaded.slow_grid == cells.slow_grid
     assert loaded.cell_grid == cells.cell_grid
-    for attr in ("chi", "grad_y_chi", "chi_adj", "grad_y_chi_adj", "a0", "a0_adj"):
+    for attr in ("chi", "grad_y_chi", "a0"):
         assert np.array_equal(getattr(loaded, attr), getattr(cells, attr)), attr
     assert loaded.residual_max == cells.residual_max
     assert loaded.lipschitz_quotient == cells.lipschitz_quotient
     assert np.array_equal(effective_matrix(loaded, f).matrices,
                           effective_matrix(cells, f).matrices)
+
+
+def test_container_writes_the_primal_family_first(tmp_path):
+    # CELLTBL4 after its 120-byte header: chi and grad_y_chi of family 0, those
+    # of family 1, then a0 of both, each in C order
+    f = builtin_family("smooth_2d_nonsymmetric", {})
+    cells = build_cell_table(f, TorusGrid(2, 4), TorusGrid(2, 16))
+    path = tmp_path / "cells.bin"
+    save_cell_table(path, cells)
+    order = (cells.chi[0], cells.grad_y_chi[0], cells.chi[1], cells.grad_y_chi[1],
+             cells.a0[0], cells.a0[1])
+    assert not np.array_equal(cells.chi[0], cells.chi[1])
+    assert path.read_bytes()[120:] == b"".join(np.ascontiguousarray(a, "<f8").tobytes()
+                                               for a in order)
 
 
 def test_load_rejects_wrong_magic(tmp_path):

@@ -103,8 +103,7 @@ def test_corrector_coeffs_zero_cases():
 
     field, cells, hom, fc = pipeline("periodic_only", {"dim": 2, "symmetric": False}, 4, 32)
     co = corrector_coeffs(cells, field)
-    assert np.abs(co.c2).max() < 1e-12
-    assert np.abs(co.c2_adj).max() < 1e-12
+    assert np.abs(co.c2).max() < 1e-12   # both families
     # third-order tensors need not vanish without slow dependence
     assert np.abs(co.c3).max() > 1e-6
 
@@ -123,7 +122,8 @@ def test_reduced_quadrature_equivalence(family, params, n_x, n_y):
 
 
 def whole_table_reference(cells, field):
-    """c3, c3_adj, c2, c2_adj, both deviations and their worst divergence
+    """c3 and c2 of both families (keys "_adj" for family 1), both deviations
+    and their worst divergence
     defects in 2D, by whole-table passes: one field.eval block per family,
     grids.centered_diff slow gradients, and one divergence per sample."""
     xs, ys = cells.slow_grid.coords(), cells.cell_grid.coords()
@@ -132,9 +132,8 @@ def whole_table_reference(cells, field):
     yb = np.broadcast_to(ys, shape)
     mean = lambda arr: arr.mean(axis=(-2, -1))
     ref = {}
-    for tag, fld, chi, gy in (("", field, cells.chi, cells.grad_y_chi),
-                              ("_adj", field.transposed(), cells.chi_adj,
-                               cells.grad_y_chi_adj)):
+    for tag, fld, chi, gy in zip(("", "_adj"), (field, field.transposed()), cells.chi,
+                                 cells.grad_y_chi):
         epg = gy + np.eye(2)[:, :, None, None]
         flux = np.einsum("...yzpq,...jqyz->...jpyz", fld.eval(xb, yb), epg)
         ref["dev" + tag] = flux - flux.mean(axis=(-2, -1), keepdims=True)
@@ -155,8 +154,8 @@ def whole_table_reference(cells, field):
         ref["div" + tag] = defect
     # [j, k, m] and [k, j, m] over the trailing axes
     pair = lambda dev, chi: dev[..., :, None, :, :, :] * chi[..., None, :, None, :, :]
-    ref["c3"] = mean(pair(ref["dev"], cells.chi_adj))
-    ref["c3_adj"] = mean(pair(ref["dev_adj"], cells.chi))
+    ref["c3"] = mean(pair(ref["dev"], cells.chi[1]))
+    ref["c3_adj"] = mean(pair(ref["dev_adj"], cells.chi[0]))
     ref["c2"] = mean((ref["dev"][..., :, None, :, :, :]
                       * ref["gx_adj"][..., None, :, :, :, :]).sum(axis=-3))
     ref["c2_adj"] = mean((ref["dev_adj"][..., :, None, :, :, :]
@@ -178,7 +177,7 @@ def test_sample_walk_matches_whole_table_formulas(family, params, method):
     dev_adj, div_adj = flux_corrector(cells, field, adjoint=True)
     co = corrector_coeffs(cells, field)
     ref = whole_table_reference(cells, field)
-    got = {"c3": co.c3, "c3_adj": co.c3_adj, "c2": co.c2, "c2_adj": co.c2_adj,
+    got = {"c3": co.c3[0], "c3_adj": co.c3[1], "c2": co.c2[0], "c2_adj": co.c2[1],
            "dev": dev, "dev_adj": dev_adj}
     # the four moments share one scale: a laminate's c2 vanishes, as its
     # cells do not vary with x
@@ -218,7 +217,7 @@ def test_coefficient_walk_builds_one_solver_per_group(monkeypatch, method):
     monkeypatch.setattr(microhom.cell, "_GROUP_UNKNOWNS", 5 * cells.cell_grid.size)
     split = corrector_coeffs(cells, field)
     assert len(built) == 4
-    for name in ("c3", "c3_adj", "c2", "c2_adj", "equivalence_defect"):
+    for name in ("c3", "c2", "equivalence_defect"):
         assert np.array_equal(getattr(split, name), getattr(whole, name)), name
     built.clear()
     split_dev = flux_corrector(cells, field, adjoint=True)
@@ -242,7 +241,7 @@ def test_coefficient_walk_shares_one_solver_without_slow_dependence(monkeypatch,
     monkeypatch.setattr(microhom.effective, "make_solver", counted)
     shared = corrector_coeffs(cells, field)
     assert len(built) == 1
-    for name in ("c3", "c3_adj", "c2", "c2_adj"):
+    for name in ("c3", "c2"):
         assert np.array_equal(getattr(shared, name), getattr(per_sample, name))
 
 
@@ -253,7 +252,7 @@ def test_adjoint_family_of_primal_solutions_is_not_solenoidal(method):
     # names the first sample where it fails (at x_0 = 0 and 1/2 the skew
     # part is constant in y and leaves the divergence unchanged)
     field, cells = nonsymmetric_table(method)
-    bad = replace(cells, chi_adj=cells.chi, grad_y_chi_adj=cells.grad_y_chi)
+    bad = replace(cells, chi=cells.chi[[0, 0]], grad_y_chi=cells.grad_y_chi[[0, 0]])
     first = cells.slow_grid.coords().reshape(-1, 2)[4]
     msg = rf"slow sample x = {re.escape(str(first))}: flux deviation not solenoidal"
     for build in (corrector_coeffs, lambda c, f: flux_corrector(c, f, adjoint=True)):
@@ -301,8 +300,8 @@ def test_corrector_matrix_of_the_fast_sublattice_is_bitwise_the_same(smooth_2d, 
     grid = TorusGrid(2, 32)
     spec = SmoothingSpec(eps=0.25, n_omega=8)
     fast = fast_sublattice(cells, 8)
-    assert fast.cell_grid == TorusGrid(2, 8) and fast.grad_y_chi_adj is None
-    assert np.array_equal(fast.chi_adj, cells.chi_adj[..., ::4, ::4])
+    assert fast.cell_grid == TorusGrid(2, 8) and fast.grad_y_chi is None
+    assert np.array_equal(fast.chi, cells.chi[..., ::4, ::4])
     assert fast.chi.flags.c_contiguous and not np.shares_memory(fast.chi, cells.chi)
     # a table already on the sublattice is not copied again
     assert np.shares_memory(fast_sublattice(fast, 8).chi, fast.chi)
@@ -342,7 +341,7 @@ def rolled_corrector(u, cells, spec, adjoint):
     the sample grid; fast argument: the cell node x/eps lands on.
     """
     n, d, n_f = u.shape[0], u.ndim, spec.n_omega
-    chi = cells.chi_adj if adjoint else cells.chi
+    chi = cells.chi[int(adjoint)]
     step = chi.shape[-1] // n_f
     fast = chi[(Ellipsis,) + (slice(None, None, step),) * d]
     interp = periodic_interp(n, chi.shape[0])
@@ -384,7 +383,7 @@ def test_corrector_op_matches_rolled_formula(case, adjoint, request):
 
 @pytest.mark.parametrize("case", ["separable", "smooth_2d"])
 def test_corrector_pair_is_bitwise_one_walk_per_table(case, request):
-    # the stacked [chi | chi_adj] walk gives each quadrature bit for bit as a
+    # the stacked [chi[0] | chi[1]] walk gives each quadrature bit for bit as a
     # walk over its own table would (roll by -s, interpolate, roll back by s),
     # and both matrices read one column table
     field, cells, hom, fc = request.getfixturevalue(case)
@@ -401,7 +400,7 @@ def test_corrector_pair_is_bitwise_one_walk_per_table(case, request):
         interp = _slow_interp(cells.slow_grid, grid, n_f)
         shifts, _, weights = spec.lattice(d)
         offsets = [-s + sign * eye[j] for s in shifts for j in range(d) for sign in (1, -1)]
-        for table, q in zip((fast.chi, fast.chi_adj), pair):
+        for table, q in zip(fast.chi, pair):
             tab = np.moveaxis(table.reshape((-1, d) + (n_f,) * d), 1, -1)
             coeffs = []
             for s, w in zip(shifts, weights):
@@ -439,8 +438,7 @@ def test_composed_operator_transpose_structure(smooth_2d):
     a0 = assemble_homogenized(hom, grid)
     r0 = resolvent_op(a0)
     l_op = assemble_L(co, r0, grid)
-    swapped = CorrectorCoeffs(slow_grid=co.slow_grid, c3=co.c3_adj,
-                              c3_adj=co.c3, c2=co.c2_adj, c2_adj=co.c2)
+    swapped = CorrectorCoeffs(slow_grid=co.slow_grid, c3=co.c3[::-1], c2=co.c2[::-1])
     l_swapped = assemble_L(swapped, r0.T, grid)
     rng = np.random.default_rng(11)
     x = rng.standard_normal(grid.size)
@@ -452,7 +450,7 @@ def product_chain_core(coeffs, grid):
     transposes of the adjoint family and -D_k diag(c2) D_j (the reference
     for the one-stencil assembly of `assemble_L`)."""
     d, n, slow = grid.dim, grid.size, coeffs.slow_grid
-    tables = (coeffs.c3, coeffs.c3_adj, coeffs.c2, coeffs.c2_adj)
+    tables = (coeffs.c3[0], coeffs.c3[1], coeffs.c2[0], coeffs.c2[1])
     fine = interp_matrix(slow.n, grid.coords().reshape(-1, d)) @ np.hstack(
         [t.reshape(slow.size, -1) for t in tables])
     parts = np.split(fine, [d ** 3, 2 * d ** 3, 2 * d ** 3 + d ** 2], axis=1)
@@ -610,7 +608,7 @@ def looped_drift(family, params, cells, spec, grid):
     for idx in itertools.product(range(len(x1)), repeat=d):
         w, om = np.prod(w1[list(idx)]), x1[list(idx)]
         fams = []
-        for tab in (cells.grad_y_chi, cells.grad_y_chi_adj):
+        for tab in cells.grad_y_chi:
             vals = mode_sum(tab, d, fast_lattice(n_f, d) + om)        # (*slow, d, d, n_f^d)
             vals = vals.reshape(-1, d, d, n_f ** d)[..., fast_idx]    # (n_slow, d, d, N)
             fams.append(np.einsum("ns,sjqn->njq", slow_w, vals) + np.eye(d))

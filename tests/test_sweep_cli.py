@@ -95,7 +95,7 @@ def test_cell_table_breaking_energy_bound_aborts_sweep(monkeypatch):
 
     def inflated(*args, **kwargs):
         cells = build(*args, **kwargs)
-        cells.grad_y_chi *= 1e3
+        cells.grad_y_chi[0] *= 1e3
         return cells
     monkeypatch.setattr(microhom.sweep, "build_cell_table", inflated)
     with pytest.raises(SolveError, match="slow sample x = .*energy"):
@@ -141,12 +141,12 @@ def test_sweep_reads_every_cell_object_from_one_table(monkeypatch, matched, meth
     [(cell_method, n, cells)] = built
     assert (cell_method, cells.method, n) == (method, method, n_cell)
     assert len(r0_a0) == len(rep.eps_list)
-    assert all(np.array_equal(a0, cells.a0) for a0 in r0_a0)
+    assert all(np.array_equal(a0, cells.a0[0]) for a0 in r0_a0)
     # flags are warnings: the mode is recorded in the summary's config block
     assert not any(f.startswith("matched_effective") for f in rep.flags)
     assert f"matched_effective = {str(matched).lower()}" in rep.config_text
     if matched:
-        assert np.array_equal(cells.a0, quick_2d_matched().matrices)
+        assert np.array_equal(cells.a0[0], quick_2d_matched().matrices)
 
 
 def test_per_eps_stages_run_without_gradient_tables(monkeypatch):
@@ -154,15 +154,15 @@ def test_per_eps_stages_run_without_gradient_tables(monkeypatch):
     corrector_op = microhom.sweep.corrector_op
 
     def watched(cells, *args, **kwargs):
-        seen.append((cells.grad_y_chi, cells.grad_y_chi_adj, cells.cell_grid))
+        seen.append((cells.grad_y_chi, cells.cell_grid))
         return corrector_op(cells, *args, **kwargs)
     monkeypatch.setattr(microhom.sweep, "corrector_op", watched)
     run_sweep(QUICK_1D)
     # one call per eps builds both K and K-tilde
     assert len(seen) == len(QUICK_1D.eps_denominators)
-    assert all(gy is None and gy_adj is None for gy, gy_adj, _ in seen)
-    # chi and chi_adj are kept on the n_f-point fast sublattice only
-    assert all(cell_grid.n == QUICK_1D.n_f for _, _, cell_grid in seen)
+    assert all(gy is None for gy, _ in seen)
+    # chi, both families, is kept on the n_f-point fast sublattice only
+    assert all(cell_grid.n == QUICK_1D.n_f for _, cell_grid in seen)
 
 
 def test_norm_applications_recorded(quick_report, tmp_path):
@@ -252,8 +252,8 @@ def test_cell_residual_above_tol_flagged(monkeypatch, tmp_path):
 
 
 def test_identity_defects_kept_and_flagged(quick_report, monkeypatch, tmp_path):
-    # a0_adj moved off a0^T by 1e-6: the duality defect is kept and flagged,
-    # and the measured errors, which never read a0_adj, do not move
+    # a0[1] (the adjoint family's) moved off a0[0]^T by 1e-6: the duality defect
+    # is kept and flagged, and the measured errors, which never read a0[1], do not move
     assert quick_report.equivalence_defect <= 1e-10
     assert quick_report.adjoint_defect <= 1e-10
     assert not any("defect" in f for f in quick_report.flags)
@@ -261,7 +261,7 @@ def test_identity_defects_kept_and_flagged(quick_report, monkeypatch, tmp_path):
 
     def perturbed(*args, **kwargs):
         cells = build(*args, **kwargs)
-        cells.a0_adj[..., 0, 0] += 1e-6
+        cells.a0[1][..., 0, 0] += 1e-6
         return cells
     monkeypatch.setattr(microhom.sweep, "build_cell_table", perturbed)
     rep = run_sweep(QUICK_1D)
@@ -379,7 +379,7 @@ def test_cli_cells_writes_the_matched_table(tmp_path, capsys):
     header = capsys.readouterr().out.splitlines()[-2]
     assert "method=fv" in header and "n_y=8" in header
     cells = microhom.load_cell_table(tmp_path / "cells.bin")
-    assert np.array_equal(cells.a0, quick_2d_matched().matrices)
+    assert np.array_equal(cells.a0[0], quick_2d_matched().matrices)
 
 
 def test_cli_sweep_has_no_jobs_option(tmp_path, capsys):
