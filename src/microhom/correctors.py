@@ -195,29 +195,24 @@ def corrector_coeffs(cells, field) -> CorrectorCoeffs:
     return CorrectorCoeffs(slow_grid=slow, c3=lift(c3), c2=lift(c2), equivalence_defect=defect)
 
 
-def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
-               grid: TorusGrid) -> LinearOperator:
-    """The eps-free composed operator.
-
-    Builds the third- and second-order differential operators from the
-    coefficient tensors (interpolated to the fine grid), takes the true
-    operator transpose of the adjoint pair, and sandwiches everything
-    between homogenized resolvents.  The third-order parts act only inside
-    this composition.
-    """
+def _l_terms(coeffs, grid):
+    """The L-core as stencil terms (offset, C, where C is read, factor): the
+    primal family D_k D_m c3[0][j,k,m] D_j - D_k c2[0][j,k] D_j and, as D^T =
+    -D, the transposed adjoint family -D_k c3[1][k,j,m] D_m D_j - D_k
+    c2[1][k,j] D_j.  Over signs s, t, r = +-1, D_k D_m C D_j reads u at x +
+    s e_k + t e_m + r e_j with weight s t r C(x + s e_k + t e_m) / (2h)^3.  A
+    component that vanishes adds no term; vanishing tensors (every 1D
+    field's) are not even interpolated to the fine nodes."""
     d = grid.dim
     slow = coeffs.slow_grid
-    # both tables, both families column-stacked, interpolated to the fine nodes by one product
     tables = (coeffs.c3, coeffs.c2)
+    if not any(t.any() for t in tables):
+        return []
+    # both tables, both families column-stacked, interpolated to the fine nodes by one product
     fine = interp_matrix(slow.n, grid.coords().reshape(-1, d)) @ np.hstack(
         [np.moveaxis(t, 0, d).reshape(slow.size, -1) for t in tables])
     c3, c2 = (np.moveaxis(p.reshape(grid.shape + (2,) + t.shape[d + 1:]), d, 0)
               for p, t in zip(np.split(fine, [2 * d ** 3], axis=1), tables))
-    # the primal family D_k D_m c3[0][j,k,m] D_j - D_k c2[0][j,k] D_j and, as D^T = -D, the
-    # transposed adjoint family -D_k c3[1][k,j,m] D_m D_j - D_k c2[1][k,j] D_j as one
-    # stencil of terms (offset, C, where C is read, factor): over signs s, t, r = +-1,
-    # D_k D_m C D_j reads u at x + s e_k + t e_m + r e_j with weight s t r C(x + s e_k
-    # + t e_m) / (2h)^3.  A component that vanishes (all of them in 1D) adds no term
     step = 1.0 / (2.0 * grid.h)
     node = lambda *st: tuple(sum(g for g, a in st if a == i) for i in range(d))  # sum g e_a
     terms = []
@@ -232,6 +227,21 @@ def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
             if c.any():
                 terms += [(node((s, k), (r, j)), c, node((s, k)), -s * r * step ** 2)
                           for s, r in product((1, -1), repeat=2)]
+    return terms
+
+
+def assemble_L(coeffs: CorrectorCoeffs, hom_solver: LinearOperator,
+               grid: TorusGrid) -> LinearOperator:
+    """The eps-free composed operator.
+
+    Builds the third- and second-order differential operators from the
+    coefficient tensors (interpolated to the fine grid), takes the true
+    operator transpose of the adjoint pair, and sandwiches everything
+    between homogenized resolvents.  The third-order parts act only inside
+    this composition.
+    """
+    d = grid.dim
+    terms = _l_terms(coeffs, grid)
     axes = tuple(range(d))
 
     def weights():  # consecutive terms share a roll (c3[0] over r, c3[1] and c2 over t, r)

@@ -8,7 +8,11 @@ corrector quadratures) are CSR matrices whose transposes are exact by
 construction.  Resolvents are backed by sparse LU factorizations whose
 transposed solves reuse the same factors.  Norms are thick-restart Lanczos
 estimates on the normal operator M^T G M, applied one vector at a time and
-tested for convergence after every application.
+tested for convergence after every application.  The transpose check
+applies each operator once per side to an (N, k) block of trial vectors:
+a resolvent's block is one multi-right-hand-side LU solve and a matrix's
+one sparse product, and both equal the column-by-column results bit for
+bit.
 """
 
 import numpy as np
@@ -22,10 +26,13 @@ from .errors import SolveError
 class DiscreteOperator(spla.LinearOperator):
     """Linear map on flattened grid-function vectors.
 
-    scipy reaches `apply`/`apply_transpose`, and they reach `_mv`/`_rmv`,
-    by attribute lookup at each call, so code that replaces any of these on
-    an instance (to count applications or solves) sees every use of it,
-    composites and `.T` included.
+    `_mv`/`_rmv` take a vector or an (N, k) block of column vectors, and
+    `_matmat`/`_rmatmat` pass a block to them whole, so a product operator
+    built by scipy's `@` hands the block on from factor to factor.  scipy
+    reaches `apply`/`apply_transpose` and the block methods, and they reach
+    `_mv`/`_rmv`, by attribute lookup at each call, so code that replaces
+    any of these on an instance (to count applications or solves) sees
+    every use of it, composites and `.T` included.
     """
 
     def __init__(self, shape, matvec, rmatvec, grid=None, label="op"):
@@ -40,6 +47,12 @@ class DiscreteOperator(spla.LinearOperator):
 
     def _rmatvec(self, x):
         return self.apply_transpose(x)
+
+    def _matmat(self, x):
+        return self._mv(np.asarray(x, dtype=float))
+
+    def _rmatmat(self, x):
+        return self._rmv(np.asarray(x, dtype=float))
 
     def apply(self, x):
         return self._mv(np.asarray(x, dtype=float).ravel())
@@ -103,13 +116,17 @@ def diff_matrix(grid, axis):
 def h1_gram_op(grid):
     """Gram operator of the discrete H1 inner product: I - sum_m D_m D_m.
 
-    One CSR matrix; `operator_norm(op, gram=...)` applies it once per
-    normal-operator application to measure op's norm in L2 -> H1.
+    One CSR matrix, built as one stencil: D_m D_m u = c (u(x + 2 e_m) -
+    2 u(x) + u(x - 2 e_m)) with c = (2h)^-2, the diagonal summed 1 + 2c +
+    2c + ... in the order the matrix products would sum it.
+    `operator_norm(op, gram=...)` applies it once per normal-operator
+    application to measure op's norm in L2 -> H1.
     """
-    mat = sp.identity(grid.size, format="csr")
-    for ax in range(grid.dim):
-        dm = diff_matrix(grid, ax)
-        mat = mat - dm @ dm
+    step = 1.0 / (2.0 * grid.h)
+    c = step * step
+    zero, e = np.zeros(grid.dim, dtype=int), 2 * np.eye(grid.dim, dtype=int)
+    offsets = [zero] + [o for m in range(grid.dim) for o in (zero, e[m], -e[m])]
+    mat = stencil_matrix(grid, offsets, [1.0] + [2.0 * c, -c, -c] * grid.dim)
     return matrix_op(mat, grid=grid, label="gramH1")
 
 
@@ -221,26 +238,41 @@ def operator_norm(op, tol=1e-6, maxiter=400, seed=0, gram=None, atol=0.0, info=N
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def transpose_defect(op, n_trials=5, seed=0):
-    """Max relative defect of <M f, h> = <f, M^T h> over random vectors.
+def transpose_defect(ops, n_trials=5, seed=0):
+    """Max relative defects of <M f, h> = <f, M^T h> over random vectors,
+    one per operator M of the sequence `ops` (all of one shape).
 
     The defect is scaled by ||Mf|| ||h|| + ||f|| ||M^T h||, so it measures
     the pairing mismatch against the operator's own magnitude (a value-
     relative scale would blow up on operators that are numerically zero).
-    Applies the unchecked _matvec and _rmatvec, as `operator_norm` does.
+    The trial vectors are drawn once, f_1, h_1, f_2, h_2, ..., so every
+    operator is checked on the same ones (their norms taken once), and each
+    operator is applied once per side to the (N, n_trials) block through
+    the unchecked _matmat and _rmatmat; each trial's defect reads
+    contiguous columns, so it equals that of a one-vector application
+    wherever the block is bitwise column by column (LU solves and sparse
+    products are).
     """
+    ops = list(ops)
+    shape = ops[0].shape
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_trials):
-        f = rng.standard_normal(op.shape[1])
-        h = rng.standard_normal(op.shape[0])
-        mf = np.ravel(op._matvec(f))
-        mth = np.ravel(op._rmatvec(h))
-        a = float(np.dot(mf, h))
-        b = float(np.dot(f, mth))
-        scale = (np.linalg.norm(mf) * np.linalg.norm(h)
-                 + np.linalg.norm(f) * np.linalg.norm(mth))
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs(a - b) / scale)
+    f, h = np.empty((n_trials, shape[1])), np.empty((n_trials, shape[0]))
+    for i in range(n_trials):
+        f[i] = rng.standard_normal(shape[1])
+        h[i] = rng.standard_normal(shape[0])
+    trials = [(fi, hi, np.linalg.norm(fi), np.linalg.norm(hi)) for fi, hi in zip(f, h)]
+    worst = []
+    for op in ops:
+        # (n_trials, N) with each trial's image a contiguous row
+        mfs = np.ascontiguousarray(op._matmat(f.T).T)
+        mths = np.ascontiguousarray(op._rmatmat(h.T).T)
+        defect = 0.0
+        for (fi, hi, f_norm, h_norm), mf, mth in zip(trials, mfs, mths):
+            a = float(np.dot(mf, hi))
+            b = float(np.dot(fi, mth))
+            scale = np.linalg.norm(mf) * h_norm + f_norm * np.linalg.norm(mth)
+            if scale == 0.0:
+                continue
+            defect = max(defect, abs(a - b) / scale)
+        worst.append(defect)
     return worst

@@ -745,7 +745,7 @@ def test_full_corrector_composition(smooth_2d):
     x = rng.standard_normal(grid.size)
     expect = (k_op.matvec(x) + kt_op.T.matvec(x) - l_op.matvec(x) - m_op.matvec(x))
     assert np.allclose(c_op.matvec(x), expect, atol=1e-14)
-    assert transpose_defect(c_op, 3, seed=2) < 1e-12
+    assert transpose_defect([c_op], 3, seed=2)[0] < 1e-12
 
 
 def test_full_corrector_zero_for_constant():
@@ -794,7 +794,7 @@ def test_error_operators_match_composition(case, n_f, k, request):
             want = getattr(ref, side)(x)
             got = getattr(fused, side)(x)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (fused.label, side)
-        assert transpose_defect(fused, 3, seed=k) <= 1e-12
+        assert transpose_defect([fused], 3, seed=k)[0] <= 1e-12
 
     counts = []
     count_solves(r_eps, counts)
@@ -826,6 +826,61 @@ def test_replaced_solves_reach_scipy_composites(separable):
         counts.clear()
         fn(x)
         assert counts == want, fn
+
+
+def one_vector_defect(op, n_trials, seed):
+    """transpose_defect of one operator, one vector at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_trials):
+        f = rng.standard_normal(op.shape[1])
+        h = rng.standard_normal(op.shape[0])
+        mf, mth = np.ravel(op._matvec(f)), np.ravel(op._rmatvec(h))
+        scale = (np.linalg.norm(mf) * np.linalg.norm(h)
+                 + np.linalg.norm(f) * np.linalg.norm(mth))
+        if scale:
+            worst = max(worst, abs(float(np.dot(mf, h)) - float(np.dot(f, mth))) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("case,n_f,k", [("separable", 16, 8), ("smooth_2d", 8, 4)])
+def test_block_applications_equal_column_applications(case, n_f, k, request):
+    # a block goes through one multi-RHS LU solve or one sparse product per
+    # factor, and must give each column's one-vector result bit for bit; so
+    # must the pairing check that applies the operators to blocks
+    parts = error_operator_parts(request.getfixturevalue(case), n_f, k)
+    r_eps, r0, cor, cor_adj, l_op, m_op, eps = parts
+    ops = [r0, cor.quad, cor, cor_adj, l_op, m_op, *error_operators(*parts)]
+    rng = np.random.default_rng(k)
+    n = r0.shape[0]
+    for block in (rng.standard_normal((n, 3)), rng.standard_normal((3, n)).T):
+        for op in ops:
+            for apply_block, apply_one in ((op._matmat, op._matvec), (op._rmatmat, op._rmatvec)):
+                got = apply_block(block)
+                assert got.shape == block.shape, op.label
+                for i in range(3):
+                    one = np.ravel(apply_one(np.ascontiguousarray(block[:, i])))
+                    assert np.array_equal(got[:, i], one), (op.label, apply_block.__name__, i)
+    defects = transpose_defect(ops, n_trials=2, seed=k)
+    assert defects == [transpose_defect([op], n_trials=2, seed=k)[0] for op in ops]
+    assert defects == [one_vector_defect(op, 2, k) for op in ops]
+
+
+def test_assemble_L_of_a_1d_field_is_empty(separable, monkeypatch):
+    # every 1D field's c3 and c2 vanish: the core is empty and the tensors
+    # are never interpolated to the fine nodes
+    field, cells, _, _ = separable
+    co = corrector_coeffs(cells, field)
+    assert not co.c3.any() and not co.c2.any()
+    r0 = error_operator_parts(separable, 16, 8)[1]
+
+    def refuse(*args):
+        raise AssertionError("interpolated a vanishing tensor table")
+
+    monkeypatch.setattr(microhom.correctors, "interp_matrix", refuse)
+    l_op = assemble_L(co, r0, TorusGrid(1, 128))
+    assert l_op.core.matrix.shape == (128, 128)
+    assert l_op.core.matrix.nnz == 0
 
 
 def test_e1_reaches_top_singular_value_on_a_stalling_start():

@@ -151,7 +151,7 @@ def test_homogenized_assembly_and_transpose():
     hom = effective_matrix(cells, field)
     g = TorusGrid(2, 16)
     a0 = assemble_homogenized(hom, g)
-    assert transpose_defect(a0, 5, seed=0) < 1e-13
+    assert transpose_defect([a0], 5, seed=0)[0] < 1e-13
 
     hom_t = effective_matrix(
         build_cell_table(field.transposed(), cells.slow_grid, cells.cell_grid,

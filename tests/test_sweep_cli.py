@@ -287,6 +287,30 @@ def test_cell_table_residual_and_lipschitz_kept(quick_report, tmp_path):
                          f"lipschitz_quotient {cells.lipschitz_quotient:.6g}")
 
 
+def test_worst_transpose_defect_named(monkeypatch, tmp_path):
+    # one pairing call per eps; the report keeps the largest defect and names
+    # its operator and eps, and a 1D sweep leaves out its empty L-core
+    calls = []
+
+    def recording(ops, **kwargs):
+        ops = list(ops)
+        defects = microhom.operators.transpose_defect(ops, **kwargs)
+        calls.append([(d, op.label) for d, op in zip(defects, ops)])
+        return defects
+
+    monkeypatch.setattr(microhom.sweep, "transpose_defect", recording)
+    rep = run_sweep(QUICK_1D)
+    assert len(calls) == len(rep.eps_list) == 3
+    assert all([label for _, label in c] == ["R_eps", "R0", "K", "Ktilde", "Mop",
+                                             "R_eps-R0-eps*K", "R_eps-R0-eps*C"] for c in calls)
+    worst, label, k = max((d, label, k) for c, k in zip(calls, (4, 8, 16)) for d, label in c)
+    assert rep.transpose_defect_max == worst > 0.0
+    assert rep.transpose_defect_at == f"{label} at eps 1/{k}"
+    summary = emit_report(rep, tmp_path)["summary"].read_text()
+    assert (f"max transpose defect over assembled operators: {worst:.3e} "
+            f"({label} at eps 1/{k})") in summary
+
+
 def test_constant_family_flagged_floor():
     cfg = ExperimentConfig(family="constant", params=(("dim", 1),), n_x=8, n_y=32,
                            n_f=8, eps_denominators=(4, 8, 16),
