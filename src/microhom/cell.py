@@ -7,7 +7,8 @@ For each slow sample x and direction j this solves
 periodically in y, together with the adjoint problems (coefficient a^T).
 Smooth coefficients use Fourier collocation, iterated by lgmres from zero
 on the half spectrum with the Green operator of the Laplacian as right
-preconditioner; discontinuous laminates use conservative finite volumes,
+preconditioner; discontinuous laminates use conservative finite volumes
+(one flux and its divergence give right-hand side, residual and column),
 a group of slow samples in one direct sparse solve whose factor also
 serves the adjoint.
 """
@@ -15,6 +16,7 @@ serves the adjoint.
 import os
 import struct
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,7 +87,8 @@ class SpectralCellSolver:
             spec[live] *= norms
         for b, res in enumerate(residuals):
             if res > 10 * self.tol:
-                raise SolveError(f"cell solve (spectral, j={dirs[b]}) residual {res:.2e}")
+                raise SolveError(f"cell solve (spectral{', adjoint' if b >= d else ''}, "
+                                 f"j={dirs[b]}) residual {res:.2e}")
         values = calc.inverse(spec)
         grads = calc.inverse(calc.deriv * spec[:, None])
         # cell mean of the node flux a (e^j + grad chi^j) of every block, taken
@@ -146,14 +149,14 @@ class FVCellSolver:
 
     The coefficient is held as one sample pair (`assemble.sample_coefficient`):
     `faces`, the a_mm at the face midpoints, and `a`, the node matrix, with
-    the axes `lead` of a stack of slow samples first; the scheme is block
-    diagonal, one block per sample, each pinned at its node 0 (the
-    conservative right-hand side is exactly compatible, so pinning is
-    exact), and factored once (a block's solves are its sample's own, bit
-    for bit).  The scheme satisfies A(a^T) = A(a)^T, so the adjoint cells
-    are solved with the transposed factor, and their right-hand sides and
-    columns read the transposed node matrix.  The effective column uses the
-    face-flux quadrature, exact for laminates whose jumps align with nodes.
+    the axes `lead` of a stack of slow samples first.  The scheme is its flux
+    of a (e^j + grad v), `_flux`, and that flux's divergence, `_div`, written
+    once: the right-hand side is the divergence at v = 0, the residual the one
+    at v = chi^j, the effective column the flux's cell mean.  Only the solve
+    reads the scheme's matrix: block diagonal, one block per sample pinned at
+    its node 0 (the conservative right-hand side is exactly compatible), and
+    factored once (a block's solves are its sample's own, bit for bit).  As
+    A(a^T) = A(a)^T, the adjoint cells are solved with the transposed factor.
     """
 
     def __init__(self, a_eval, grid, tol):
@@ -161,15 +164,14 @@ class FVCellSolver:
         self.tol = tol
         self.faces, self.a = sample_coefficient(a_eval, grid)
         self.lead = self.a.shape[:-grid.dim - 2]
-        self.mat = assemble_diffusion(grid, self.faces, self.a)
         self._lu = None
 
     @property
     def lu(self):
-        # row 0 of each block becomes e_0^T; factored on first use since
-        # quadrature-only consumers never solve
+        # row 0 of each block becomes e_0^T; assembled and factored on first
+        # use since quadrature-only consumers never solve
         if self._lu is None:
-            coo = self.mat.tocoo()
+            coo = assemble_diffusion(self.grid, self.faces, self.a).tocoo()
             pin = coo.row % self.grid.size == 0
             keep = ~pin | (coo.row == coo.col)
             self._lu = factor(sp.csc_matrix((np.where(pin, 1.0, coo.data)[keep],
@@ -177,28 +179,34 @@ class FVCellSolver:
         return self._lu
 
     def div_residual(self, chi, dev, adjoint=False):
-        """(*lead, d, size): the residual of the scheme that defined chi (the
-        fluxes carry kinks, so their spectral divergence is no test)."""
+        """(*lead, d, size): the residual -div a (e^j + grad chi^j) of the scheme
+        that defined chi (the fluxes carry kinks: a spectral divergence is no test)."""
         d = self.grid.dim
-        mat = self.mat.T if adjoint else self.mat
-        x = np.moveaxis(chi.reshape(self.lead + (d, -1)), -2, 0).reshape(d, -1)
-        res = (mat @ x.T).T - np.stack([self._rhs(j, adjoint).ravel() for j in range(d)])
-        return np.moveaxis(res.reshape((d,) + self.lead + (-1,)), 0, -2)
+        r = -self._div(self._flux(np.moveaxis(chi, -d - 1, 0), adjoint))
+        return np.moveaxis(r.reshape((d,) + self.lead + (-1,)), 0, -2)
 
-    def _rhs(self, j, adjoint=False):
-        # div of the constant-direction flux a e^j, discretized like the matrix;
-        # the adjoint scheme A(a^T) shares the faces and reads a^T at the nodes
-        d = self.grid.dim
-        h = self.grid.h
+    def _flux(self, values, adjoint=False):
+        """(face, node) (d, d, *lead, *cell), the flux of a (e^j + grad v^j) for
+        the directions' values v^j = values[j] (*lead, *cell): face[m, j] the
+        two-point flux through the face between i and i + e_m, node[m, j] the
+        centered cross terms sum_{k != m} a_mk (D0_k v^j + delta_kj), with a^T
+        for the adjoint."""
+        d, h = self.grid.dim, self.grid.h
         a = np.swapaxes(self.a, -1, -2) if adjoint else self.a
-        out = np.zeros(self.a.shape[:-2])
-        for m in range(d):
-            if m == j:
-                af = self.faces[m]
-                out += (af - np.roll(af, 1, axis=m - d)) / h
-            else:
-                out += centered_diff(a[..., m, j], m - d, h)
-        return out
+        e = np.eye(d).reshape((d, d) + (1,) * (values.ndim - 1))       # e[m, j] = delta_mj
+        face = np.stack([self.faces[m] * ((np.roll(values, -1, axis=m - d) - values) / h + e[m])
+                         for m in range(d)])
+        node = np.zeros(face.shape)
+        for m, k in permutations(range(d), 2):
+            node[m] += a[..., m, k] * (centered_diff(values, k - d, h) + e[k])
+        return face, node
+
+    def _div(self, flux):
+        """(d, *lead, *cell): the scheme's divergence of a `_flux`, backward
+        differences of the face parts and centered ones of the node parts."""
+        d, h = self.grid.dim, self.grid.h
+        return sum((face - np.roll(face, 1, axis=m - d)) / h + centered_diff(node, m - d, h)
+                   for m, (face, node) in enumerate(zip(*flux)))
 
     def solve_all(self, adjoint):
         """The arrays of `SpectralCellSolver.solve_all`, the sample axes (*lead)
@@ -209,9 +217,9 @@ class FVCellSolver:
     def _solve(self, adjoint):
         """Every direction of one family by one multi-RHS solve, the arrays of
         `solve_all` with j as block axis; a zero right-hand side gives chi = 0
-        and residual 0."""
+        and residual 0.  One flux of every direction gives residuals and columns."""
         d, n = self.grid.dim, self.grid.size
-        b = np.stack([self._rhs(j, adjoint).reshape(-1, n) for j in range(d)])   # (d, S, n)
+        b = self._div(self._flux(np.zeros((d,) + self.a.shape[:-2]), adjoint)).reshape(d, -1, n)
         x = b.copy()
         x[..., 0] = 0.0
         x = self.lu.solve(x.reshape(d, -1).T, trans="T" if adjoint else "N").T.reshape(b.shape)
@@ -222,36 +230,21 @@ class FVCellSolver:
         nb = np.sqrt(np.sum(b ** 2, axis=-1))
         v = np.where(nb[..., None] > 0.0, x - x.mean(axis=-1, keepdims=True), 0.0)
         values = v.reshape((d,) + self.lead + self.grid.shape)
-        r = self.div_residual(np.moveaxis(values, 0, -d - 1), None, adjoint).reshape(-1, d, n)
-        res = np.divide(np.sqrt(np.sum(r ** 2, axis=-1)), nb.T, out=np.zeros_like(nb.T),
-                        where=nb.T > 0.0)                                          # (S, d)
+        face, node = flux = self._flux(values, adjoint)
+        r = self._div(flux).reshape(b.shape)
+        res = np.divide(np.sqrt(np.sum(r ** 2, axis=-1)), nb, out=np.zeros_like(nb),
+                        where=nb > 0.0)                                       # (d, S)
         bad = res > max(10 * self.tol, 1e-10)
         if bad.any():
-            s = int(np.argmax(bad.any(axis=1)))
-            j = int(np.argmax(bad[s]))
-            raise SolveError(f"cell solve (fv, j={j}) residual {res[s, j]:.2e}", sample=s)
+            s = int(np.argmax(bad.any(axis=0)))
+            j = int(np.argmax(bad[:, s]))
+            raise SolveError(f"cell solve (fv{', adjoint' if adjoint else ''}, j={j}) "
+                             f"residual {res[j, s]:.2e}", sample=s)
         grads = np.stack([centered_diff(values, ax, self.grid.h) for ax in range(-d, 0)],
                          axis=-d - 1)
-        return (values, grads, res.T.reshape((d,) + self.lead),
-                np.stack([self._column(values[j], j, adjoint) for j in range(d)]))
-
-    def _column(self, values, j, adjoint):
-        """Flux mean of a (e^j + grad chi^j): conservative faces plus node
-        cross terms, (*lead, d)."""
-        d = self.grid.dim
-        h = self.grid.h
-        a = np.swapaxes(self.a, -1, -2) if adjoint else self.a
-        mean = lambda f: f.reshape(self.lead + (-1,)).mean(axis=-1)
-        col = np.zeros(self.lead + (d,))
-        for m in range(d):
-            face_flux = self.faces[m] * (
-                (np.roll(values, -1, axis=m - d) - values) / h + (1.0 if m == j else 0.0))
-            col[..., m] = mean(face_flux)
-            for k in range(d):
-                if k != m:
-                    dk = centered_diff(values, k - d, h)
-                    col[..., m] += mean(a[..., m, k] * (dk + (1.0 if k == j else 0.0)))
-        return col
+        mean = lambda f: f.reshape(f.shape[:-d] + (-1,)).mean(axis=-1)          # (m, j, *lead)
+        return (values, grads, res.reshape((d,) + self.lead),
+                np.moveaxis(mean(face) + mean(node), 0, -1))
 
 
 def make_solver(a_eval, grid, tol, method):

@@ -92,8 +92,8 @@ def _planes(x, y, *entries):
 
 
 def _constant(params):
-    dim = int(params.get("dim", 1))
-    mat = params.get("matrix")
+    dim = int(params.pop("dim", 1))
+    mat = params.pop("matrix", None)
     if mat is None:
         mat = np.eye(dim)
     mat = np.asarray(mat, dtype=float)
@@ -116,8 +116,8 @@ def _constant(params):
 
 
 def _separable_1d(params):
-    ay = float(params.get("y_amplitude", 1.0))
-    ax = float(params.get("x_amplitude", 0.5))
+    ay = float(params.pop("y_amplitude", 1.0))
+    ax = float(params.pop("x_amplitude", 0.5))
     if not (0 <= ay < 2 and 0 <= ax < 1):
         raise ValueError("need 0 <= y_amplitude < 2 and 0 <= x_amplitude < 1")
     lam_low = (2.0 - ay) * (1.0 - ax)
@@ -136,12 +136,12 @@ def _separable_1d(params):
 
 
 def _laminate_2d(params):
-    alo = float(params.get("alpha_lo", 1.0))
-    ahi = float(params.get("alpha_hi", 4.0))
-    blo = float(params.get("beta_lo", 1.0))
-    bhi = float(params.get("beta_hi", 3.0))
-    theta = float(params.get("fraction", 0.5))
-    ax = float(params.get("x_amplitude", 0.0))
+    alo = float(params.pop("alpha_lo", 1.0))
+    ahi = float(params.pop("alpha_hi", 4.0))
+    blo = float(params.pop("beta_lo", 1.0))
+    bhi = float(params.pop("beta_hi", 3.0))
+    theta = float(params.pop("fraction", 0.5))
+    ax = float(params.pop("x_amplitude", 0.0))
     if min(alo, ahi, blo, bhi) <= 0:
         raise ValueError("laminate phase values must be positive")
     if not (0 < theta < 1):
@@ -170,9 +170,9 @@ def _laminate_2d(params):
 
 
 def _smooth_2d_nonsymmetric(params):
-    sa = float(params.get("slow_amplitude", 0.25))
-    off = float(params.get("offdiag", 0.3))
-    sk = float(params.get("skew", 0.4))
+    sa = float(params.pop("slow_amplitude", 0.25))
+    off = float(params.pop("offdiag", 0.3))
+    sk = float(params.pop("skew", 0.4))
     if not 0 <= sa < 1:
         raise ValueError("need 0 <= slow_amplitude < 1")
     base_min = 1.0  # min of 2 + 0.6 sin + 0.4 cos
@@ -205,10 +205,9 @@ def _smooth_2d_nonsymmetric(params):
 
 
 def _periodic_only(params):
-    dim = int(params.get("dim", 2))
-    amp = float(params.get("amplitude", 0.8))
-    sym = bool(params.get("symmetric", True))
-    sk = 0.0 if sym else float(params.get("skew", 0.4))
+    dim = int(params.pop("dim", 2))
+    amp = float(params.pop("amplitude", 0.8))
+    sym = bool(params.pop("symmetric", True))
 
     if dim == 1:
         if not 0 <= amp < 2:
@@ -222,6 +221,7 @@ def _periodic_only(params):
                                 symmetric=True, name="periodic_only",
                                 params={"dim": 1, "amplitude": amp, "symmetric": True})
 
+    sk = 0.0 if sym else float(params.pop("skew", 0.4))
     # mixed-frequency diagonal keeps the third-order coefficient tensors
     # away from accidental parity zeros
     lam_low = 2.0 - 1.7 * amp
@@ -241,7 +241,7 @@ def _periodic_only(params):
     return CoefficientField(dim=2, evaluator=ev, ellipticity=lam, lipschitz_x=0.0,
                             symmetric=sym, name="periodic_only",
                             params={"dim": 2, "amplitude": amp, "symmetric": sym,
-                                    "skew": sk})
+                                    **({} if sym else {"skew": sk})})
 
 
 _FAMILIES = {
@@ -257,13 +257,17 @@ def builtin_family(family_id, params=None):
     """Instantiate a builtin coefficient family by id.
 
     Known ids: constant, separable_1d, laminate_2d, smooth_2d_nonsymmetric,
-    periodic_only.  Raises ValueError on an unknown id or parameters that
-    break ellipticity.
+    periodic_only.  Raises ValueError on an unknown id, parameters that
+    break ellipticity, or a parameter the family does not read.
     """
     if family_id not in _FAMILIES:
         raise ValueError(f"unknown coefficient family '{family_id}'; "
                          f"known: {sorted(_FAMILIES)}")
-    return _FAMILIES[family_id](dict(params or {}))
+    params = dict(params or {})
+    field = _FAMILIES[family_id](params)   # each factory pops what it reads
+    if params:
+        raise ValueError(f"coefficient family '{family_id}' does not read {sorted(params)}")
+    return field
 
 
 @dataclass

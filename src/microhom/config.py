@@ -28,12 +28,12 @@ Epsilon values are given as integer denominators (eps = 1/k).  Missing keys
 take documented defaults; the grid defaults depend on the family dimension
 (1D: n_x=64, n_y=256, n_f=16; 2D: n_x=16, n_y=64, n_f=8).  n_f must
 divide n_y, and no fine grid n_f * k may be coarser than n_x; every
-ExperimentConfig checks its grids and solver settings when it is built,
-and load_config checks the eps denominators.
+ExperimentConfig checks its grids, eps list and solver settings when it is
+built, and load_config checks that the denominators are distinct k >= 2.
 [coefficient] holds the family's parameters, each a number or a boolean
-word (1/true/yes/on, 0/false/no/off, any case); any other value, an
-unknown section, or an unknown key in any other section, raises
-ConfigError.
+word (1/true/yes/on, 0/false/no/off, any case); any other value, a
+parameter the family does not read, an unknown section, or an unknown
+key in any other section, raises ConfigError.
 """
 
 import configparser
@@ -63,7 +63,7 @@ class ExperimentConfig:
     matched_effective: bool = False
 
     def __post_init__(self):
-        """Reject grids and solver settings a sweep cannot run."""
+        """Reject grids, eps lists and solver settings a sweep cannot run."""
         if self.n_f < 8:
             raise ConfigError(f"n_f must be >= 8, got {self.n_f}")
         if self.n_f % 2:
@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_f = {self.n_f} must divide n_y = {self.n_y}")
         if self.n_x < 4:
             raise ConfigError(f"n_x must be >= 4, got {self.n_x}")
+        if not self.eps_denominators:
+            raise ConfigError("eps_denominators is empty")
         for k in self.eps_denominators:
             if self.n_f * k < self.n_x:
                 # the homogenized operator resamples the slow grid onto the fine one
@@ -135,8 +137,6 @@ def _param(raw):
 def _eps_denominators(raw):
     """Distinct integer denominators k >= 2, ascending (so eps descending)."""
     ks = tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
-    if not ks:
-        raise ValueError("eps_denominators is empty")
     for i, k in enumerate(ks):
         if k < 2:
             raise ValueError(f"every eps must be 1/k with integer k >= 2, got 1/{k}")

@@ -100,13 +100,14 @@ def effective_matrix(cells: CellSolutions, field) -> HomogenizedField:
 def _group_fluxes(cells: CellSolutions, field, families):
     """Per group of slow samples (`cell.sample_groups`), one cell solver for
     the field and, for each family in `families` (1: the adjoint one, which
-    reads the transposed node matrix and scheme A(a^T) = A(a)^T),
-    the node flux a (e^j + grad_y chi^j) (S, j, m, *cell), its deviation
-    from the node-quadrature cell mean and each sample's worst divergence
-    defect.  Every direction is held to the gradient energy bound
-    |grad chi^j| <= sqrt(d) / lam^2 (lam: the field's claimed ellipticity
-    constant) and to solenoidality (the solver's `div_residual`); a
-    SolveError names the first failing sample and its first failing check.
+    reads the transposed node matrix), the node flux a (e^j + grad_y chi^j)
+    (S, j, m, *cell), its deviation from the node-quadrature cell mean and
+    each sample's worst divergence defect.  Every direction is held to the
+    gradient energy bound |grad chi^j| <= sqrt(d) / lam^2 (lam: the field's
+    claimed ellipticity constant) and to solenoidality (the solver's
+    `div_residual`: on finite volumes the scheme's own divergence of its
+    flux, with no matrix assembled); a SolveError names the first failing
+    sample and its first failing check.
     Yields (group, [(flux, dev, defect) per family]).
     """
     d, cell_grid = cells.dim, cells.cell_grid

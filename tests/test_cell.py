@@ -11,7 +11,9 @@ import scipy.sparse.linalg as spla
 import microhom.cell
 from microhom import (SolveError, TorusGrid, build_cell_table, builtin_family,
                       effective_matrix, load_cell_table, save_cell_table)
+from microhom.assemble import assemble_diffusion
 from microhom.cell import _LGMRES_CALLS, SpectralCellSolver, flux_operator, make_solver
+from microhom.grids import centered_diff
 from microhom.spectral import calculus
 
 
@@ -267,6 +269,64 @@ def test_split_fv_table_equals_the_one_group_table(monkeypatch, family, params):
     # a symmetric field's one family fills both slots
     assert not f.symmetric or all(np.array_equal(t[0], t[1])
                                   for t in (split.chi, split.grad_y_chi, split.a0))
+
+    # the residual the solver reads off its flux is that of the assembled
+    # matrix, A(a)^T for the adjoint, and of the divergence of a e^j
+    solver = make_solver(f.frozen(slow.coords().reshape(-1, 2)), cell, 1e-11, "fv")
+    v = np.random.default_rng(3).standard_normal(solver.lead + (2,) + cell.shape)
+    mat = assemble_diffusion(cell, solver.faces, solver.a)
+    for adjoint, a in ((False, solver.a), (True, np.swapaxes(solver.a, -1, -2))):
+        got = solver.div_residual(v, None, adjoint)
+        for j in range(2):
+            b = fv_rhs(cell, solver.faces, a, j).reshape(-1)
+            ref = ((mat.T if adjoint else mat) @ v[:, j].reshape(-1) - b).reshape(-1, cell.size)
+            assert np.linalg.norm(got[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def fv_rhs(grid, faces, nodes, j):
+    """div of a e^j as the finite-volume scheme discretizes it: the backward
+    difference of the face a_jj plus centered ones of the node a_mj."""
+    d, h = grid.dim, grid.h
+    out = (faces[j] - np.roll(faces[j], 1, axis=j - d)) / h
+    for m in range(d):
+        if m != j:
+            out = out + centered_diff(nodes[..., m, j], m - d, h)
+    return out
+
+
+@pytest.mark.parametrize("method", ["spectral", "fv"])
+def test_failing_adjoint_cell_solve_is_named(monkeypatch, method):
+    # a failure in an adjoint block says so and names its sample; a primal
+    # failure keeps the plain message (test_unreachable_tolerance_raises)
+    f = builtin_family("smooth_2d_nonsymmetric", {})
+    cell = TorusGrid(2, 16)
+    if method == "spectral":
+        solver = make_solver(f.frozen([0.3, 0.6]), cell, 1e-11, "spectral")
+        krylov = solver._krylov
+
+        def stalled_adjoint(a, rhs):
+            spec, res = krylov(a, rhs)
+            return spec, np.where(np.arange(len(res)) >= 2, 1.0, res)
+        monkeypatch.setattr(solver, "_krylov", stalled_adjoint)
+        with pytest.raises(SolveError, match=r"cell solve \(spectral, adjoint, j=0\)"):
+            solver.solve_all(adjoint=True)
+        return
+    solver = make_solver(f.frozen(TorusGrid(2, 2).coords().reshape(-1, 2)), cell, 1e-11, "fv")
+    lu = solver.lu
+
+    class ForwardOnly:
+        # the factor's own solves, except that sample 2 of a transposed
+        # solve comes back zero
+        def solve(self, rhs, trans="N"):
+            x = lu.solve(rhs, trans=trans)
+            if trans == "T":
+                x[2 * cell.size:3 * cell.size] = 0.0
+            return x
+    solver._lu = ForwardOnly()
+    assert solver.solve_all(adjoint=False)[2].max() <= 1e-11
+    with pytest.raises(SolveError, match=r"cell solve \(fv, adjoint, j=0\) residual") as exc:
+        solver.solve_all(adjoint=True)
+    assert exc.value.sample == 2
 
 
 @pytest.mark.parametrize("family", ["separable_1d", "smooth_2d_nonsymmetric"])

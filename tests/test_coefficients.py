@@ -27,6 +27,22 @@ def test_nonelliptic_parameters_rejected():
         builtin_family("separable_1d", {"y_amplitude": 2.5})
 
 
+def test_parameters_a_family_does_not_read_are_rejected():
+    # each family reads its own keys; any other, such as a misspelt one, is
+    # named instead of leaving its default in force
+    for fam, params in [("separable_1d", {"x_amplitud": 0.3}),
+                        ("periodic_only", {"dim": 1, "skew": 0.1}),
+                        ("periodic_only", {"dim": 2, "symmetric": True, "skew": 0.1}),
+                        ("constant", {"matrix": np.eye(2), "amplitude": 1.0})]:
+        with pytest.raises(ValueError, match=f"'{fam}' does not read"):
+            builtin_family(fam, params)
+    assert builtin_family("constant", {"dim": 2, "matrix": np.eye(2)}).dim == 2
+    # a field's recorded parameters instantiate it again
+    for fam, params in FAMILIES + [("periodic_only", {"dim": 2})]:
+        f = builtin_family(fam, params)
+        assert builtin_family(fam, f.params).params == f.params
+
+
 def test_constant_identity_metadata():
     f = builtin_family("constant", {"matrix": np.eye(1)})
     assert f.ellipticity == 1.0

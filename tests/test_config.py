@@ -107,9 +107,11 @@ def test_norm_maxiter_must_be_positive(tmp_path):
     (MINIMAL + "x_amplitude = 0.5x\n", r"\[coefficient\] x_amplitude = '0.5x'"),
     (FULL.replace("seed = 7", "seed = 7\nmatched_effective = ture"),
      r"\[solver\] matched_effective = 'ture'"),
-], ids=["x_amplitude", "matched_effective"])
+    (MINIMAL + "x_amplitud = 0.3\n", r"'separable_1d' does not read \['x_amplitud'\]"),
+], ids=["x_amplitude", "matched_effective", "misspelt_parameter"])
 def test_malformed_value_rejected(tmp_path, text, msg):
-    # values that are neither numbers nor boolean words once loaded as False
+    # values that are neither numbers nor boolean words once loaded as
+    # False, and a misspelt family parameter once ran on its default
     with pytest.raises(ConfigError, match=msg):
         load_config(write(tmp_path, text))
 
@@ -162,3 +164,8 @@ def test_empty_eps_denominators_rejected(tmp_path):
     # an empty value is an error like every other empty key, not the defaults
     with pytest.raises(ConfigError, match="eps_denominators is empty"):
         load_config(write(tmp_path, MINIMAL + "\n[sweep]\neps_denominators =\n"))
+    # a config built in code is checked as well: an empty list would
+    # otherwise fail deep inside the sweep
+    with pytest.raises(ConfigError, match="eps_denominators is empty"):
+        ExperimentConfig(family="separable_1d", params=(), n_x=64, n_y=256, n_f=16,
+                         eps_denominators=())
