@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError("tolerances must be positive")
         if self.norm_maxiter < 1:
             raise ConfigError(f"norm_maxiter must be >= 1, got {self.norm_maxiter}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def params_dict(self):

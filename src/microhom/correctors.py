@@ -275,19 +275,18 @@ def _cell_kernels(nodes, n_f, n_y, method):
 
 
 def _offset_rows(table, d, kern, n_f):
-    """A cell table at the fast lattices c/n_f + o of a tensor offset rule.
+    """Both cell-gradient families at the fast lattices c/n_f + o of a tensor offset rule.
 
-    table: (*lead, *cell), d <= 2 cell axes; kern: `_cell_kernels` of the
-    rule's 1D nodes.  Yields one lattice row at a time (the offsets sharing
-    the axis-0 node; in 1D every node) as a (per, *lead, *(n_f,)*d) view: the axis
-    maps applied to the table, axis 0 by the row's map, then the last axis
-    for every offset at once.  In 2D each map is one GEMM over all table
-    slices; in 1D the last axis is one product per slice, as one GEMM there
-    rounds differently.
+    table: (2, *slow, d, d, *cell) as `CellSolutions` holds it, d <= 2 cell axes;
+    kern: `_cell_kernels` of the rule's 1D nodes.  Yields each lattice row (the
+    offsets sharing the axis-0 node; in 1D every node) as the contiguous (n_slow *
+    n_f^d, 2, d, d, per) array the drift's passes read: the axis maps applied to
+    the table, axis 0 by the row's map, then the last axis for every offset at
+    once.  In 2D each map is one GEMM over all table slices; in 1D the last axis
+    is one product per slice, as one GEMM there rounds differently.
     """
-    cell = table.shape[-d:]
     per, n_y = kern.shape
-    flat = table.reshape((-1,) + cell)
+    flat = table.reshape((-1,) + table.shape[-d:])
     m = np.arange(n_y)
     cs = (n_y // n_f) * np.arange(n_f)[:, None]
 
@@ -295,8 +294,9 @@ def _offset_rows(table, d, kern, n_f):
         # lead (X, slices, n_y); row c of the last axis reads it rolled by c s
         vals = np.take(lead, (m + cs) % n_y, axis=2)
         vals = (vals.reshape(-1, n_y) if d == 2 else vals.reshape(len(flat), -1, n_y)) @ kern.T
-        return vals.reshape(-1, len(flat), n_f, per).transpose(3, 1, 0, 2).reshape(
-            (per,) + table.shape[:-d] + (n_f,) * d)
+        # (X, family, sample, component, c, offset) -> (sample, X, c, family, component, offset)
+        return vals.reshape(-1, 2, len(flat) // (2 * d * d), d * d, n_f, per).transpose(
+            2, 0, 4, 1, 3, 5).reshape(-1, 2, d, d, per)
 
     if d == 1:
         yield last_axis(flat[None])
@@ -326,9 +326,9 @@ def drift_matrix_field(field, cells, specs, grids):
     line integral is exactly (a(x + eps w, y) - a(x, y)) / eps.  The
     offset integral has no grid-function shifts in it, so it uses the
     tensor Gauss rule (the integrand is analytic in the offset but not
-    periodic), whose rows are walked once for every (spec, grid) pair; a
-    pass reads both tables of a row, plus identity, at a pair's fine nodes
-    by one product, for at most _DRIFT_PAIRS (fine node, offset) pairs.
+    periodic), whose rows are walked once, both families together, for all
+    (spec, grid) pairs; a pass reads a row's table, plus identity, at a pair's
+    fine nodes by one product, for at most _DRIFT_PAIRS (fine node, offset) pairs.
     The fine node x = eps (K + c/n_f) has the fast point c/n_f + w at
     offset w, so the nodes are laid out as (1/eps, n_f) per axis and
     `field.eval` gets the slow points (*layout, 1, d) against the fast
@@ -364,19 +364,13 @@ def drift_matrix_field(field, cells, specs, grids):
             acc += a[p] * b[p]
         return acc
 
-    walks = [_offset_rows(tab, d, kern, n_f) for tab in cells.grad_y_chi]
-    for row in range(len(nodes) if d == 2 else 1):
-        # (n_slow * n_f^d, 2, d, d, per): both gradient tables plus identity at the
-        # row's offsets, component-major, offsets last; a walk's row dies with its copy
-        # (the copy also joins the fast axes that the 2D walk yields apart)
-        tab = np.empty((cells.slow_grid.size,) + (n_f,) * d + (2, d, d, len(nodes)))
-        for fam, rows in enumerate(walks):
-            tab[..., fam, :, :, :] = next(rows).reshape((len(nodes), -1, d, d) + (n_f,) * d
-                                                        ).transpose(1, *range(4, 4 + d), 2, 3, 0)
-        tab = tab.reshape(-1, 2, d, d, len(nodes))
-        tab += np.eye(d)[:, :, None]
-        row_om = nodes[:, None] if d == 1 else np.stack([np.full_like(nodes, nodes[row]), nodes], 1)
-        row_w = node_w if d == 1 else node_w[row] * node_w
+    # the tensor Gauss rule by lattice row: offsets (rows, per, d), weights (rows, per)
+    row_oms = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, len(nodes), d)
+    row_ws = np.prod(np.meshgrid(*[node_w] * d, indexing="ij"), axis=0).reshape(-1, len(nodes))
+    rows = _offset_rows(cells.grad_y_chi, d, kern, n_f)
+    for row_om, row_w in zip(row_oms, row_ws):
+        tab = next(rows)  # not zipped: zip's reused tuple would hold it through the next row
+        tab += np.eye(d)[:, :, None]  # both gradient families plus identity at the row's offsets
         for eps, grid, pts, at, interp, batch, out in runs:
             for lo in range(0, len(nodes), batch):
                 om, w = row_om[lo:lo + batch], row_w[lo:lo + batch]
@@ -396,6 +390,7 @@ def drift_matrix_field(field, cells, specs, grids):
                     r = [dot(Q[k], mid[:, q]) for q in range(d)]
                     for j in range(d):
                         out[j, k] += dot(r, P[j]).sum(axis=1)
+        del tab  # the walk makes the next row with this one freed
     return [np.moveaxis(out, 2, 0).reshape(grid.shape + (d, d)) for _, grid, *_, out in runs]
 
 

@@ -29,10 +29,9 @@ _DIV_LIMIT = 1e-6   # largest divergence defect accepted (deviations, potentials
 class HomogenizedField:
     """Effective matrix a0 on the slow sample grid.
 
-    `matrices` has shape (*slow_shape, d, d).  Off-sample evaluation is one
-    `grids.interp_matrix` product with the (slow_grid.size, d * d) table;
-    assembly onto fine grids uses trigonometric resampling of the
-    analytic-in-x samples (`resample_entry`).
+    `matrices` has shape (*slow_shape, d, d).  Assembly onto fine grids
+    reads one entry at a time by trigonometric resampling of the
+    analytic-in-x samples (`resample_entry`); `to_csv` writes the samples.
     """
     slow_grid: TorusGrid
     matrices: np.ndarray

@@ -251,7 +251,7 @@ def transpose_defect(ops, n_trials=5, seed=0):
     the unchecked _matmat and _rmatmat; each trial's defect reads
     contiguous columns, so it equals that of a one-vector application
     wherever the block is bitwise column by column (LU solves and sparse
-    products are).
+    products are).  A non-finite block raises SolveError, not a zero defect.
     """
     ops = list(ops)
     shape = ops[0].shape
@@ -266,6 +266,8 @@ def transpose_defect(ops, n_trials=5, seed=0):
         # (n_trials, N) with each trial's image a contiguous row
         mfs = np.ascontiguousarray(op._matmat(f.T).T)
         mths = np.ascontiguousarray(op._rmatmat(h.T).T)
+        if not (np.isfinite(mfs).all() and np.isfinite(mths).all()):
+            raise SolveError(f"transpose_defect: non-finite values for {getattr(op, 'label', op)}")
         defect = 0.0
         for (fi, hi, f_norm, h_norm), mf, mth in zip(trials, mfs, mths):
             a = float(np.dot(mf, hi))

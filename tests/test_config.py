@@ -108,10 +108,12 @@ def test_norm_maxiter_must_be_positive(tmp_path):
     (FULL.replace("seed = 7", "seed = 7\nmatched_effective = ture"),
      r"\[solver\] matched_effective = 'ture'"),
     (MINIMAL + "x_amplitud = 0.3\n", r"'separable_1d' does not read \['x_amplitud'\]"),
-], ids=["x_amplitude", "matched_effective", "misspelt_parameter"])
+    (FULL.replace("seed = 7", "seed = -1"), "seed must be >= 0, got -1"),
+], ids=["x_amplitude", "matched_effective", "misspelt_parameter", "seed"])
 def test_malformed_value_rejected(tmp_path, text, msg):
     # values that are neither numbers nor boolean words once loaded as
-    # False, and a misspelt family parameter once ran on its default
+    # False, a misspelt family parameter once ran on its default, and a
+    # negative seed once failed in numpy after the sweep's setup stages
     with pytest.raises(ConfigError, match=msg):
         load_config(write(tmp_path, text))
 

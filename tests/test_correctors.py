@@ -519,6 +519,11 @@ def mode_sum(table, d, pts):
     return (spec.reshape(table.shape[:-d] + (-1,)) @ phase.T).real
 
 
+def row_layout(table, d, n_f):
+    """(2, *slow, d, d, *fast) -> an offset row's (n_slow * n_f^d, 2, d, d) layout."""
+    return np.moveaxis(table.reshape((2, -1, d, d, n_f ** d)), (1, 4), (0, 1)).reshape(-1, 2, d, d)
+
+
 @pytest.mark.parametrize("method,tol", [("fv", 0.0), ("spectral", 1e-13)])
 def test_offset_tables_on_cell_nodes_match_rolled_restriction(method, tol):
     # an offset of whole cell-grid steps lands the fast lattice on cell nodes
@@ -538,13 +543,14 @@ def test_offset_tables_on_cell_nodes_match_rolled_restriction(method, tol):
             rows = _offset_rows(table, d, _cell_kernels(nodes, n_f, n_y, method), n_f)
             # the lattice on two nodes has the offsets (a, b) for a, b in steps
             for a, row in zip(steps, rows):
-                for b, got in zip(steps, row):
+                assert row.shape == (cells.slow_grid.size * n_f ** d, 2, d, d, 2)
+                assert row.flags.c_contiguous
+                for b, got in zip(steps, np.moveaxis(row, -1, 0)):
                     rolled = np.roll(table, (-a, -b), axis=cell_axes)
-                    expect = rolled[..., ::n_y // n_f, ::n_y // n_f]
+                    expect = row_layout(rolled[..., ::n_y // n_f, ::n_y // n_f], d, n_f)
                     assert np.abs(got - expect).max() <= tol, (a, b)
         # one off-node Gauss offset
-        got = next(_offset_rows(table, d, _cell_kernels(gauss, n_f, n_y, method), n_f))[1]
-        got = got.reshape(table.shape[:-d] + (-1,))
+        got = next(_offset_rows(table, d, _cell_kernels(gauss, n_f, n_y, method), n_f))[..., 1]
         pts = fast_lattice(n_f, d) + gauss
         if method == "fv":
             idx, wts = corners(n_y, pts)
@@ -554,6 +560,7 @@ def test_offset_tables_on_cell_nodes_match_rolled_restriction(method, tol):
         else:
             expect = mode_sum(table, d, pts)
             bound = 1e-13
+        expect = row_layout(expect, d, n_f)
         assert np.abs(got - expect).max() <= bound * np.abs(expect).max()
 
 

@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from microhom import SolveError, TorusGrid
 from microhom.grids import centered_diff
-from microhom.operators import (_NCV, diff_matrix, h1_gram_op, matrix_op, operator_norm,
-                                stencil_matrix, transpose_defect)
+from microhom.operators import (_NCV, DiscreteOperator, diff_matrix, h1_gram_op, matrix_op,
+                                operator_norm, stencil_matrix, transpose_defect)
 from microhom.spectral import calculus, trig_resample
 
 
@@ -141,6 +141,17 @@ def test_operator_norm_rejects_non_finite(bad):
     op = matrix_op(sp.diags(np.full(20, bad)))
     with pytest.raises(SolveError, match="non-finite"):
         operator_norm(op, seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_transpose_defect_rejects_non_finite(bad):
+    # max(defect, nan) keeps the defect: a broken operator would read as a perfect pairing
+    n = 6
+    eye = matrix_op(sp.identity(n, format="csr"), label="eye")
+    broken = DiscreteOperator((n, n), lambda x: x, lambda y: np.full_like(y, bad), label="broken")
+    assert transpose_defect([eye], 2, seed=0) == [0.0]
+    with pytest.raises(SolveError, match="transpose_defect: non-finite values for broken"):
+        transpose_defect([eye, broken], 2, seed=0)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 8), (1, 12), (2, 4), (2, 12), (2, 16)])

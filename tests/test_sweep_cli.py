@@ -102,18 +102,26 @@ def test_cell_table_breaking_energy_bound_aborts_sweep(monkeypatch):
         run_sweep(QUICK_1D)
 
 
-def test_sweep_walks_offset_rows_once_per_gradient_table(monkeypatch):
-    # one drift walk serves every eps: one pass over each gradient table
+def test_sweep_walks_offset_rows_once_per_sweep(monkeypatch):
+    # one drift walk serves every eps and reads both gradient families at once
     walked = []
     offset_rows = microhom.correctors._offset_rows
 
     def counted(table, *args):
-        walked.append(table.shape)
+        walked.append(table)
         return offset_rows(table, *args)
     monkeypatch.setattr(microhom.correctors, "_offset_rows", counted)
+    build = microhom.sweep.build_cell_table
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(microhom.sweep, "build_cell_table", recorded)
     rep = run_sweep(QUICK_1D)
     assert len(rep.eps_list) == len(QUICK_1D.eps_denominators)
-    assert len(walked) == 2
+    assert len(built) == 1 and len(walked) == 1
+    assert walked[0] is built[0].grad_y_chi and walked[0].shape[0] == 2
 
 
 @pytest.mark.parametrize("matched,method,n_cell", [(True, "fv", 8), (False, "spectral", 16)],
@@ -215,20 +223,40 @@ def test_sweep_rejects_jobs_other_than_one_before_any_stage(monkeypatch):
             run_sweep(QUICK_1D, jobs=jobs)
 
 
-def test_failed_eps_keeps_measured_points(quick_report, monkeypatch):
-    assemble = microhom.sweep.assemble_fine
+@pytest.mark.parametrize("stage,message", [
+    ("assemble", "injected failure"),
+    ("pairing", "transpose_defect: non-finite values for Mop")], ids=["assemble", "pairing"])
+def test_failed_eps_keeps_measured_points(quick_report, monkeypatch, stage, message):
+    if stage == "assemble":
+        assemble = microhom.sweep.assemble_fine
 
-    def fail_at_finest(field, eps, grid):
-        if eps == 1 / 16:
-            raise SolveError("injected failure")
-        return assemble(field, eps, grid)
-    monkeypatch.setattr(microhom.sweep, "assemble_fine", fail_at_finest)
+        def fail_at_finest(field, eps, grid):
+            if eps == 1 / 16:
+                raise SolveError("injected failure")
+            return assemble(field, eps, grid)
+        monkeypatch.setattr(microhom.sweep, "assemble_fine", fail_at_finest)
+    else:
+        assemble_M = microhom.sweep.assemble_M
+
+        def nan_at_finest(chat, r_hom, grid):
+            # a checked operator whose transposed block holds a NaN at eps 1/16
+            op = assemble_M(chat, r_hom, grid)
+            if grid.n == 16 * QUICK_1D.n_f:
+                rmatmat = op._rmatmat
+
+                def planted(x):
+                    y = rmatmat(x)
+                    y[0] = np.nan
+                    return y
+                op._rmatmat = planted
+            return op
+        monkeypatch.setattr(microhom.sweep, "assemble_M", nan_at_finest)
     rep = run_sweep(QUICK_1D)
     assert rep.eps_list == [1 / 4, 1 / 8]
     for key in ("E0", "E1", "E2"):
         assert rep.errors[key] == quick_report.errors[key][:2]
     aborted = [f for f in rep.flags if f.startswith("aborted")]
-    assert len(aborted) == 1 and "eps = 1/16, stage assemble: injected" in aborted[0]
+    assert len(aborted) == 1 and f"eps = 1/16, stage {stage}: {message}" in aborted[0]
 
 
 def test_cell_residual_above_tol_flagged(monkeypatch, tmp_path):
